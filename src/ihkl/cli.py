@@ -14,7 +14,8 @@ import json
 import sys
 
 from . import builders, flagfq, hecke, ih
-from .complexes import dump_complex, load_complex, validate
+from .complexes import (check_supports, dump_complex, load_complex,
+                        require_structure, validate)
 from .coxeter import all_elements, bruhat_leq, parse_element
 from .errors import (ComputationError, InternalConsistencyError, UsageError)
 from .perversity import parse as parse_perversity
@@ -64,20 +65,11 @@ def _dims_line(dims, n):
     return " ".join("%d:%d" % (i, dims.get(i, 0)) for i in range(n + 1))
 
 
-SUPPORTS = {"bm": "borel_moore", "borel_moore": "borel_moore",
-            "compact": "compact"}
-
-
 def run_ih(args):
     s = _load(args)
-    supports = SUPPORTS.get(args.supports)
-    if supports is None:
-        raise UsageError("unknown supports %r" % args.supports)
-    rep = validate(s)
-    for name in ("purity", "pseudomanifold", "filtration", "no_codim_1"):
-        if not rep.checks[name][0]:
-            print(rep.render_text(), file=sys.stderr)
-            return 1
+    supports = "borel_moore" if args.supports == "bm" else args.supports
+    check_supports(supports)
+    require_structure(s)
     p = _perversity_for(s, args.perversity) if s.dimension >= 2 else None
     dims = ih.ih_dims(s, p, supports, subdivide=args.subdivide)
     rows = [("degree", "dim")] + [(i, dims.get(i, 0)) for i in range(s.dimension + 1)]
@@ -187,7 +179,7 @@ def run_kl(args):
 
 
 def run_flagcheck(args):
-    if args.q < 2 or any(args.q % d == 0 for d in range(2, args.q)):
+    if not flagfq.is_prime(args.q):
         raise UsageError("%d is not prime" % args.q)
     rep = flagfq.verify_hecke_specialization(args.n, args.q, force=args.force)
     _emit(args, rep.render_text, rep.to_json())

@@ -86,10 +86,6 @@ class SimplicialComplex:
                         for d, v in by_dim.items()}
 
     @classmethod
-    def from_maximal(cls, maximal):
-        return cls([simplex(s) for s in maximal])
-
-    @classmethod
     def empty(cls):
         return cls([], closed=True)
 
@@ -152,9 +148,6 @@ class SimplicialComplex:
                     out.append(s)
         return SimplicialComplex(out, closed=True)
 
-    def star_closed(self, x) -> "SimplicialComplex":
-        return SimplicialComplex([s for s in self._simplices if x in s])
-
     def connected_components(self):
         """Partition of the vertex set by edge connectivity."""
         parent = {v: v for v in self.vertices}
@@ -207,10 +200,6 @@ class StratifiedComplex:
             return self.ambient
         return self.filtration.get(k, SimplicialComplex.empty())
 
-    @property
-    def singular_set(self) -> SimplicialComplex:
-        return self.F(2)
-
     def stratum_nonempty(self, k) -> bool:
         nxt = self.F(k + 1) if k + 1 <= self.dimension else SimplicialComplex.empty()
         return len(self.F(k)) > len(nxt)
@@ -223,14 +212,6 @@ class StratifiedComplex:
         """Full subcomplex on the vertices not in the ends."""
         keep = self.ambient.vertices - self.ends.vertices
         return self.ambient.full_subcomplex(keep)
-
-    def substructure(self, sub: SimplicialComplex) -> "StratifiedComplex":
-        """The stratified complex induced on a subcomplex (ends dropped)."""
-        return StratifiedComplex(
-            sub, self.dimension,
-            ends=self.ends.restrict_to(sub.simplices),
-            filtration={k: self.F(k).restrict_to(sub.simplices)
-                        for k in range(2, self.dimension + 1)})
 
 
 @dataclass(frozen=True)
@@ -304,16 +285,32 @@ def boundary_columns(s: StratifiedComplex, i: int, basis_i=None, basis_prev=None
     return cols
 
 
-def _relative_homology_dims(s: StratifiedComplex):
+def chain_dims(s: StratifiedComplex, allow=None) -> dict:
+    """Homology dimensions of the relative chains of (K, L), by degree.
+
+    ``allow(x, i)`` says whether the i-simplex x may carry an allowable
+    chain; the allowable i-chains are the chains on such simplices whose
+    boundary is allowable too, so degree i has dimension
+    |allow_i| - rank d_i - (rank d_{i+1} - rank of its rows outside
+    allow_i). With ``allow=None`` every simplex counts, the last rank is
+    zero, and the result is ordinary homology.
+    """
     n = s.dimension
     bases = {i: chain_basis(s, i) for i in range(0, n + 1)}
-    ranks = {}
+    cells = bases if allow is None else {
+        i: [x for x in basis if allow(x, i)] for i, basis in bases.items()}
+    rank, rank_out = {}, {}
     for i in range(1, n + 1):
-        ranks[i] = sparse_rank(boundary_columns(s, i, bases[i], bases[i - 1]))
-    out = {}
-    for i in range(0, n + 1):
-        out[i] = len(bases[i]) - ranks.get(i, 0) - ranks.get(i + 1, 0)
-    return out
+        cols = boundary_columns(s, i, cells[i], bases[i - 1])
+        rank[i] = sparse_rank(cols)
+        if allow is not None:
+            index = {x: r for r, x in enumerate(bases[i - 1])}
+            inside = {index[x] for x in cells[i - 1]}
+            rank_out[i] = sparse_rank(
+                [{r: v for r, v in col.items() if r not in inside} for col in cols])
+    return {i: len(cells[i]) - rank.get(i, 0)
+            - (rank.get(i + 1, 0) - rank_out.get(i + 1, 0))
+            for i in range(0, n + 1)}
 
 
 def interior_order_complex(s: StratifiedComplex) -> StratifiedComplex:
@@ -358,30 +355,65 @@ def _inclusion_chains(poset):
     return all_chains
 
 
+def compact_model(s: StratifiedComplex) -> StratifiedComplex:
+    """A compact-supports model of X with empty ends.
+
+    The full subcomplex away from the ends is used when pushing away
+    from the ends is a stratum-faithful retraction: the ends must be
+    full (so every simplex off them keeps an interior face), and that
+    face must lie in exactly the filtration steps the simplex does.
+    Otherwise the interior of the barycentric subdivision is used (its
+    vertices are the simplices off the ends), for which the conditions
+    always hold.
+    """
+    if len(s.ends) == 0:
+        return s
+    if s.ends.is_full_in(s.ambient) and _interior_retract_ok(s):
+        inner = s.interior()
+        return StratifiedComplex(
+            inner, s.dimension,
+            filtration={k: s.F(k).restrict_to(inner.simplices)
+                        for k in range(2, s.dimension + 1)})
+    return interior_order_complex(s)
+
+
+def _interior_retract_ok(s: StratifiedComplex) -> bool:
+    ev = s.ends.vertices
+    fs = [s.F(k) for k in range(2, s.dimension + 1) if len(s.F(k))]
+    if not fs:
+        return True
+    for x in s.ambient.simplices:
+        if x in s.ends:
+            continue
+        tau = tuple(v for v in x if v not in ev)
+        for fk in fs:
+            if tau in fk and x not in fk:
+                return False
+    return True
+
+
+SUPPORTS = ("borel_moore", "compact")
+
+
+def check_supports(supports):
+    if supports not in SUPPORTS:
+        raise UsageError("unknown supports mode %r" % (supports,))
+
+
 def homology_dims(s: StratifiedComplex, supports: str) -> dict:
     """Rational homology dimensions by degree.
 
-    ``borel_moore``: homology of the relative complex C(K)/C(L).
-    ``compact``: homology of the part of K disjoint from L (the full
-    interior subcomplex when L is full in K, else the interior of the
-    barycentric subdivision, which requires no hypothesis).
+    Ordinary homology is intersection homology with no allowability
+    condition: the same rank loop as ``ih.ih_dims`` with every simplex
+    allowed. ``borel_moore`` is the homology of the relative complex
+    C(K)/C(L); ``compact`` that of ``compact_model`` of (K, L) with the
+    filtration dropped.
     """
-    report = validate(s)
-    for name in ("purity", "pseudomanifold", "filtration", "no_codim_1"):
-        if not report.checks[name][0]:
-            raise ValidationError("complex failed validation:\n" + report.render_text())
-    if supports == "borel_moore":
-        return _relative_homology_dims(s)
-    if supports != "compact":
-        raise UsageError("unknown supports mode %r" % supports)
-    if len(s.ends) == 0:
-        return _relative_homology_dims(s)
-    if s.ends.is_full_in(s.ambient):
-        inner = s.ambient.full_subcomplex(s.ambient.vertices - s.ends.vertices)
-        model = StratifiedComplex(inner, s.dimension)
-    else:
-        model = interior_order_complex(s)
-    return _relative_homology_dims(model)
+    require_structure(s)
+    check_supports(supports)
+    if supports == "compact":
+        s = compact_model(StratifiedComplex(s.ambient, s.dimension, ends=s.ends))
+    return chain_dims(s)
 
 
 # ---------------------------------------------------------------------------
@@ -539,6 +571,16 @@ def validate(s: StratifiedComplex) -> ValidationReport:
             "F(%s) not full; barycentric_subdivide first" %
             ",".join(map(str, not_full)))
     return rep
+
+
+def require_structure(s: StratifiedComplex):
+    """The checks homology needs; ValidationError names each one failed."""
+    checks = validate(s).checks
+    failed = ["%s (%s)" % (name, checks[name][1])
+              for name in ("purity", "pseudomanifold", "filtration", "no_codim_1")
+              if not checks[name][0]]
+    if failed:
+        raise ValidationError("complex failed validation: " + "; ".join(failed))
 
 
 # ---------------------------------------------------------------------------

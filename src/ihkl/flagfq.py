@@ -11,6 +11,7 @@ Hecke algebra at v^2 = q, which is verified pair by pair.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -21,15 +22,19 @@ MAX_N = 4
 MAX_Q = 7
 
 
+def is_prime(q: int) -> bool:
+    return q >= 2 and all(q % d for d in range(2, math.isqrt(q) + 1))
+
+
 def _check_bounds(n, q, force=False):
     if n < 1:
         raise ComputationError("need n >= 1")
-    if q < 2 or any(q % d == 0 for d in range(2, q)):
-        raise ComputationError("%d is not prime" % q)
     if not force and (n > MAX_N or q > MAX_Q):
         raise ComputationError(
             "n=%d, q=%d exceeds the brute-force bounds n<=%d, q<=%d "
             "(pass force to override)" % (n, q, MAX_N, MAX_Q))
+    if not is_prime(q):
+        raise ComputationError("%d is not prime" % q)
 
 
 def rref(rows, q):

@@ -344,7 +344,7 @@ def kl_bott_samelson(word, n: int) -> KLResult:
     if len(word) != w.length():
         raise ComputationError("word %r is not reduced" % (word,))
     key = (n, w.word)
-    if key in _BS_CACHE and _BS_CACHE[key].w.word == w.word and word == w.reduced_word():
+    if key in _BS_CACHE and word == w.reduced_word():
         return _BS_CACHE[key]
 
     e = HeckeElement.unit(n)

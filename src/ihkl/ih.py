@@ -18,13 +18,11 @@ from fractions import Fraction
 
 from .complexes import (Chain, SimplicialComplex, StratifiedComplex,
                         barycentric_subdivide, boundary_columns, chain_basis,
-                        cone, faces_with_signs, interior_order_complex,
-                        simplex, suspend, vkey, _relative_homology_dims)
+                        chain_dims, check_supports, compact_model, cone,
+                        faces_with_signs, homology_dims, simplex, suspend, vkey)
 from .errors import ComputationError, InternalConsistencyError, ValidationError
 from .linalg import RationalMatrix, rank_kernel, solve_in_span, sparse_rank
 from .perversity import Perversity, is_complementary, make_standard
-
-SUPPORTS = ("borel_moore", "compact")
 
 
 def _fit_perversity(p: Perversity | None, n: int) -> Perversity | None:
@@ -41,117 +39,44 @@ def _fit_perversity(p: Perversity | None, n: int) -> Perversity | None:
         "perversity dimension %d too small for a %d-complex" % (p.dimension, n))
 
 
-def _check_supports(supports):
-    if supports not in SUPPORTS:
-        raise ComputationError("unknown supports mode %r" % supports)
-
-
 def _require_full_strata(s: StratifiedComplex):
     if not s.strata_full():
         raise ValidationError(
             "filtration subcomplexes are not full; barycentric_subdivide first")
 
 
-def _simplex_allowable(x, i, fverts, p: Perversity | None, n: int) -> bool:
-    for k in range(2, n + 1):
-        vs = fverts.get(k)
-        if not vs:
-            continue
-        cnt = sum(1 for v in x if v in vs)
-        if cnt and cnt - 1 > i - k + p(k):
-            return False
-    return True
+def _allowability(s: StratifiedComplex, p: Perversity | None):
+    """The test (simplex, degree) -> allowable for p; None when all are.
 
+    With full filtration subcomplexes a closed i-simplex meets F(k) in
+    the face spanned by its vertices in F(k), of dimension cnt - 1.
+    """
+    steps = [] if p is None else [
+        (k, s.F(k).vertices, p(k)) for k in range(2, s.dimension + 1)
+        if len(s.F(k))]
+    if not steps:
+        return None
 
-def _filtration_vertices(s: StratifiedComplex):
-    return {k: s.F(k).vertices for k in range(2, s.dimension + 1)}
+    def allowed(x, i):
+        for k, vs, pk in steps:
+            cnt = sum(1 for v in x if v in vs)
+            if cnt and cnt - 1 > i - k + pk:
+                return False
+        return True
+
+    return allowed
 
 
 def allowable_simplices(s: StratifiedComplex, p: Perversity, i: int,
                         supports: str = "borel_moore"):
     """The i-simplices that may appear in an allowable chain."""
-    _check_supports(supports)
+    check_supports(supports)
     _require_full_strata(s)
-    p = _fit_perversity(p, s.dimension)
-    fverts = _filtration_vertices(s)
-    ends_v = s.ends.vertices
-    out = []
-    for x in s.ambient.of_dim(i):
-        if x in s.ends:
-            continue
-        if supports == "compact" and any(v in ends_v for v in x):
-            continue
-        if _simplex_allowable(x, i, fverts, p, s.dimension):
-            out.append(x)
-    return out
-
-
-def _compact_model(s: StratifiedComplex) -> StratifiedComplex:
-    """A compact-supports model of X with empty ends.
-
-    The full subcomplex away from the ends is used when pushing away
-    from the ends is a stratum-faithful retraction: the ends must be
-    full, every simplex off the ends must retain an interior face, and
-    that face must lie in exactly the filtration steps the simplex does.
-    Otherwise the interior of the barycentric subdivision is used (its
-    vertices are the simplices off the ends), for which the conditions
-    always hold.
-    """
-    if len(s.ends) == 0:
-        return s
-    n = s.dimension
-    if s.ends.is_full_in(s.ambient) and _interior_retract_ok(s):
-        inner = s.ambient.full_subcomplex(s.ambient.vertices - s.ends.vertices)
-        return StratifiedComplex(
-            inner, n,
-            filtration={k: s.F(k).restrict_to(inner.simplices)
-                        for k in range(2, n + 1)})
-    return interior_order_complex(s)
-
-
-def _interior_retract_ok(s: StratifiedComplex) -> bool:
-    ev = s.ends.vertices
-    fs = [s.F(k) for k in range(2, s.dimension + 1)]
-    for x in s.ambient.simplices:
-        if x in s.ends:
-            continue
-        tau = tuple(v for v in x if v not in ev)
-        if not tau:
-            return False
-        for fk in fs:
-            if tau in fk and x not in fk:
-                return False
-    return True
-
-
-def _ih_dims_relative(s: StratifiedComplex, p: Perversity | None) -> dict:
-    """IH dims of the relative complex (K, L); L is empty in compact mode."""
-    n = s.dimension
-    if p is None or all(len(s.F(k)) == 0 for k in range(2, n + 1)):
-        return _relative_homology_dims(s)
-    fverts = _filtration_vertices(s)
-    bases = {i: chain_basis(s, i) for i in range(0, n + 1)}
-    allow = {i: [x for x in bases[i]
-                 if _simplex_allowable(x, i, fverts, p, n)]
-             for i in range(0, n + 1)}
-    rank_full = {}
-    rank_nonallow = {}
-    for i in range(1, n + 1):
-        cols = boundary_columns(s, i, allow[i], bases[i - 1])
-        rank_full[i] = sparse_rank(cols)
-        allowed_prev = set()
-        lookup = {x: r for r, x in enumerate(bases[i - 1])}
-        for x in allow[i - 1]:
-            allowed_prev.add(lookup[x])
-        ncols = [{r: v for r, v in col.items() if r not in allowed_prev}
-                 for col in cols]
-        rank_nonallow[i] = sparse_rank(ncols)
-    out = {}
-    for i in range(0, n + 1):
-        cycles = len(allow[i]) - rank_full.get(i, 0)
-        boundaries = rank_full.get(i + 1, 0) - rank_nonallow.get(i + 1, 0)
-        out[i] = cycles - boundaries
-    return out
+    allowed = _allowability(s, _fit_perversity(p, s.dimension))
+    ends_v = s.ends.vertices if supports == "compact" else ()
+    return [x for x in chain_basis(s, i)
+            if not any(v in ends_v for v in x)
+            and (allowed is None or allowed(x, i))]
 
 
 def ih_dims(s: StratifiedComplex, p: Perversity | None, supports: str = "borel_moore",
@@ -162,17 +87,16 @@ def ih_dims(s: StratifiedComplex, p: Perversity | None, supports: str = "borel_m
     skeptical runs); one automatic subdivision is applied when the
     filtration subcomplexes are not full.
     """
-    _check_supports(supports)
+    check_supports(supports)
     for _ in range(subdivide):
         s = barycentric_subdivide(s)
     if supports == "compact":
-        s = _compact_model(s)
-    if not s.strata_full():
-        if not auto_subdivide:
-            raise ValidationError(
-                "filtration subcomplexes are not full; barycentric_subdivide first")
+        s = compact_model(s)
+    if not auto_subdivide:
+        _require_full_strata(s)
+    elif not s.strata_full():
         s = barycentric_subdivide(s)
-    return _ih_dims_relative(s, _fit_perversity(p, s.dimension))
+    return chain_dims(s, _allowability(s, _fit_perversity(p, s.dimension)))
 
 
 # ---------------------------------------------------------------------------
@@ -208,21 +132,23 @@ class AllowableComplex:
 
 def allowable_complex(s: StratifiedComplex, p: Perversity,
                       supports: str = "borel_moore") -> AllowableComplex:
-    """Explicit bases for the allowable chain groups (small complexes)."""
-    _check_supports(supports)
+    """Explicit bases for the allowable chain groups (small complexes).
+
+    An independent oracle for ``ih_dims``: it builds the allowable
+    chains as kernels with ``rank_kernel`` and their boundaries with
+    ``solve_in_span``, and the tests check its ``dims()`` against the
+    rank shortcut.
+    """
+    check_supports(supports)
     if supports == "compact":
-        s = _compact_model(s)
+        s = compact_model(s)
     _require_full_strata(s)
     n = s.dimension
     p = _fit_perversity(p, n)
-    fverts = _filtration_vertices(s)
+    allowed = _allowability(s, p)
     bases = {i: chain_basis(s, i) for i in range(0, n + 1)}
-    if p is None:
-        allow = bases
-    else:
-        allow = {i: [x for x in bases[i]
-                     if _simplex_allowable(x, i, fverts, p, n)]
-                 for i in range(0, n + 1)}
+    allow = {i: [x for x in bases[i] if allowed is None or allowed(x, i)]
+             for i in range(0, n + 1)}
 
     out = AllowableComplex(s, p, supports)
     chain_cols = {}  # i -> list of columns (simplex-row coords) spanning I_pC_i
@@ -530,21 +456,12 @@ def extremal_comparison(s: StratifiedComplex) -> ComparisonReport:
     n = s.dimension
     rep = ComparisonReport("extremal perversities")
     top_ih = ih_dims(s, make_standard("top", max(n, 2)), "borel_moore")
-    hbm = _homology_bm(s)
+    hbm = homology_dims(s, "borel_moore")
     for i in range(0, n + 1):
         rep.add("I_t degree %d" % i, top_ih.get(i, 0), hbm.get(i, 0))
     zero_ih = ih_dims(s, make_standard("zero", max(n, 2)), "borel_moore")
-    hc = _homology_c(s)
+    hc = homology_dims(s, "compact")
     for i in range(0, n + 1):
         rep.add("I_0 deg %d vs H^%d" % (i, n - i), zero_ih.get(i, 0), hc.get(n - i, 0))
     return rep
 
-
-def _homology_bm(s):
-    from .complexes import homology_dims
-    return homology_dims(s, "borel_moore")
-
-
-def _homology_c(s):
-    from .complexes import homology_dims
-    return homology_dims(s, "compact")

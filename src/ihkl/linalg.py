@@ -4,7 +4,9 @@ Everything is over Fraction; no floating point anywhere. Two engines:
 
 * ``rank_kernel`` -- row-major Gaussian elimination with the fixed
   "first non-zero entry in row-major scan" pivot rule, so kernel bases
-  are deterministic and can be frozen in golden tests.
+  are deterministic and can be frozen in golden tests. With
+  ``solve_in_span`` it is the independent oracle engine behind
+  ``ih.allowable_complex``, which the tests check the fast path against.
 * ``sparse_rank`` -- column reduction in the style of boundary-matrix
   reduction (pivot = lowest non-zero row), much faster on the large,
   very sparse boundary matrices that dominate homology computations.
@@ -63,7 +65,7 @@ class RationalMatrix:
 
 
 def rank_kernel(m: RationalMatrix):
-    """Exact rank and a right-kernel basis.
+    """Exact rank and a right-kernel basis (the oracle engine).
 
     Deterministic: rows are processed top to bottom and each surviving
     row pivots on its first (leftmost) non-zero entry. Kernel vectors
@@ -131,12 +133,13 @@ def sparse_rank(columns) -> int:
     return rank
 
 
-def solve_in_span(basis_cols, target_cols, ncols_hint=None):
+def solve_in_span(basis_cols, target_cols):
     """Express each target column in the span of the basis columns.
 
     All columns are dicts row->Fraction. Returns a list of coefficient
     dicts (basis index -> Fraction), one per target. Raises ValueError
-    if a target is not in the span.
+    if a target is not in the span. Part of the oracle engine: only
+    ``ih.allowable_complex`` uses it.
     """
     low = {}  # pivot row -> (reduced column, combination dict)
     for idx, col in enumerate(basis_cols):

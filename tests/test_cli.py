@@ -1,8 +1,13 @@
 """Command line interface: outputs, formats, exit codes, file IO."""
 
 import json
+import re
+import time
+from pathlib import Path
 
 import pytest
+
+import ihkl
 
 from ihkl.cli import main
 
@@ -160,6 +165,32 @@ def test_flagcheck_non_prime_is_usage_error(capsys):
     assert "not prime" in err
 
 
+def test_flagcheck_large_prime_stops_at_bounds(capsys):
+    start = time.perf_counter()
+    code, _, err = run(capsys, "flagcheck", "--n", "3", "--q", "1000000007")
+    assert time.perf_counter() - start < 5
+    assert code == 1
+    assert "exceeds the brute-force bounds" in err
+
+
+def test_ih_rejects_non_pseudomanifold_in_one_line(tmp_path, capsys):
+    # three triangles on one edge: the edge ab has three cofaces
+    target = tmp_path / "book.json"
+    target.write_text(json.dumps({
+        "dimension": 2, "vertices": ["a", "b", "c", "d", "e"],
+        "simplices": [["a", "b", "c"], ["a", "b", "d"], ["a", "b", "e"]]}))
+    code, _, err = run(capsys, "ih", "--input", str(target))
+    assert code == 1
+    lines = [line for line in err.splitlines() if line.strip()]
+    assert len(lines) == 1
+    assert "pseudomanifold" in lines[0]
+
+
+def test_version_matches_pyproject():
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    assert re.search(r'^version = "([^"]+)"', text, re.M).group(1) == ihkl.__version__
+
+
 def test_missing_input_file(capsys):
     code, _, err = run(capsys, "ih", "--input", "/no/such/file.json")
     assert code == 2
@@ -170,11 +201,21 @@ def test_shipped_data_matches_expected_tables(capsys):
 
     from ihkl import builders
     from ihkl.complexes import complex_from_dict, homology_dims
+    from ihkl.ih import ih_dims
+    from ihkl.perversity import make_standard
 
     root = resources.files("ihkl") / "data"
+    checked = 0
     for name in builders.BUILDERS:
         s = complex_from_dict(json.loads((root / (name + ".json")).read_text()))
         expected = json.loads((root / (name + ".expected.json")).read_text())
         for sup in ("borel_moore", "compact"):
             got = {str(k): v for k, v in homology_dims(s, sup).items()}
             assert got == expected["homology"][sup], (name, sup)
+        for kind, by_sup in expected["ih"].items():
+            p = make_standard(kind, s.dimension) if s.dimension >= 2 else None
+            for sup, want in by_sup.items():
+                got = {str(k): v for k, v in ih_dims(s, p, sup).items()}
+                assert got == want, (name, kind, sup)
+                checked += 1
+    assert checked == 104

@@ -6,7 +6,7 @@ import pytest
 
 from ihkl import builders
 from ihkl.complexes import barycentric_subdivide, homology_dims, suspend
-from ihkl.errors import ComputationError
+from ihkl.errors import ComputationError, UsageError
 from ihkl.ih import (allowable_complex, allowable_simplices,
                      cone_formula_check, duality_report, extremal_comparison,
                      ih_dims, is_normal, is_orientable, local_stalk_table,
@@ -58,6 +58,16 @@ def test_allowable_complex_matches_rank_shortcut():
             p = make_standard(kind, n)
             ac = allowable_complex(s, p)
             assert ac.dims() == ih_dims(s, p, "borel_moore"), (name, kind)
+
+
+def test_unknown_supports_mode_is_one_usage_error():
+    pc = builders.pinched_cylinder()
+    for call in (lambda: homology_dims(pc, "bogus"),
+                 lambda: ih_dims(pc, ZERO2, "bogus"),
+                 lambda: allowable_simplices(pc, ZERO2, 0, "bogus"),
+                 lambda: allowable_complex(pc, ZERO2, "bogus")):
+        with pytest.raises(UsageError, match="unknown supports mode"):
+            call()
 
 
 def test_allowable_complex_boundary_composites_vanish():
