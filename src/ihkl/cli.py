@@ -179,6 +179,7 @@ def run_kl(args):
 
 
 def run_flagcheck(args):
+    flagfq.check_size(args.n, args.q, force=args.force)
     if not flagfq.is_prime(args.q):
         raise UsageError("%d is not prime" % args.q)
     rep = flagfq.verify_hecke_specialization(args.n, args.q, force=args.force)
@@ -244,6 +245,24 @@ def run_examples(args):
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument errors raise UsageError: one stderr line and exit 2."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
+def _rank(text):
+    """The --rank value: an integer n >= 1."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid rank %r" % text)
+    if n < 1:
+        raise argparse.ArgumentTypeError("rank must be at least 1, got %d" % n)
+    return n
+
+
 def _add_complex_source(sp):
     sp.add_argument("--input", help="complex JSON file")
     sp.add_argument("--example", help="built-in example name")
@@ -254,7 +273,7 @@ def _add_format(sp):
 
 
 def build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="ihkl",
         description="intersection homology and Kazhdan-Lusztig toolkit")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -293,7 +312,7 @@ def build_parser():
     sp.set_defaults(func=run_validate)
 
     sp = sub.add_parser("kl", help="Kazhdan-Lusztig polynomials")
-    sp.add_argument("--rank", type=int, required=True)
+    sp.add_argument("--rank", type=_rank, required=True)
     sp.add_argument("--element")
     sp.add_argument("--interval")
     sp.add_argument("--algorithm", default="both",
@@ -309,13 +328,13 @@ def build_parser():
     sp.set_defaults(func=run_flagcheck)
 
     sp = sub.add_parser("bruhat", help="Bruhat order comparison")
-    sp.add_argument("--rank", type=int, required=True)
+    sp.add_argument("--rank", type=_rank, required=True)
     sp.add_argument("--leq", required=True)
     _add_format(sp)
     sp.set_defaults(func=run_bruhat)
 
     sp = sub.add_parser("hecke-mul", help="multiply Hecke elements")
-    sp.add_argument("--rank", type=int, required=True)
+    sp.add_argument("--rank", type=_rank, required=True)
     sp.add_argument("--left", required=True)
     sp.add_argument("--right", required=True)
     _add_format(sp)
@@ -333,13 +352,11 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
-    except SystemExit as e:
-        return int(e.code or 0)
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as e:  # --help
+        return int(e.code or 0)
     except UsageError as e:
         print("usage error: %s" % e, file=sys.stderr)
         return 2

@@ -17,13 +17,12 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import ComputationError, UsageError, ValidationError
 from .linalg import sparse_rank
 
-_VKEY_CACHE = {}
-
-
+@lru_cache(maxsize=None)
 def vkey(v):
     """A canonical sort key giving a strict total order on vertex ids.
 
@@ -31,23 +30,13 @@ def vkey(v):
     cones and suspensions) nested tuples of these; the key is injective
     and consistent across mixed types.
     """
-    try:
-        return _VKEY_CACHE[v]
-    except (KeyError, TypeError):
-        pass
     if isinstance(v, tuple):
-        k = ("t", tuple(vkey(x) for x in v))
-    elif isinstance(v, bool):
-        k = ("b", v)
-    elif isinstance(v, int):
-        k = ("i", v)
-    else:
-        k = ("s", str(v))
-    try:
-        _VKEY_CACHE[v] = k
-    except TypeError:
-        pass
-    return k
+        return ("t", tuple(vkey(x) for x in v))
+    if isinstance(v, bool):
+        return ("b", v)
+    if isinstance(v, int):
+        return ("i", v)
+    return ("s", str(v))
 
 
 def simplex(vertices) -> tuple:
@@ -237,28 +226,6 @@ class Chain:
         return not self.coefficients
 
 
-def boundary(c: Chain, ctx: StratifiedComplex) -> Chain:
-    """Alternating-sign boundary, relative to the ends of ctx.
-
-    Faces lying entirely inside the ends subcomplex are dropped; this is
-    the relative-chain convention realizing closed (Borel-Moore) supports
-    on X = |K| - |L|.
-    """
-    out = {}
-    for s, coeff in c.coefficients.items():
-        if s not in ctx.ambient:
-            raise ComputationError("simplex %r not in the complex" % (s,))
-        for f, sign in faces_with_signs(s):
-            if not f or f in ctx.ends:
-                continue
-            v = out.get(f, Fraction(0)) + sign * coeff
-            if v:
-                out[f] = v
-            else:
-                del out[f]
-    return Chain(c.degree - 1, out)
-
-
 # ---------------------------------------------------------------------------
 # boundary matrices and homology
 
@@ -267,12 +234,8 @@ def chain_basis(s: StratifiedComplex, i: int):
     return [x for x in s.ambient.of_dim(i) if x not in s.ends]
 
 
-def boundary_columns(s: StratifiedComplex, i: int, basis_i=None, basis_prev=None):
-    """Columns of the relative boundary matrix in degree i."""
-    if basis_i is None:
-        basis_i = chain_basis(s, i)
-    if basis_prev is None:
-        basis_prev = chain_basis(s, i - 1)
+def boundary_columns(s: StratifiedComplex, i: int, basis_i, basis_prev):
+    """Columns of the boundary matrix from basis_i to basis_prev in degree i."""
     index = {x: r for r, x in enumerate(basis_prev)}
     cols = []
     for x in basis_i:
@@ -441,10 +404,7 @@ def barycentric_subdivide(s: StratifiedComplex) -> StratifiedComplex:
         filtration={k: sub_of(s.F(k).simplices) for k in range(2, s.dimension + 1)})
 
 
-_APEX = "apex"
-
-
-def cone(base: StratifiedComplex, apex=None) -> StratifiedComplex:
+def cone(base: StratifiedComplex) -> StratifiedComplex:
     """The closed cone over a compact base, with the open cone as X.
 
     The apex is a new vertex joined to every simplex of the base; the
@@ -453,7 +413,7 @@ def cone(base: StratifiedComplex, apex=None) -> StratifiedComplex:
     """
     if len(base.ends) != 0:
         raise ComputationError("cone requires a compact base (empty ends)")
-    apex = apex if apex is not None else _APEX
+    apex = "apex"
     if apex in base.ambient.vertices:
         raise ComputationError("apex vertex %r already present" % (apex,))
     k = base.dimension + 1
@@ -589,33 +549,64 @@ def require_structure(s: StratifiedComplex):
 _JSON_KEYS = {"dimension", "vertices", "simplices", "ends", "filtration"}
 
 
+def _vertex_ids(value, what):
+    """A JSON list of vertex ids, each a string or a (non-boolean) integer."""
+    if not isinstance(value, list):
+        raise UsageError("%s must be a list of vertex ids" % what)
+    for v in value:
+        if isinstance(v, bool) or not isinstance(v, (str, int)):
+            raise UsageError("%s: vertex id %s is not a string or an integer"
+                             % (what, json.dumps(v)))
+    return value
+
+
+def _simplex_list(value, what):
+    """A JSON list of lists of vertex ids, as simplex tuples."""
+    if not isinstance(value, list) or not all(isinstance(x, list) for x in value):
+        raise UsageError("%s must be a list of lists of vertex ids" % what)
+    return [simplex(_vertex_ids(x, what)) for x in value]
+
+
 def complex_from_dict(data: dict) -> StratifiedComplex:
+    """Build a complex from its JSON object, checking the input first.
+
+    ``dimension`` is an integer between 0 and the largest listed simplex
+    dimension; vertex ids are strings or integers, never booleans.
+    """
     if not isinstance(data, dict):
         raise UsageError("complex file must contain a JSON object")
     unknown = set(data) - _JSON_KEYS
     if unknown:
         raise UsageError("unknown keys in complex file: %s" % ", ".join(sorted(unknown)))
-    try:
-        n = int(data["dimension"])
-        vertices = list(data["vertices"])
-        top = [simplex(x) for x in data["simplices"]]
-    except (KeyError, TypeError) as e:
-        raise UsageError("malformed complex file: %s" % e)
-    vs = set(vertices)
+    missing = [k for k in ("dimension", "vertices", "simplices") if k not in data]
+    if missing:
+        raise UsageError("complex file lacks %s" % ", ".join(missing))
+    n = data["dimension"]
+    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
+        raise UsageError("dimension must be a non-negative integer, got %s"
+                         % json.dumps(n))
+    vs = set(_vertex_ids(data["vertices"], "vertices"))
+    top = _simplex_list(data["simplices"], "simplices")
+    top_dim = max((len(x) - 1 for x in top), default=-1)
+    if n > top_dim:
+        raise UsageError("dimension %d exceeds the largest simplex dimension %d"
+                         % (n, top_dim))
     for x in top:
         for v in x:
             if v not in vs:
                 raise UsageError("simplex %r uses unknown vertex %r" % (x, v))
-    amb = SimplicialComplex(top)
-    ends = SimplicialComplex([simplex(x) for x in data.get("ends", [])])
+    ends = _simplex_list(data.get("ends", []), "ends")
     filt_in = data.get("filtration", {})
+    if not isinstance(filt_in, dict):
+        raise UsageError("filtration must map codimensions to simplex lists")
     listed = {}
     for key, arr in filt_in.items():
         try:
             k = int(key)
         except ValueError:
             raise UsageError("filtration key %r is not a codimension" % key)
-        listed[k] = [simplex(x) for x in arr]
+        listed[k] = _simplex_list(arr, "filtration %s" % key)
+    amb = SimplicialComplex(top)
     filtration = {}
     for k in range(2, n + 1):
         simps = []
@@ -623,7 +614,7 @@ def complex_from_dict(data: dict) -> StratifiedComplex:
             if j >= k:
                 simps.extend(arr)
         filtration[k] = SimplicialComplex(simps)
-    return StratifiedComplex(amb, n, ends=ends, filtration=filtration)
+    return StratifiedComplex(amb, n, ends=SimplicialComplex(ends), filtration=filtration)
 
 
 def load_complex(path) -> StratifiedComplex:

@@ -65,13 +65,6 @@ class Permutation:
         w[i - 1], w[i] = w[i], w[i - 1]
         return Permutation(tuple(w))
 
-    def apply_left(self, i: int) -> "Permutation":
-        """s_i w: swap the values i, i+1 wherever they sit."""
-        if not 1 <= i < self.n:
-            raise ComputationError("simple index %d out of range" % i)
-        w = [i + 1 if v == i else (i if v == i + 1 else v) for v in self.word]
-        return Permutation(tuple(w))
-
     def reduced_word(self) -> tuple:
         """The lexicographically smallest reduced word, greedily.
 
@@ -204,12 +197,15 @@ def parse_element(text: str, n: int) -> Permutation:
             if not 1 <= i < n:
                 raise ComputationError("generator s%d out of range for S_%d" % (i, n))
         return from_word(letters, n)
-    if text.startswith("["):
-        vals = [int(x) for x in text.strip("[]").split(",")]
-    elif text in ("e", "id"):
+    if text in ("e", "id"):
         return identity(n)
-    else:
-        vals = [int(c) for c in text]
+    try:
+        if text.startswith("["):
+            vals = [int(x) for x in text.strip("[]").split(",")]
+        else:
+            vals = [int(c) for c in text]
+    except ValueError:
+        raise ComputationError("cannot parse element %r" % text)
     if len(vals) != n:
         raise ComputationError("one-line notation %r has wrong rank for S_%d" % (text, n))
     return Permutation(tuple(vals))

@@ -26,13 +26,21 @@ def is_prime(q: int) -> bool:
     return q >= 2 and all(q % d for d in range(2, math.isqrt(q) + 1))
 
 
-def _check_bounds(n, q, force=False):
+def check_size(n, q, force=False):
+    """Refuse n and q outside the brute-force limits unless forced.
+
+    Checked before primality, whose trial division grows as sqrt(q).
+    """
     if n < 1:
         raise ComputationError("need n >= 1")
     if not force and (n > MAX_N or q > MAX_Q):
         raise ComputationError(
             "n=%d, q=%d exceeds the brute-force bounds n<=%d, q<=%d "
             "(pass force to override)" % (n, q, MAX_N, MAX_Q))
+
+
+def _check_bounds(n, q, force=False):
+    check_size(n, q, force)
     if not is_prime(q):
         raise ComputationError("%d is not prime" % q)
 
@@ -181,12 +189,6 @@ class WFunction:
 
     def as_dict(self):
         return {Permutation(word): c for word, c in self.values}
-
-    def __call__(self, w: Permutation) -> int:
-        for word, c in self.values:
-            if word == w.word:
-                return c
-        return 0
 
 
 def convolve(f: WFunction, g: WFunction, n: int, q: int,

@@ -4,12 +4,15 @@ The T-basis satisfies T_s^2 = (v^2 - 1) T_s + v^2 T_1 and T_u T_w =
 T_{uw} when lengths add. Kazhdan-Lusztig polynomials are produced by
 two independent routes: extraction from Bott-Samelson products
 v^{-l(w)} (T_{s_1} + 1) ... (T_{s_k} + 1), and the classical descent
-recursion; agreement of the two is the main internal cross-check.
+recursion; agreement of the two is the main internal cross-check. Both
+build C'_w by right multiplication with C'_s = v^{-1} (T_s + 1) and
+differ in how they remove the lower canonical terms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .coxeter import Permutation, all_elements, bruhat_leq, from_word, identity
 from .errors import ComputationError, InternalConsistencyError
@@ -251,6 +254,11 @@ def _mul_right_simple(a: HeckeElement, i: int) -> HeckeElement:
     return HeckeElement(a.n, out)
 
 
+def _mul_right_cs(a: HeckeElement, i: int) -> HeckeElement:
+    """a * (T_{s_i} + 1), which is v * (a * C'_{s_i})."""
+    return _mul_right_simple(a, i) + a
+
+
 def t_mul(a: HeckeElement, b: HeckeElement) -> HeckeElement:
     """The algebra product, expanding b along reduced words."""
     if a.n != b.n:
@@ -265,15 +273,11 @@ def t_mul(a: HeckeElement, b: HeckeElement) -> HeckeElement:
 
 
 def t_inverse(w: Permutation) -> HeckeElement:
-    """(T_w)^{-1} as the reversed product of simple inverses."""
-    n = w.n
-    out = HeckeElement.unit(n)
-    inv_s = {}
+    """(T_w)^{-1} as the reversed product of the simple inverses
+    T_s^{-1} = v^{-2} T_s + (v^{-2} - 1)."""
+    out = HeckeElement.unit(w.n)
     for i in reversed(w.reduced_word()):
-        if i not in inv_s:
-            s = identity(n).apply_right(i)
-            inv_s[i] = HeckeElement(n, {s: VM2, identity(n): VM2M1})
-        out = t_mul(out, inv_s[i])
+        out = _mul_right_simple(out, i).scale(VM2) + out.scale(VM2M1)
     return out
 
 
@@ -306,10 +310,6 @@ class KLResult:
     corrections: dict = field(default_factory=dict)   # Permutation -> LaurentPoly in v
 
 
-_BS_CACHE = {}    # (n, word of w) -> KLResult
-_REC_CACHE = {}   # (n, word of w) -> KLResult
-
-
 def _extract_kl(w: Permutation, elem: HeckeElement) -> dict:
     """Read P_{u,w} off C'_w and verify the defining constraints."""
     lw = w.length()
@@ -337,19 +337,28 @@ def kl_bott_samelson(word, n: int) -> KLResult:
     E = v^{-k} (T_{s_1} + 1) ... (T_{s_k} + 1) equals C'_w plus smaller
     canonical terms; for u < w in decreasing length order the palindromic
     part of v^{l(u)} * (coefficient of T_u) determines the multiple p_u
-    of C'_u to subtract. What remains is C'_w.
+    of C'_u to subtract. What remains is C'_w. The canonical reduced
+    word's result is memoised; any other reduced word is computed anew.
     """
     word = tuple(word)
     w = from_word(word, n)
     if len(word) != w.length():
         raise ComputationError("word %r is not reduced" % (word,))
-    key = (n, w.word)
-    if key in _BS_CACHE and word == w.reduced_word():
-        return _BS_CACHE[key]
+    if word == w.reduced_word():
+        return _bott_samelson(w)
+    return _extract_bott_samelson(w, word)
 
-    e = HeckeElement.unit(n)
+
+@lru_cache(maxsize=None)
+def _bott_samelson(w: Permutation) -> KLResult:
+    """C'_w over the canonical reduced word of w."""
+    return _extract_bott_samelson(w, w.reduced_word())
+
+
+def _extract_bott_samelson(w: Permutation, word: tuple) -> KLResult:
+    e = HeckeElement.unit(w.n)
     for i in word:
-        e = _mul_right_simple(e, i) + e
+        e = _mul_right_cs(e, i)
     e = e.scale(LaurentPoly.v_power(-len(word)))
 
     corrections = {}
@@ -364,8 +373,7 @@ def kl_bott_samelson(word, n: int) -> KLResult:
             if not p_u:
                 continue
             corrections[u] = p_u
-            cu = cprime(u, algorithm="bott_samelson").cprime
-            e = e - cu.scale(p_u)
+            e = e - _bott_samelson(u).cprime.scale(p_u)
 
     result = KLResult(w, e, _extract_kl(w, e), corrections)
     for u in result.kl_polys:
@@ -374,8 +382,6 @@ def kl_bott_samelson(word, n: int) -> KLResult:
             if g.max_degree() is not None and g.max_degree() >= 0:
                 raise InternalConsistencyError(
                     "extraction left a non-negative degree at (%s, %s)" % (u, w))
-    if word == w.reduced_word():
-        _BS_CACHE[key] = result
     return result
 
 
@@ -385,52 +391,35 @@ def _mu(p: LaurentPoly, lu: int, lw: int) -> int:
     return p.coefficient(gap // 2) if gap % 2 == 0 and gap >= 0 else 0
 
 
+@lru_cache(maxsize=None)
 def kl_recursion(w: Permutation) -> KLResult:
     """C'_w by the descent recursion, verified against the axioms.
 
-    For a left descent s of w and w' = s w:
-    C'_w = C'_s C'_{w'} - sum of mu(u, w') C'_u over u < w' with s u < u.
+    For a right descent s of w and w' = w s:
+    C'_w = C'_{w'} C'_s - sum of mu(u, w') C'_u over u < w' with u s < u.
     The result is checked to be iota-fixed with the right degree bounds.
     """
-    n = w.n
-    key = (n, w.word)
-    if key in _REC_CACHE:
-        return _REC_CACHE[key]
     if w.length() == 0:
-        result = KLResult(w, HeckeElement.unit(n),
-                          {w: LaurentPoly.one()})
-        _REC_CACHE[key] = result
-        return result
+        return KLResult(w, HeckeElement.unit(w.n), {w: LaurentPoly.one()})
 
-    winv = w.inverse()
-    i = next(j for j in range(1, n) if winv.word[j - 1] > winv.word[j])
-    wp = w.apply_left(i)
-    s = identity(n).apply_right(i)
-    cs = HeckeElement(n, {s: LaurentPoly.v_power(-1),
-                          identity(n): LaurentPoly.v_power(-1)})
+    i = w.right_descents()[0]
+    wp = w.apply_right(i)
     prev = kl_recursion(wp)
-    e = t_mul(cs, prev.cprime)
+    e = _mul_right_cs(prev.cprime, i).scale(LaurentPoly.v_power(-1))
     for u, p in prev.kl_polys.items():
-        if u == wp:
-            continue
-        if u.apply_left(i).length() < u.length():
+        if u != wp and u.word[i - 1] > u.word[i]:
             m = _mu(p, u.length(), wp.length())
             if m:
                 e = e - kl_recursion(u).cprime.scale(m)
 
     if iota(e) != e:
         raise InternalConsistencyError("C'_%s from the recursion is not iota-fixed" % w)
-    result = KLResult(w, e, _extract_kl(w, e))
-    _REC_CACHE[key] = result
-    return result
+    return KLResult(w, e, _extract_kl(w, e))
 
 
 def cprime(w: Permutation, algorithm: str = "bott_samelson") -> KLResult:
     if algorithm == "bott_samelson":
-        key = (w.n, w.word)
-        if key not in _BS_CACHE:
-            kl_bott_samelson(w.reduced_word(), w.n)
-        return _BS_CACHE[key]
+        return _bott_samelson(w)
     if algorithm == "recursion":
         return kl_recursion(w)
     raise ComputationError("unknown algorithm %r" % algorithm)

@@ -80,7 +80,7 @@ def allowable_simplices(s: StratifiedComplex, p: Perversity, i: int,
 
 
 def ih_dims(s: StratifiedComplex, p: Perversity | None, supports: str = "borel_moore",
-            subdivide: int = 0, auto_subdivide: bool = True) -> dict:
+            subdivide: int = 0) -> dict:
     """Intersection homology dimensions by degree.
 
     ``subdivide`` forces extra barycentric subdivisions up front (for
@@ -92,9 +92,7 @@ def ih_dims(s: StratifiedComplex, p: Perversity | None, supports: str = "borel_m
         s = barycentric_subdivide(s)
     if supports == "compact":
         s = compact_model(s)
-    if not auto_subdivide:
-        _require_full_strata(s)
-    elif not s.strata_full():
+    if not s.strata_full():
         s = barycentric_subdivide(s)
     return chain_dims(s, _allowability(s, _fit_perversity(p, s.dimension)))
 

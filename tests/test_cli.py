@@ -173,6 +173,51 @@ def test_flagcheck_large_prime_stops_at_bounds(capsys):
     assert "exceeds the brute-force bounds" in err
 
 
+def test_flagcheck_prime_near_1e14_stops_at_bounds_before_primality(capsys):
+    start = time.perf_counter()
+    code, _, err = run(capsys, "flagcheck", "--n", "3", "--q", "100000000000031")
+    assert time.perf_counter() - start < 0.3
+    assert code == 1
+    assert "exceeds the brute-force bounds" in err
+
+
+def test_huge_dimension_is_rejected_before_any_work(tmp_path, capsys):
+    target = tmp_path / "huge.json"
+    target.write_text(json.dumps({
+        "dimension": 2000000, "vertices": ["a", "b", "c"],
+        "simplices": [["a", "b", "c"]]}))
+    start = time.perf_counter()
+    code, _, err = run(capsys, "ih", "--input", str(target))
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert len([line for line in err.splitlines() if line.strip()]) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["kl", "--rank", "x"],
+    ["frobnicate"],
+    ["kl"],
+    ["kl", "--rank", "-1"],
+    ["kl", "--rank", "0"],
+    ["bruhat", "--rank", "0", "--leq", "e,e"],
+    ["hecke-mul", "--rank", "-2", "--left", "T:e", "--right", "T:e"],
+    ["kl", "--rank", "3", "--element", "3x1"],
+    ["kl", "--rank", "3", "--element", "[3,x,1]"],
+])
+def test_bad_arguments_are_one_line_usage_errors(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    lines = [line for line in err.splitlines() if line.strip()]
+    assert len(lines) == 1, err
+    assert "Traceback" not in err
+
+
+def test_help_still_exits_zero(capsys):
+    code, out, _ = run(capsys, "--help")
+    assert code == 0
+    assert "usage" in out
+
+
 def test_ih_rejects_non_pseudomanifold_in_one_line(tmp_path, capsys):
     # three triangles on one edge: the edge ab has three cofaces
     target = tmp_path / "book.json"

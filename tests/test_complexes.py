@@ -149,6 +149,40 @@ def test_json_rejects_unknown_keys_and_vertices():
                            "simplices": [["a", "b"]]})
 
 
+TRIANGLE = {"dimension": 2, "vertices": ["a", "b", "c"],
+            "simplices": [["a", "b", "c"]]}
+
+
+@pytest.mark.parametrize("change", [
+    {"dimension": -2},
+    {"dimension": "2"},
+    {"dimension": 2.0},
+    {"dimension": True},
+    {"dimension": 3},
+    {"dimension": 2000000},
+    {"vertices": "abc"},
+    {"vertices": ["a", "b", ["c"]]},
+    {"simplices": "ab"},
+    {"simplices": ["abc"]},
+    {"vertices": ["a", "b", None], "simplices": [["a", "b", None]]},
+    {"ends": "a"},
+    {"ends": [["a", 1.5]]},
+    {"filtration": []},
+    {"filtration": {"2": "a"}},
+    {"filtration": {"2": [[{"v": "a"}]]}},
+    {"vertices": [1, True, "c"], "simplices": [[1, True, "c"]]},
+])
+def test_json_rejects_malformed_fields(change):
+    with pytest.raises(UsageError):
+        complex_from_dict(dict(TRIANGLE, **change))
+
+
+def test_json_accepts_integer_vertex_ids():
+    s = complex_from_dict(dict(TRIANGLE, vertices=[1, 2, "c"],
+                               simplices=[[1, 2, "c"]]))
+    assert s.ambient.f_vector() == (3, 3, 1)
+
+
 def test_json_filtration_nesting_by_codimension():
     data = {
         "dimension": 3,

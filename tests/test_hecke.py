@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from ihkl import complexes, coxeter, flagfq, hecke
 from ihkl.coxeter import (Permutation, all_elements, bruhat_leq, from_word,
                           identity, longest_element, reduced_words, simple)
 from ihkl.errors import ComputationError, InternalConsistencyError
@@ -61,9 +62,10 @@ def test_length_additivity():
 
 
 def test_t_inverse_contract():
-    for w in all_elements(3):
-        assert t_mul(T(w), t_inverse(w)) == HeckeElement.unit(3)
-        assert t_mul(t_inverse(w), T(w)) == HeckeElement.unit(3)
+    for n in (3, 4):
+        for w in all_elements(n):
+            assert t_mul(T(w), t_inverse(w)) == HeckeElement.unit(n)
+            assert t_mul(t_inverse(w), T(w)) == HeckeElement.unit(n)
 
 
 def test_associativity_random_triples():
@@ -124,6 +126,27 @@ def test_bott_samelson_word_independence():
         base = kl_bott_samelson(words[0], 4)
         for word in words[1:]:
             assert kl_bott_samelson(word, 4).cprime == base.cprime, (w, word)
+
+
+def test_bott_samelson_other_reduced_word_is_not_memoised():
+    w = from_word((1, 2, 1), 3)
+    assert w.reduced_word() != (2, 1, 2)
+    for u in all_elements(3):
+        cprime(u)   # the corrections below hit memoised results only
+    before = hecke._bott_samelson.cache_info().currsize
+    assert kl_bott_samelson((2, 1, 2), 3).cprime == cprime(w).cprime
+    assert hecke._bott_samelson.cache_info().currsize == before
+
+
+def test_every_cache_clears_and_recomputes_the_same_table():
+    before = kl_table(4, algorithm="both")
+    caches = (hecke._bott_samelson, hecke.kl_recursion, complexes.vkey,
+              coxeter.all_elements, coxeter._bruhat_leq,
+              flagfq.enumerate_flags, flagfq._cells)
+    for cache in caches:
+        cache.cache_clear()
+        assert cache.cache_info().currsize == 0, cache
+    assert kl_table(4, algorithm="both") == before
 
 
 def test_bott_samelson_rejects_non_reduced_word():
