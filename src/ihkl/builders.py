@@ -94,10 +94,6 @@ def susp2_cone_circle() -> StratifiedComplex:
     return suspend(suspend(cone_circle()))
 
 
-def susp_cone_torus() -> StratifiedComplex:
-    return suspend(cone_torus())
-
-
 BUILDERS = {
     "point": point,
     "circle": circle,

@@ -70,8 +70,7 @@ def run_ih(args):
     supports = "borel_moore" if args.supports == "bm" else args.supports
     check_supports(supports)
     require_structure(s)
-    p = _perversity_for(s, args.perversity) if s.dimension >= 2 else None
-    dims = ih.ih_dims(s, p, supports, subdivide=args.subdivide)
+    dims = ih.ih_dims(s, _perversity_for(s, args.perversity), supports)
     rows = [("degree", "dim")] + [(i, dims.get(i, 0)) for i in range(s.dimension + 1)]
     _emit(args,
           lambda: _dims_line(dims, s.dimension),
@@ -282,7 +281,6 @@ def build_parser():
     _add_complex_source(sp)
     sp.add_argument("--perversity", default="middle")
     sp.add_argument("--supports", default="bm")
-    sp.add_argument("--subdivide", type=int, default=0)
     _add_format(sp)
     sp.set_defaults(func=run_ih)
 

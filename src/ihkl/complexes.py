@@ -222,9 +222,6 @@ class Chain:
                 clean[tuple(s)] = c
         object.__setattr__(self, "coefficients", clean)
 
-    def is_zero(self):
-        return not self.coefficients
-
 
 # ---------------------------------------------------------------------------
 # boundary matrices and homology
@@ -279,43 +276,34 @@ def chain_dims(s: StratifiedComplex, allow=None) -> dict:
 def interior_order_complex(s: StratifiedComplex) -> StratifiedComplex:
     """The full subcomplex of the barycentric subdivision away from the ends.
 
-    Vertices are the simplices of K not in L; simplices are chains of
-    proper inclusions. The filtration carries over by membership of the
-    barycenter's underlying simplex. This is the standard deformation
-    retract of |K| - |L| and needs no fullness hypothesis on L.
+    The order complex of the simplices of K not in L, so its ends are
+    empty. This is the standard deformation retract of |K| - |L| and
+    needs no fullness hypothesis on L.
     """
-    poset = sorted((x for x in s.ambient.simplices if x not in s.ends),
-                   key=lambda x: (len(x), tuple(vkey(v) for v in x)))
-    chains = _inclusion_chains(poset)
-    sub = SimplicialComplex([simplex(ch) for ch in chains], closed=True)
-    filt = {}
-    for k in range(2, s.dimension + 1):
-        fk = s.F(k)
-        filt[k] = sub.restrict_to(
-            simplex(ch) for ch in chains if all(m in fk for m in ch))
-    return StratifiedComplex(sub, s.dimension, filtration=filt)
+    return _order_complex(s, [x for x in s.ambient.simplices if x not in s.ends])
 
 
-def _inclusion_chains(poset):
-    """All chains x1 < x2 < ... (proper face inclusions) in a simplex poset."""
-    members = set(poset)
-    memo = {}
+def _order_complex(s: StratifiedComplex, simplices) -> StratifiedComplex:
+    """The complex of chains of proper face inclusions among ``simplices``.
 
-    def chains_ending_at(x):
-        if x in memo:
-            return memo[x]
-        out = [(x,)]
-        for m in range(1, len(x)):
-            for sub in itertools.combinations(x, m):
-                if sub in members:
-                    out.extend(ch + (x,) for ch in chains_ending_at(sub))
-        memo[x] = out
-        return out
+    Its vertices are the given simplices of K (their barycenters). The
+    ends and each F(k) carry over as the chains whose members all lie in
+    them, which for a subcomplex means the chains whose largest member does.
+    """
+    members = set(simplices)
+    chains = {}  # largest member -> the chains ending there, as simplices
+    for x in sorted(members, key=len):  # faces before cofaces
+        chains[x] = [(x,)] + [simplex(ch + (x,)) for m in range(1, len(x))
+                              for f in itertools.combinations(x, m) if f in members
+                              for ch in chains[f]]
 
-    all_chains = []
-    for x in poset:
-        all_chains.extend(chains_ending_at(x))
-    return all_chains
+    def carried(sub):
+        return SimplicialComplex(
+            [ch for x, cs in chains.items() if x in sub for ch in cs], closed=True)
+
+    return StratifiedComplex(
+        carried(members), s.dimension, ends=carried(s.ends),
+        filtration={k: carried(s.F(k)) for k in range(2, s.dimension + 1)})
 
 
 def compact_model(s: StratifiedComplex) -> StratifiedComplex:
@@ -389,19 +377,7 @@ def barycentric_subdivide(s: StratifiedComplex) -> StratifiedComplex:
     new vertex set is the old simplex set. After one application every
     filtration subcomplex and the ends are full subcomplexes.
     """
-    poset = sorted(s.ambient.simplices,
-                   key=lambda x: (len(x), tuple(vkey(v) for v in x)))
-    chains = _inclusion_chains(poset)
-    amb = SimplicialComplex([simplex(ch) for ch in chains], closed=True)
-
-    def sub_of(member_set):
-        return amb.restrict_to(
-            simplex(ch) for ch in chains if all(m in member_set for m in ch))
-
-    return StratifiedComplex(
-        amb, s.dimension,
-        ends=sub_of(s.ends.simplices),
-        filtration={k: sub_of(s.F(k).simplices) for k in range(2, s.dimension + 1)})
+    return _order_complex(s, s.ambient.simplices)
 
 
 def cone(base: StratifiedComplex) -> StratifiedComplex:
@@ -490,7 +466,8 @@ class ValidationReport:
                 for name, (p, m) in self.checks.items()}
 
 
-def validate(s: StratifiedComplex) -> ValidationReport:
+def _structure_report(s: StratifiedComplex) -> ValidationReport:
+    """Purity, pseudomanifold, filtration and no_codim_1: what homology needs."""
     rep = ValidationReport()
     n = s.dimension
     K = s.ambient
@@ -523,10 +500,16 @@ def validate(s: StratifiedComplex) -> ValidationReport:
     else:
         rep.add("no_codim_1", s.F(2).dim <= n - 2 if n >= 2 else True,
                 "codimension-1 singular simplices")
+    return rep
 
+
+def validate(s: StratifiedComplex) -> ValidationReport:
+    """Every structural check, fullness of the ends and strata included."""
+    rep = _structure_report(s)
+    K = s.ambient
     rep.add("ends_full", s.ends.is_full_in(K), "ends subcomplex is not full")
 
-    not_full = [k for k in range(2, n + 1) if not s.F(k).is_full_in(K)]
+    not_full = [k for k in range(2, s.dimension + 1) if not s.F(k).is_full_in(K)]
     rep.add("strata_full", not not_full,
             "F(%s) not full; barycentric_subdivide first" %
             ",".join(map(str, not_full)))
@@ -535,10 +518,9 @@ def validate(s: StratifiedComplex) -> ValidationReport:
 
 def require_structure(s: StratifiedComplex):
     """The checks homology needs; ValidationError names each one failed."""
-    checks = validate(s).checks
-    failed = ["%s (%s)" % (name, checks[name][1])
-              for name in ("purity", "pseudomanifold", "filtration", "no_codim_1")
-              if not checks[name][0]]
+    failed = ["%s (%s)" % (name, msg)
+              for name, (passed, msg) in _structure_report(s).checks.items()
+              if not passed]
     if failed:
         raise ValidationError("complex failed validation: " + "; ".join(failed))
 
@@ -547,6 +529,11 @@ def require_structure(s: StratifiedComplex):
 # JSON interface
 
 _JSON_KEYS = {"dimension", "vertices", "simplices", "ends", "filtration"}
+
+# Closing a listed simplex with k vertices under faces builds 2^k - 1
+# simplices; a file whose listed simplices would build more in all is
+# refused before any complex is built. The largest bundled file builds 5,914.
+MAX_FACES = 1_000_000
 
 
 def _vertex_ids(value, what):
@@ -571,7 +558,8 @@ def complex_from_dict(data: dict) -> StratifiedComplex:
     """Build a complex from its JSON object, checking the input first.
 
     ``dimension`` is an integer between 0 and the largest listed simplex
-    dimension; vertex ids are strings or integers, never booleans.
+    dimension; vertex ids are strings or integers, never booleans; the
+    listed simplices have at most ``MAX_FACES`` faces in all.
     """
     if not isinstance(data, dict):
         raise UsageError("complex file must contain a JSON object")
@@ -606,6 +594,11 @@ def complex_from_dict(data: dict) -> StratifiedComplex:
         except ValueError:
             raise UsageError("filtration key %r is not a codimension" % key)
         listed[k] = _simplex_list(arr, "filtration %s" % key)
+    faces = sum((1 << len(x)) - 1
+                for x in itertools.chain(top, ends, *listed.values()))
+    if faces > MAX_FACES:
+        raise UsageError("the listed simplices have %d faces in all, more than %d"
+                         % (faces, MAX_FACES))
     amb = SimplicialComplex(top)
     filtration = {}
     for k in range(2, n + 1):

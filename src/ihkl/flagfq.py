@@ -195,26 +195,24 @@ def convolve(f: WFunction, g: WFunction, n: int, q: int,
              force: bool = False) -> WFunction:
     """(f * g)(w) = sum over flags F2 of f(pos(base, F2)) g(pos(F2, F_w)).
 
-    F_w is a flag at position w from the base flag; the sum is checked
-    to be independent of that choice on a second representative.
+    Only the flags in the cells of f's support contribute. F_w is a flag
+    at position w from the base flag; the sum is checked to be
+    independent of that choice on a second representative.
     """
     _check_bounds(n, q, force)
     if f.n != n or g.n != n:
         raise ComputationError("rank mismatch")
     cells = _cells(n, q, force)
-    flags = enumerate_flags(n, q, force)
-    base = standard_flag(n, q)
-    fd, gd = f.as_dict(), g.as_dict()
-    pos_base = {fl: relative_position(base, fl) for fl in flags}
+    support = [(cells[u], a) for u, a in f.as_dict().items()]
+    gd = g.as_dict()
     out = {}
     for w in all_elements(n):
         reps = cells[w][:2]
         totals = []
         for fw in reps:
             total = 0
-            for f2 in flags:
-                a = fd.get(pos_base[f2], 0)
-                if a:
+            for flags, a in support:
+                for f2 in flags:
                     b = gd.get(relative_position(f2, fw), 0)
                     if b:
                         total += a * b

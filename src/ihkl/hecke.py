@@ -375,14 +375,7 @@ def _extract_bott_samelson(w: Permutation, word: tuple) -> KLResult:
             corrections[u] = p_u
             e = e - _bott_samelson(u).cprime.scale(p_u)
 
-    result = KLResult(w, e, _extract_kl(w, e), corrections)
-    for u in result.kl_polys:
-        if u != w:
-            g = e.coeff(u).shift(u.length())
-            if g.max_degree() is not None and g.max_degree() >= 0:
-                raise InternalConsistencyError(
-                    "extraction left a non-negative degree at (%s, %s)" % (u, w))
-    return result
+    return KLResult(w, e, _extract_kl(w, e), corrections)
 
 
 def _mu(p: LaurentPoly, lu: int, lw: int) -> int:

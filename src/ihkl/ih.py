@@ -79,17 +79,14 @@ def allowable_simplices(s: StratifiedComplex, p: Perversity, i: int,
             and (allowed is None or allowed(x, i))]
 
 
-def ih_dims(s: StratifiedComplex, p: Perversity | None, supports: str = "borel_moore",
-            subdivide: int = 0) -> dict:
+def ih_dims(s: StratifiedComplex, p: Perversity | None,
+            supports: str = "borel_moore") -> dict:
     """Intersection homology dimensions by degree.
 
-    ``subdivide`` forces extra barycentric subdivisions up front (for
-    skeptical runs); one automatic subdivision is applied when the
-    filtration subcomplexes are not full.
+    One barycentric subdivision is applied when the filtration
+    subcomplexes are not full.
     """
     check_supports(supports)
-    for _ in range(subdivide):
-        s = barycentric_subdivide(s)
     if supports == "compact":
         s = compact_model(s)
     if not s.strata_full():
@@ -269,7 +266,7 @@ def cone_formula_check(link: StratifiedComplex, p: Perversity) -> ComparisonRepo
     pk = p(k)
     c = cone(link)
     direct = ih_dims(c, p, "borel_moore")
-    link_ih = ih_dims(link, p if link.dimension >= 2 else None, "borel_moore")
+    link_ih = ih_dims(link, p, "borel_moore")
     rep = ComparisonReport("cone formula (dim %d, p(%d)=%d)" % (k, k, pk))
     cutoff = k - pk
     for j in range(0, k + 1):
@@ -284,7 +281,7 @@ def suspension_check(s: StratifiedComplex, p: Perversity) -> ComparisonReport:
     n = s.dimension
     if p.dimension < n + 1:
         raise ComputationError("need a perversity of dimension >= %d" % (n + 1))
-    base = ih_dims(s, p if n >= 2 else None, "borel_moore")
+    base = ih_dims(s, p, "borel_moore")
     sus = ih_dims(suspend(s), p, "borel_moore")
     rep = ComparisonReport("suspension shift (dim %d -> %d)" % (n, n + 1))
     rep.add("degree 0", sus.get(0, 0), 0)
@@ -311,7 +308,7 @@ def local_stalk_table(s: StratifiedComplex, x, p: Perversity) -> dict:
         link, n - 1,
         filtration={k: s.F(k).restrict_to(link.simplices)
                     for k in range(2, n)})
-    link_ih = ih_dims(linkst, p if n - 1 >= 2 else None, "borel_moore")
+    link_ih = ih_dims(linkst, p, "borel_moore")
     k = None
     for j in range(n, 1, -1):
         if (x,) in s.F(j):

@@ -193,6 +193,18 @@ def test_huge_dimension_is_rejected_before_any_work(tmp_path, capsys):
     assert len([line for line in err.splitlines() if line.strip()]) == 1
 
 
+def test_face_closure_is_bounded_before_building(tmp_path, capsys):
+    # one listed 30-vertex simplex would close into 2^30 - 1 faces
+    vs = ["v%d" % i for i in range(30)]
+    target = tmp_path / "simplex30.json"
+    target.write_text(json.dumps({"dimension": 2, "vertices": vs, "simplices": [vs]}))
+    start = time.perf_counter()
+    code, _, err = run(capsys, "ih", "--input", str(target))
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert len([line for line in err.splitlines() if line.strip()]) == 1
+
+
 @pytest.mark.parametrize("argv", [
     ["kl", "--rank", "x"],
     ["frobnicate"],
@@ -203,6 +215,8 @@ def test_huge_dimension_is_rejected_before_any_work(tmp_path, capsys):
     ["hecke-mul", "--rank", "-2", "--left", "T:e", "--right", "T:e"],
     ["kl", "--rank", "3", "--element", "3x1"],
     ["kl", "--rank", "3", "--element", "[3,x,1]"],
+    ["ih", "--example", "cone-torus", "--subdivide", "3"],
+    ["ih", "--example", "circle", "--perversity", "bogus"],
 ])
 def test_bad_arguments_are_one_line_usage_errors(capsys, argv):
     code, _, err = run(capsys, *argv)

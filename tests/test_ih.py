@@ -182,7 +182,7 @@ def test_subdivision_invariance_spot():
     sd = barycentric_subdivide(pc)
     for sup in ("borel_moore", "compact"):
         assert ih_dims(sd, ZERO2, sup) == ih_dims(pc, ZERO2, sup)
-    assert ih_dims(pc, ZERO2, "borel_moore", subdivide=1) == {0: 0, 1: 0, 2: 2}
+    assert ih_dims(sd, ZERO2, "borel_moore") == {0: 0, 1: 0, 2: 2}
 
 
 def test_perversity_monotonicity_interleaving():

@@ -1,0 +1,80 @@
+"""Property tests: invariants of intersection homology on random complexes.
+
+Complexes are drawn from triangulated circles, two circles, the
+octahedral sphere and the 7-vertex torus, with up to two cones or
+suspensions on top, up to dimension 3.
+"""
+
+import itertools
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ihkl import builders
+from ihkl.complexes import (SUPPORTS, barycentric_subdivide, chain_basis, cone,
+                            homology_dims, interior_order_complex, suspend)
+from ihkl.ih import duality_report, ih_dims
+from ihkl.perversity import STANDARD_KINDS, Perversity, make_standard
+
+BASES = st.one_of(
+    st.integers(3, 7).map(builders.circle),
+    st.sampled_from((builders.two_circles, builders.sphere, builders.torus)).map(
+        lambda build: build()))
+
+
+@st.composite
+def complexes(draw):
+    s = draw(BASES)
+    for op in draw(st.lists(st.sampled_from((cone, suspend)), max_size=2)):
+        if s.dimension >= 3 or (op is cone and len(s.ends)):
+            break
+        s = op(s)
+    return s
+
+
+def perversities(n):
+    """Every perversity of dimension max(n, 2)."""
+    n = max(n, 2)
+    for steps in itertools.product((0, 1), repeat=n - 2):
+        yield Perversity((0,) + tuple(itertools.accumulate(steps)))
+
+
+def euler(counts):
+    return sum((-1) ** i * c for i, c in counts.items())
+
+
+@given(complexes())
+def test_interior_order_complex_is_the_subdivision_off_the_ends(s):
+    sd = barycentric_subdivide(s)
+    off = sd.ambient.full_subcomplex(sd.ambient.vertices - sd.ends.vertices)
+    inner = interior_order_complex(s)
+    assert inner.ambient == off
+    assert len(inner.ends) == 0
+    for k in range(2, s.dimension + 1):
+        assert inner.F(k) == sd.F(k).restrict_to(off.simplices)
+
+
+@settings(max_examples=12)
+@given(complexes())
+def test_subdivision_leaves_homology_and_ih_unchanged(s):
+    sd = barycentric_subdivide(s)
+    n = max(s.dimension, 2)
+    for sup in SUPPORTS:
+        assert homology_dims(sd, sup) == homology_dims(s, sup)
+        for kind in STANDARD_KINDS:
+            p = make_standard(kind, n)
+            assert ih_dims(sd, p, sup) == ih_dims(s, p, sup)
+
+
+@given(complexes())
+def test_euler_characteristic_of_borel_moore_homology(s):
+    cells = {i: len(chain_basis(s, i)) for i in range(s.dimension + 1)}
+    assert euler(homology_dims(s, "borel_moore")) == euler(cells)
+
+
+@settings(max_examples=30)
+@given(complexes())
+def test_duality_for_every_complementary_pair(s):
+    for p in perversities(s.dimension):
+        q = Perversity(tuple(k - 2 - p(k) for k in range(2, p.dimension + 1)))
+        assert duality_report(s, p, q).passed
