@@ -144,9 +144,7 @@ def run_kl(args):
         return 0
 
     algorithm = {"bs": "bott_samelson", "recursion": "recursion",
-                 "both": "both"}.get(args.algorithm)
-    if algorithm is None:
-        raise UsageError("unknown algorithm %r" % args.algorithm)
+                 "both": "both"}[args.algorithm]
     table = hecke.kl_table(n, algorithm)
     if args.interval:
         parts = args.interval.split(",")
@@ -178,10 +176,10 @@ def run_kl(args):
 
 
 def run_flagcheck(args):
-    flagfq.check_size(args.n, args.q, force=args.force)
+    flagfq.check_size(args.n, args.q)
     if not flagfq.is_prime(args.q):
         raise UsageError("%d is not prime" % args.q)
-    rep = flagfq.verify_hecke_specialization(args.n, args.q, force=args.force)
+    rep = flagfq.verify_hecke_specialization(args.n, args.q)
     _emit(args, rep.render_text, rep.to_json())
     return 0 if rep.passed else 1
 
@@ -321,7 +319,6 @@ def build_parser():
     sp = sub.add_parser("flagcheck", help="Hecke vs finite-field convolution")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--q", type=int, required=True)
-    sp.add_argument("--force", action="store_true")
     _add_format(sp)
     sp.set_defaults(func=run_flagcheck)
 

@@ -531,8 +531,9 @@ def require_structure(s: StratifiedComplex):
 _JSON_KEYS = {"dimension", "vertices", "simplices", "ends", "filtration"}
 
 # Closing a listed simplex with k vertices under faces builds 2^k - 1
-# simplices; a file whose listed simplices would build more in all is
-# refused before any complex is built. The largest bundled file builds 5,914.
+# simplices, once for each complex it enters; a file whose listed simplices
+# would build more in all is refused before any complex is built. The
+# largest bundled file builds 5,914.
 MAX_FACES = 1_000_000
 
 
@@ -558,8 +559,10 @@ def complex_from_dict(data: dict) -> StratifiedComplex:
     """Build a complex from its JSON object, checking the input first.
 
     ``dimension`` is an integer between 0 and the largest listed simplex
-    dimension; vertex ids are strings or integers, never booleans; the
-    listed simplices have at most ``MAX_FACES`` faces in all.
+    dimension; vertex ids are strings or integers, never booleans;
+    filtration keys are codimensions 2..dimension; the listed simplices
+    have at most ``MAX_FACES`` faces in all, a filtration list at key j
+    counted j - 1 times, once for each F(k) it enters.
     """
     if not isinstance(data, dict):
         raise UsageError("complex file must contain a JSON object")
@@ -593,20 +596,22 @@ def complex_from_dict(data: dict) -> StratifiedComplex:
             k = int(key)
         except ValueError:
             raise UsageError("filtration key %r is not a codimension" % key)
-        listed[k] = _simplex_list(arr, "filtration %s" % key)
-    faces = sum((1 << len(x)) - 1
-                for x in itertools.chain(top, ends, *listed.values()))
+        if not 2 <= k <= n:
+            raise UsageError("filtration key %r is not a codimension in 2..%d" % (key, n))
+        listed.setdefault(k, []).extend(_simplex_list(arr, "filtration %s" % key))
+    # a list at key j is closed into F(2), ..., F(j)
+    faces = sum((1 << len(x)) - 1 for x in itertools.chain(top, ends))
+    faces += sum((j - 1) * ((1 << len(x)) - 1) for j, arr in listed.items() for x in arr)
     if faces > MAX_FACES:
         raise UsageError("the listed simplices have %d faces in all, more than %d"
                          % (faces, MAX_FACES))
     amb = SimplicialComplex(top)
     filtration = {}
-    for k in range(2, n + 1):
-        simps = []
-        for j, arr in listed.items():
-            if j >= k:
-                simps.extend(arr)
-        filtration[k] = SimplicialComplex(simps)
+    deeper = frozenset()
+    for k in range(n, 1, -1):
+        if k in listed:
+            deeper |= SimplicialComplex(listed[k]).simplices
+        filtration[k] = SimplicialComplex(deeper, closed=True)
     return StratifiedComplex(amb, n, ends=SimplicialComplex(ends), filtration=filtration)
 
 

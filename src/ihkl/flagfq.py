@@ -5,13 +5,16 @@ which makes equality of subspaces literal tuple equality. Relative
 position of two flags is the permutation read off the rank array
 r_{ij} = dim(F1_i intersect F2_j) by its unit jumps; convolution of
 G-invariant functions on flag pairs gives the specialization of the
-Hecke algebra at v^2 = q, which is verified pair by pair.
+Hecke algebra at v^2 = q. Its structure constants are counted once per
+(n, q) over all flags, and every product T_u T_w is verified against
+them pair by pair.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -26,21 +29,21 @@ def is_prime(q: int) -> bool:
     return q >= 2 and all(q % d for d in range(2, math.isqrt(q) + 1))
 
 
-def check_size(n, q, force=False):
-    """Refuse n and q outside the brute-force limits unless forced.
+def check_size(n, q):
+    """Refuse n and q outside the brute-force limits.
 
     Checked before primality, whose trial division grows as sqrt(q).
     """
     if n < 1:
         raise ComputationError("need n >= 1")
-    if not force and (n > MAX_N or q > MAX_Q):
+    if n > MAX_N or q > MAX_Q:
         raise ComputationError(
-            "n=%d, q=%d exceeds the brute-force bounds n<=%d, q<=%d "
-            "(pass force to override)" % (n, q, MAX_N, MAX_Q))
+            "n=%d, q=%d exceeds the brute-force bounds n<=%d, q<=%d"
+            % (n, q, MAX_N, MAX_Q))
 
 
-def _check_bounds(n, q, force=False):
-    check_size(n, q, force)
+def _check_bounds(n, q):
+    check_size(n, q)
     if not is_prime(q):
         raise ComputationError("%d is not prime" % q)
 
@@ -67,10 +70,6 @@ def rref(rows, q):
     return tuple(tuple(row) for row in mat[:r])
 
 
-def _rank(rows, q):
-    return len(rref(rows, q))
-
-
 @dataclass(frozen=True)
 class FullFlag:
     """Proper subspaces V_1 through V_{n-1} in echelon form."""
@@ -79,24 +78,15 @@ class FullFlag:
     q: int
     steps: tuple  # steps[i] = echelon basis of V_{i+1}, dims 1..n-1
 
-    def subspace(self, i):
-        """Basis rows of V_i, with V_0 = 0 and V_n the full space."""
-        if i == 0:
-            return ()
-        if i == self.n:
-            return tuple(tuple(1 if j == k else 0 for j in range(self.n))
-                         for k in range(self.n))
-        return self.steps[i - 1]
-
 
 def _all_vectors(n, q):
     return [v for v in itertools.product(range(q), repeat=n) if any(v)]
 
 
 @lru_cache(maxsize=None)
-def enumerate_flags(n: int, q: int, force: bool = False):
+def enumerate_flags(n: int, q: int):
     """All full flags in F_q^n, canonically deduplicated."""
-    _check_bounds(n, q, force)
+    _check_bounds(n, q)
     vectors = _all_vectors(n, q)
     partial = [()]
     for dim in range(1, n):
@@ -140,12 +130,11 @@ def relative_position(f1: FullFlag, f2: FullFlag) -> Permutation:
     if (f1.n, f1.q) != (f2.n, f2.q):
         raise ComputationError("flags live in different spaces")
     n, q = f1.n, f1.q
-    r = [[0] * (n + 1) for _ in range(n + 1)]
-    for i in range(n + 1):
-        a = f1.subspace(i)
-        for j in range(n + 1):
-            b = f2.subspace(j)
-            r[i][j] = i + j - _rank(a + b, q)
+    # against V_0 = 0 or V_n = F_q^n the intersection has dimension min(i, j)
+    r = [[min(i, j) for j in range(n + 1)] for i in range(n + 1)]
+    for i, a in enumerate(f1.steps, 1):
+        for j, b in enumerate(f2.steps, 1):
+            r[i][j] = i + j - len(rref(a + b, q))
     word = [0] * n
     for j in range(1, n + 1):
         for i in range(1, n + 1):
@@ -156,19 +145,39 @@ def relative_position(f1: FullFlag, f2: FullFlag) -> Permutation:
 
 
 @lru_cache(maxsize=None)
-def _cells(n, q, force=False):
+def _cells(n, q):
     """Flags grouped by relative position to the standard flag."""
     base = standard_flag(n, q)
     cells = {}
-    for f in enumerate_flags(n, q, force):
+    for f in enumerate_flags(n, q):
         w = relative_position(base, f)
         cells.setdefault(w, []).append(f)
     return cells
 
 
-def schubert_cell_sizes(n: int, q: int, force: bool = False):
+def schubert_cell_sizes(n: int, q: int):
     """Number of flags at each relative position from the standard flag."""
-    return {w: len(fs) for w, fs in _cells(n, q, force).items()}
+    return {w: len(fs) for w, fs in _cells(n, q).items()}
+
+
+@lru_cache(maxsize=None)
+def _structure_constants(n, q):
+    """c[x][(u, w)] = #{F : pos(B, F) = u, pos(F, F_x) = w}, B the base flag.
+
+    Counted over every flag F against the first two flags F_x in the cell
+    of x. The count is G-invariant, so it must not depend on which F_x.
+    """
+    cells = _cells(n, q)
+    table = {}
+    for x in all_elements(n):
+        counts = [Counter((u, relative_position(f, fx))
+                          for u, flags in cells.items() for f in flags)
+                  for fx in cells[x][:2]]
+        if any(c != counts[0] for c in counts[1:]):
+            raise ComputationError(
+                "convolution value at %s depends on the representative flag" % x)
+        table[x] = counts[0]
+    return table
 
 
 @dataclass(frozen=True)
@@ -191,37 +200,20 @@ class WFunction:
         return {Permutation(word): c for word, c in self.values}
 
 
-def convolve(f: WFunction, g: WFunction, n: int, q: int,
-             force: bool = False) -> WFunction:
-    """(f * g)(w) = sum over flags F2 of f(pos(base, F2)) g(pos(F2, F_w)).
+def convolve(f: WFunction, g: WFunction, n: int, q: int) -> WFunction:
+    """(f * g)(x) = sum over flags F of f(pos(base, F)) g(pos(F, F_x)).
 
-    Only the flags in the cells of f's support contribute. F_w is a flag
-    at position w from the base flag; the sum is checked to be
-    independent of that choice on a second representative.
+    Read off the structure constants: the sum of f(u) g(w) c[x][(u, w)]
+    over the supports of f and g.
     """
-    _check_bounds(n, q, force)
+    _check_bounds(n, q)
     if f.n != n or g.n != n:
         raise ComputationError("rank mismatch")
-    cells = _cells(n, q, force)
-    support = [(cells[u], a) for u, a in f.as_dict().items()]
-    gd = g.as_dict()
-    out = {}
-    for w in all_elements(n):
-        reps = cells[w][:2]
-        totals = []
-        for fw in reps:
-            total = 0
-            for flags, a in support:
-                for f2 in flags:
-                    b = gd.get(relative_position(f2, fw), 0)
-                    if b:
-                        total += a * b
-            totals.append(total)
-        if len(set(totals)) != 1:
-            raise ComputationError(
-                "convolution value at %s depends on the representative flag" % w)
-        out[w] = totals[0]
-    return WFunction.from_dict(n, out)
+    pairs = [(u, w, a * b) for u, a in f.as_dict().items()
+             for w, b in g.as_dict().items()]
+    return WFunction.from_dict(n, {
+        x: sum(ab * c[(u, w)] for u, w, ab in pairs)
+        for x, c in _structure_constants(n, q).items()})
 
 
 @dataclass
@@ -256,11 +248,10 @@ class SpecializationReport:
         }
 
 
-def verify_hecke_specialization(n: int, q: int,
-                                force: bool = False) -> SpecializationReport:
+def verify_hecke_specialization(n: int, q: int) -> SpecializationReport:
     """Compare every T_u T_w at v^2 = q with brute-force convolution."""
     from .hecke import HeckeElement, t_mul
-    _check_bounds(n, q, force)
+    _check_bounds(n, q)
     report = SpecializationReport(n, q)
     els = all_elements(n)
     for u in els:
@@ -268,7 +259,7 @@ def verify_hecke_specialization(n: int, q: int,
             prod = t_mul(HeckeElement.t(u), HeckeElement.t(w))
             hecke_vals = {x: c.subs_q(q) for x, c in prod.terms.items()}
             hecke_vals = {x: c for x, c in hecke_vals.items() if c}
-            conv = convolve(WFunction.t(u), WFunction.t(w), n, q, force)
+            conv = convolve(WFunction.t(u), WFunction.t(w), n, q)
             conv_vals = conv.as_dict()
             report.checked += 1
             if hecke_vals != conv_vals:

@@ -21,7 +21,7 @@ from .complexes import (Chain, SimplicialComplex, StratifiedComplex,
                         chain_dims, check_supports, compact_model, cone,
                         faces_with_signs, homology_dims, simplex, suspend, vkey)
 from .errors import ComputationError, InternalConsistencyError, ValidationError
-from .linalg import RationalMatrix, rank_kernel, solve_in_span, sparse_rank
+from .linalg import RationalMatrix, rank_kernel, solve_in_span
 from .perversity import Perversity, is_complementary, make_standard
 
 
@@ -119,8 +119,8 @@ class AllowableComplex:
         for i in range(0, n + 1):
             d_i = self.boundary.get(i)
             d_next = self.boundary.get(i + 1)
-            rank_i = sparse_rank(d_i.col_dicts()) if d_i is not None else 0
-            rank_next = sparse_rank(d_next.col_dicts()) if d_next is not None else 0
+            rank_i = rank_kernel(d_i)[0] if d_i is not None else 0
+            rank_next = rank_kernel(d_next)[0] if d_next is not None else 0
             out[i] = len(self.basis.get(i, [])) - rank_i - rank_next
         return out
 
@@ -209,12 +209,14 @@ def allowable_complex(s: StratifiedComplex, p: Perversity,
 
 
 def _product_is_zero(a: RationalMatrix, b: RationalMatrix) -> bool:
-    bcols = b.col_dicts()
-    arows = a.row_dicts()
-    for col in bcols:
-        for i, row in enumerate(arows):
-            if sum((row[k] * col[k] for k in row.keys() & col.keys()), Fraction(0)):
-                return False
+    brows = b.row_dicts()
+    for arow in a.row_dicts():
+        out = {}
+        for k, v in arow.items():
+            for j, w in brows[k].items():
+                out[j] = out.get(j, 0) + v * w
+        if any(out.values()):
+            return False
     return True
 
 

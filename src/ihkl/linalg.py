@@ -57,12 +57,6 @@ class RationalMatrix:
             out[i][j] = v
         return out
 
-    def col_dicts(self):
-        out = [dict() for _ in range(self.cols)]
-        for (i, j), v in self.entries.items():
-            out[j][i] = v
-        return out
-
 
 def rank_kernel(m: RationalMatrix):
     """Exact rank and a right-kernel basis (the oracle engine).

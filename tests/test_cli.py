@@ -205,6 +205,21 @@ def test_face_closure_is_bounded_before_building(tmp_path, capsys):
     assert len([line for line in err.splitlines() if line.strip()]) == 1
 
 
+def test_filtration_lists_count_once_per_step_they_enter(tmp_path, capsys):
+    # key "16" puts the 17-vertex simplex into F(2), ..., F(16): 16 * (2^17 - 1)
+    # faces with the ambient copy, past MAX_FACES
+    vs = ["v%d" % i for i in range(17)]
+    target = tmp_path / "deep.json"
+    target.write_text(json.dumps({"dimension": 16, "vertices": vs, "simplices": [vs],
+                                  "filtration": {"16": [vs]}}))
+    start = time.perf_counter()
+    code, _, err = run(capsys, "ih", "--input", str(target))
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert len([line for line in err.splitlines() if line.strip()]) == 1
+    assert "2097136 faces" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["kl", "--rank", "x"],
     ["frobnicate"],
@@ -217,6 +232,7 @@ def test_face_closure_is_bounded_before_building(tmp_path, capsys):
     ["kl", "--rank", "3", "--element", "[3,x,1]"],
     ["ih", "--example", "cone-torus", "--subdivide", "3"],
     ["ih", "--example", "circle", "--perversity", "bogus"],
+    ["flagcheck", "--n", "3", "--q", "11", "--force"],
 ])
 def test_bad_arguments_are_one_line_usage_errors(capsys, argv):
     code, _, err = run(capsys, *argv)

