@@ -16,7 +16,7 @@ import sys
 from . import builders, flagfq, hecke, ih
 from .complexes import (check_supports, dump_complex, load_complex,
                         require_structure, validate)
-from .coxeter import all_elements, bruhat_leq, parse_element
+from .coxeter import bruhat_leq, parse_element
 from .errors import (ComputationError, InternalConsistencyError, UsageError)
 from .perversity import parse as parse_perversity
 
@@ -50,8 +50,6 @@ def _emit(args, text_fn, json_obj, csv_rows=None):
     if args.format == "json":
         print(json.dumps(json_obj, indent=1, sort_keys=True))
     elif args.format == "csv":
-        if csv_rows is None:
-            raise UsageError("csv output not supported for this subcommand")
         out = io.StringIO()
         writer = csv.writer(out)
         for row in csv_rows:
@@ -265,8 +263,9 @@ def _add_complex_source(sp):
     sp.add_argument("--example", help="built-in example name")
 
 
-def _add_format(sp):
-    sp.add_argument("--format", default="text", choices=("text", "json", "csv"))
+def _add_format(sp, *extra):
+    """--format with text, json and the subcommand's other choices."""
+    sp.add_argument("--format", default="text", choices=("text", "json") + extra)
 
 
 def build_parser():
@@ -279,14 +278,14 @@ def build_parser():
     _add_complex_source(sp)
     sp.add_argument("--perversity", default="middle")
     sp.add_argument("--supports", default="bm")
-    _add_format(sp)
+    _add_format(sp, "csv")
     sp.set_defaults(func=run_ih)
 
     sp = sub.add_parser("stalks", help="local stalk table at a vertex")
     _add_complex_source(sp)
     sp.add_argument("--vertex", required=True)
     sp.add_argument("--perversity", default="middle")
-    _add_format(sp)
+    _add_format(sp, "csv")
     sp.set_defaults(func=run_stalks)
 
     sp = sub.add_parser("duality", help="duality dimension report")
@@ -299,7 +298,6 @@ def build_parser():
     sp = sub.add_parser("normalize", help="split isolated singular points")
     _add_complex_source(sp)
     sp.add_argument("--output", required=True)
-    _add_format(sp)
     sp.set_defaults(func=run_normalize)
 
     sp = sub.add_parser("validate", help="structural checks on a complex")
@@ -313,7 +311,7 @@ def build_parser():
     sp.add_argument("--interval")
     sp.add_argument("--algorithm", default="both",
                     choices=("bs", "recursion", "both"))
-    _add_format(sp)
+    _add_format(sp, "csv")
     sp.set_defaults(func=run_kl)
 
     sp = sub.add_parser("flagcheck", help="Hecke vs finite-field convolution")

@@ -3,16 +3,32 @@
 Elements are permutations in one-line notation; the simple generator
 s_i swaps i and i+1 (1-based). Length is the inversion count, reduced
 words come from a greedy descent scan, and the Bruhat order is decided
-by the standard lifting recursion.
+by the standard lifting recursion. The one-line tuples themselves
+(``Permutation.word``) are what the Hecke algebra and the Bruhat cache
+key on; ``_swap`` and ``_inversions`` act on them directly.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import ComputationError
+
+MAX_ENUMERATE = 8   # all_elements refuses S_n past this rank (8! = 40,320)
+
+
+def _swap(x: tuple, i: int) -> tuple:
+    """x s_i for a one-line tuple x: positions i and i+1 exchanged."""
+    return x[:i - 1] + (x[i], x[i - 1]) + x[i + 1:]
+
+
+def _inversions(x: tuple) -> int:
+    """Inversion count of a one-line tuple, i.e. its length."""
+    return sum(1 for i in range(len(x)) for j in range(i + 1, len(x))
+               if x[i] > x[j])
 
 
 @dataclass(frozen=True)
@@ -49,9 +65,7 @@ class Permutation:
 
     def length(self) -> int:
         """Number of inversions."""
-        w = self.word
-        return sum(1 for i in range(len(w)) for j in range(i + 1, len(w))
-                   if w[i] > w[j])
+        return _inversions(self.word)
 
     def right_descents(self):
         """Simple indices i with l(w s_i) < l(w), i.e. w(i) > w(i+1)."""
@@ -61,9 +75,7 @@ class Permutation:
         """w s_i: swap the values in positions i, i+1."""
         if not 1 <= i < self.n:
             raise ComputationError("simple index %d out of range" % i)
-        w = list(self.word)
-        w[i - 1], w[i] = w[i], w[i - 1]
-        return Permutation(tuple(w))
+        return Permutation(_swap(self.word, i))
 
     def reduced_word(self) -> tuple:
         """The lexicographically smallest reduced word, greedily.
@@ -111,9 +123,13 @@ def longest_element(n: int) -> Permutation:
 
 @lru_cache(maxsize=None)
 def all_elements(n: int):
-    """All of S_n, sorted by (length, one-line notation)."""
-    perms = [Permutation(p) for p in itertools.permutations(range(1, n + 1))]
-    return tuple(sorted(perms, key=lambda w: (w.length(), w.word)))
+    """All of S_n, sorted by (length, one-line notation); n <= MAX_ENUMERATE."""
+    if n > MAX_ENUMERATE:
+        raise ComputationError("S_%d has %d elements; enumerating S_n is limited to "
+                               "n <= %d" % (n, math.factorial(n), MAX_ENUMERATE))
+    words = sorted(itertools.permutations(range(1, n + 1)),
+                   key=lambda x: (_inversions(x), x))
+    return tuple(Permutation(x) for x in words)
 
 
 def bruhat_leq(u: Permutation, w: Permutation) -> bool:
@@ -128,18 +144,14 @@ def bruhat_leq(u: Permutation, w: Permutation) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _bruhat_leq(uw, ww):
-    if uw == ww:
+def _bruhat_leq(u, w):
+    """bruhat_leq on one-line tuples; w has a descent once l(u) < l(w)."""
+    if u == w:
         return True
-    u, w = Permutation(uw), Permutation(ww)
-    if u.length() >= w.length():
+    if _inversions(u) >= _inversions(w):
         return False
-    ds = w.right_descents()
-    if not ds:
-        return False
-    i = ds[0]
-    u2 = u.apply_right(i) if u.word[i - 1] > u.word[i] else u
-    return _bruhat_leq(u2.word, w.apply_right(i).word)
+    i = next(i for i in range(1, len(w)) if w[i - 1] > w[i])
+    return _bruhat_leq(_swap(u, i) if u[i - 1] > u[i] else u, _swap(w, i))
 
 
 def bruhat_interval(w: Permutation):
@@ -154,19 +166,11 @@ def bruhat_leq_subword(u: Permutation, w: Permutation) -> bool:
     (not necessarily contiguous) subword; it suffices to scan one fixed
     reduced word of w for any subword multiplying to u.
     """
-    word = w.reduced_word()
     lu = u.length()
-    target = u.word
-    n = u.n
-    hits = {identity(n).word}
-    for letter in word:
-        new = set(hits)
-        for h in hits:
-            p = Permutation(h).apply_right(letter)
-            if p.length() <= lu:
-                new.add(p.word)
-        hits = new
-    return target in hits
+    hits = {identity(u.n).word}
+    for letter in w.reduced_word():
+        hits |= {p for p in (_swap(h, letter) for h in hits) if _inversions(p) <= lu}
+    return u.word in hits
 
 
 def reduced_words(w: Permutation):

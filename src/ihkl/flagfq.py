@@ -18,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .coxeter import Permutation, all_elements, identity
+from .coxeter import Permutation, all_elements
 from .errors import ComputationError
 
 MAX_N = 4

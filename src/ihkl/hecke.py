@@ -6,15 +6,19 @@ two independent routes: extraction from Bott-Samelson products
 v^{-l(w)} (T_{s_1} + 1) ... (T_{s_k} + 1), and the classical descent
 recursion; agreement of the two is the main internal cross-check. Both
 build C'_w by right multiplication with C'_s = v^{-1} (T_s + 1) and
-differ in how they remove the lower canonical terms.
+differ in how they remove the lower canonical terms. Coefficients are
+keyed by one-line tuples (``Permutation.word``); a ``Permutation``
+appears only at the public boundary (``HeckeElement.terms``, ``KLResult``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from types import MappingProxyType
 
-from .coxeter import Permutation, all_elements, bruhat_leq, from_word, identity
+from .coxeter import (Permutation, _inversions, _swap, all_elements, bruhat_leq,
+                      from_word, identity)
 from .errors import ComputationError, InternalConsistencyError
 
 
@@ -24,24 +28,8 @@ class LaurentPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=None):
-        clean = {}
-        for e, c in (coeffs or {}).items():
-            c = int(c)
-            if c:
-                clean[int(e)] = c
-        self.coeffs = clean
-
-    @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
-    def one(cls):
-        return cls({0: 1})
-
-    @classmethod
-    def v_power(cls, e, c=1):
-        return cls({e: c})
+        self.coeffs = {int(e): c for e, c0 in (coeffs or {}).items()
+                       for c in (int(c0),) if c}
 
     def __bool__(self):
         return bool(self.coeffs)
@@ -70,8 +58,6 @@ class LaurentPoly:
         return LaurentPoly({e: -c for e, c in self.coeffs.items()})
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = LaurentPoly({0: other})
         return self + (-other)
 
     def __mul__(self, other):
@@ -152,17 +138,20 @@ class LaurentPoly:
             out += term if term.startswith("-") else "+" + term
         return out
 
-    def __str__(self):
-        return self.format()
+    __str__ = format
 
     def __repr__(self):
         return "LaurentPoly(%r)" % (self.coeffs,)
 
 
 class HeckeElement:
-    """Finite Z[v, v^{-1}]-combination of T-basis elements of rank n."""
+    """Finite Z[v, v^{-1}]-combination of T-basis elements of rank n.
 
-    __slots__ = ("n", "terms")
+    The coefficients live in ``_coeffs``, keyed by one-line tuples;
+    ``terms`` is a read-only view of them keyed by ``Permutation``.
+    """
+
+    __slots__ = ("n", "_coeffs")
 
     def __init__(self, n, terms=None):
         self.n = n
@@ -173,49 +162,54 @@ class HeckeElement:
             if w.n != n:
                 raise ComputationError("term %s has wrong rank" % w)
             if c:
-                clean[w] = c
-        self.terms = clean
+                clean[w.word] = c
+        self._coeffs = clean
+
+    @classmethod
+    def _of(cls, n, coeffs):
+        """The element with tuple-keyed LaurentPoly coefficients; zeros dropped."""
+        out = cls.__new__(cls)
+        out.n = n
+        out._coeffs = {x: c for x, c in coeffs.items() if c}
+        return out
 
     @classmethod
     def unit(cls, n):
-        return cls(n, {identity(n): LaurentPoly.one()})
+        return cls._of(n, {identity(n).word: ONE})
 
     @classmethod
     def t(cls, w: Permutation):
-        return cls(w.n, {w: LaurentPoly.one()})
+        return cls._of(w.n, {w.word: ONE})
 
-    def coeff(self, w: Permutation) -> LaurentPoly:
-        return self.terms.get(w, LaurentPoly.zero())
+    @property
+    def terms(self):
+        return MappingProxyType({Permutation(x): c for x, c in self._coeffs.items()})
 
     def __eq__(self, other):
         return (isinstance(other, HeckeElement) and self.n == other.n
-                and self.terms == other.terms)
+                and self._coeffs == other._coeffs)
 
     def __add__(self, other):
         if self.n != other.n:
             raise ComputationError("rank mismatch")
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out.get(w, LaurentPoly.zero()) + c
-        return HeckeElement(self.n, out)
+        out = dict(self._coeffs)
+        for x, c in other._coeffs.items():
+            out[x] = out[x] + c if x in out else c
+        return HeckeElement._of(self.n, out)
 
     def __sub__(self, other):
-        return self + other.scale(LaurentPoly({0: -1}))
+        return self + other.scale(-1)
 
     def scale(self, c) -> "HeckeElement":
-        if isinstance(c, int):
-            c = LaurentPoly({0: c})
-        return HeckeElement(self.n, {w: p * c for w, p in self.terms.items()})
-
-    def support(self):
-        return sorted(self.terms, key=lambda w: (w.length(), w.word))
+        """Multiply every coefficient by c, an int or a LaurentPoly."""
+        return HeckeElement._of(self.n, {x: p * c for x, p in self._coeffs.items()})
 
     def format(self):
-        if not self.terms:
+        if not self._coeffs:
             return "0"
         parts = []
-        for w in sorted(self.terms, key=lambda w: (-w.length(), w.word)):
-            c = self.terms[w]
+        for x in sorted(self._coeffs, key=lambda x: (-_inversions(x), x)):
+            c, w = self._coeffs[x], Permutation(x)
             if c == 1:
                 parts.append("T:%s" % w)
             elif len(c.coeffs) == 1:
@@ -224,34 +218,35 @@ class HeckeElement:
                 parts.append("(%s)*T:%s" % (c.format(), w))
         return " + ".join(parts)
 
-    def __str__(self):
-        return self.format()
+    __str__ = format
 
     def __repr__(self):
         return "HeckeElement(%d, %s)" % (self.n, self.format())
 
 
+ONE = LaurentPoly({0: 1})
 V2M1 = LaurentPoly({2: 1, 0: -1})      # v^2 - 1
 V2 = LaurentPoly({2: 1})
+VM1 = LaurentPoly({-1: 1})
 VM2 = LaurentPoly({-2: 1})
 VM2M1 = LaurentPoly({-2: 1, 0: -1})    # v^{-2} - 1
 
 
 def _mul_right_simple(a: HeckeElement, i: int) -> HeckeElement:
-    """a * T_{s_i} by the quadratic relation."""
+    """a * T_{s_i} by the quadratic relation; x s_i < x iff x[i-1] > x[i]."""
     out = {}
 
-    def acc(w, c):
-        out[w] = out.get(w, LaurentPoly.zero()) + c
+    def acc(x, c):
+        out[x] = out[x] + c if x in out else c
 
-    for w, c in a.terms.items():
-        ws = w.apply_right(i)
-        if ws.length() > w.length():
-            acc(ws, c)
+    for x, c in a._coeffs.items():
+        xs = _swap(x, i)
+        if x[i - 1] < x[i]:
+            acc(xs, c)
         else:
-            acc(w, c * V2M1)
-            acc(ws, c * V2)
-    return HeckeElement(a.n, out)
+            acc(x, c * V2M1)
+            acc(xs, c * V2)
+    return HeckeElement._of(a.n, out)
 
 
 def _mul_right_cs(a: HeckeElement, i: int) -> HeckeElement:
@@ -264,9 +259,9 @@ def t_mul(a: HeckeElement, b: HeckeElement) -> HeckeElement:
     if a.n != b.n:
         raise ComputationError("rank mismatch")
     total = HeckeElement(a.n)
-    for w, c in b.terms.items():
+    for x, c in b._coeffs.items():
         part = a.scale(c)
-        for i in w.reduced_word():
+        for i in Permutation(x).reduced_word():
             part = _mul_right_simple(part, i)
         total = total + part
     return total
@@ -290,8 +285,8 @@ def iota(a: HeckeElement) -> HeckeElement:
     element at w^{-1}, which is what makes the canonical basis fixed.
     """
     total = HeckeElement(a.n)
-    for w, c in a.terms.items():
-        total = total + t_inverse(w.inverse()).scale(c.bar())
+    for x, c in a._coeffs.items():
+        total = total + t_inverse(Permutation(x).inverse()).scale(c.bar())
     return total
 
 
@@ -314,7 +309,8 @@ def _extract_kl(w: Permutation, elem: HeckeElement) -> dict:
     """Read P_{u,w} off C'_w and verify the defining constraints."""
     lw = w.length()
     polys = {}
-    for u, c in elem.terms.items():
+    for x, c in elem._coeffs.items():
+        u = Permutation(x)
         scaled = c.shift(lw)
         lo = scaled.min_degree()
         if lo < 0 or any(e % 2 for e in scaled.coeffs):
@@ -324,7 +320,7 @@ def _extract_kl(w: Permutation, elem: HeckeElement) -> dict:
         if u == w:
             if p != 1:
                 raise InternalConsistencyError("P_{w,w} != 1 at w = %s" % w)
-        elif 2 * p.max_degree() > lw - u.length() - 1:
+        elif 2 * p.max_degree() > lw - _inversions(x) - 1:
             raise InternalConsistencyError(
                 "degree bound violated at (%s, %s): %s" % (u, w, p.format("q")))
         polys[u] = p
@@ -345,13 +341,14 @@ def kl_bott_samelson(word, n: int) -> KLResult:
     if len(word) != w.length():
         raise ComputationError("word %r is not reduced" % (word,))
     if word == w.reduced_word():
-        return _bott_samelson(w)
+        return _bott_samelson(w.word)
     return _extract_bott_samelson(w, word)
 
 
 @lru_cache(maxsize=None)
-def _bott_samelson(w: Permutation) -> KLResult:
-    """C'_w over the canonical reduced word of w."""
+def _bott_samelson(x: tuple) -> KLResult:
+    """C'_w over the canonical reduced word of w, keyed by its one-line tuple x."""
+    w = Permutation(x)
     return _extract_bott_samelson(w, w.reduced_word())
 
 
@@ -359,21 +356,19 @@ def _extract_bott_samelson(w: Permutation, word: tuple) -> KLResult:
     e = HeckeElement.unit(w.n)
     for i in word:
         e = _mul_right_cs(e, i)
-    e = e.scale(LaurentPoly.v_power(-len(word)))
+    e = e.scale(LaurentPoly({-len(word): 1}))
 
+    # Removing p_u C'_u changes only T_u and terms shorter than u, so one
+    # pass in decreasing length sees each coefficient in its final state.
     corrections = {}
-    for length in range(w.length() - 1, -1, -1):
-        for u in [x for x in e.support() if x.length() == length]:
-            g = e.coeff(u).shift(u.length())
-            half = {d: c for d, c in g.coeffs.items() if d >= 0}
-            p_u = LaurentPoly({0: half.get(0, 0)})
-            for d, c in half.items():
-                if d > 0:
-                    p_u = p_u + LaurentPoly({d: c, -d: c})
-            if not p_u:
-                continue
-            corrections[u] = p_u
-            e = e - _bott_samelson(u).cprime.scale(p_u)
+    for lu, x in sorted(((_inversions(x), x) for x in e._coeffs if x != w.word),
+                        reverse=True):
+        g = e._coeffs[x].shift(lu)
+        p_u = LaurentPoly({s * d: c for d, c in g.coeffs.items() if d >= 0
+                           for s in (1, -1)})
+        if p_u:
+            corrections[Permutation(x)] = p_u
+            e = e - _bott_samelson(x).cprime.scale(p_u)
 
     return KLResult(w, e, _extract_kl(w, e), corrections)
 
@@ -393,15 +388,16 @@ def kl_recursion(w: Permutation) -> KLResult:
     The result is checked to be iota-fixed with the right degree bounds.
     """
     if w.length() == 0:
-        return KLResult(w, HeckeElement.unit(w.n), {w: LaurentPoly.one()})
+        return KLResult(w, HeckeElement.unit(w.n), {w: ONE})
 
     i = w.right_descents()[0]
     wp = w.apply_right(i)
     prev = kl_recursion(wp)
-    e = _mul_right_cs(prev.cprime, i).scale(LaurentPoly.v_power(-1))
+    lp = wp.length()
+    e = _mul_right_cs(prev.cprime, i).scale(VM1)
     for u, p in prev.kl_polys.items():
         if u != wp and u.word[i - 1] > u.word[i]:
-            m = _mu(p, u.length(), wp.length())
+            m = _mu(p, u.length(), lp)
             if m:
                 e = e - kl_recursion(u).cprime.scale(m)
 
@@ -412,7 +408,7 @@ def kl_recursion(w: Permutation) -> KLResult:
 
 def cprime(w: Permutation, algorithm: str = "bott_samelson") -> KLResult:
     if algorithm == "bott_samelson":
-        return _bott_samelson(w)
+        return _bott_samelson(w.word)
     if algorithm == "recursion":
         return kl_recursion(w)
     raise ComputationError("unknown algorithm %r" % algorithm)

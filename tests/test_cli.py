@@ -233,6 +233,10 @@ def test_filtration_lists_count_once_per_step_they_enter(tmp_path, capsys):
     ["ih", "--example", "cone-torus", "--subdivide", "3"],
     ["ih", "--example", "circle", "--perversity", "bogus"],
     ["flagcheck", "--n", "3", "--q", "11", "--force"],
+    ["validate", "--example", "circle", "--format", "csv"],
+    ["duality", "--example", "cone-torus", "--p", "zero", "--q", "top", "--format", "csv"],
+    ["bruhat", "--rank", "3", "--leq", "e,321", "--format", "csv"],
+    ["hecke-mul", "--rank", "3", "--left", "T:e", "--right", "T:e", "--format", "csv"],
 ])
 def test_bad_arguments_are_one_line_usage_errors(capsys, argv):
     code, _, err = run(capsys, *argv)
@@ -240,6 +244,63 @@ def test_bad_arguments_are_one_line_usage_errors(capsys, argv):
     lines = [line for line in err.splitlines() if line.strip()]
     assert len(lines) == 1, err
     assert "Traceback" not in err
+
+
+def test_format_choice_is_checked_before_any_work(capsys):
+    # the whole (4, 2) flag sweep takes seconds; csv is not one of its formats
+    start = time.perf_counter()
+    code, out, err = run(capsys, "flagcheck", "--n", "4", "--q", "2", "--format", "csv")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert "invalid choice: 'csv'" in err
+
+
+def test_normalize_has_no_format_flag(tmp_path, capsys):
+    target = tmp_path / "norm.json"
+    code, _, err = run(capsys, "normalize", "--example", "pinched-cylinder",
+                       "--output", str(target), "--format", "json")
+    assert code == 2
+    assert "--format" in err
+    assert not target.exists()
+
+
+def test_kl_table_past_the_enumeration_bound_is_refused(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "kl", "--rank", "12")
+    assert time.perf_counter() - start < 1
+    assert code == 1 and out == ""
+    lines = [line for line in err.splitlines() if line.strip()]
+    assert len(lines) == 1, err
+    assert "limited to n <= 8" in lines[0]
+
+
+HECKE_MUL_RANK10 = " + ".join([
+    "v^-1*T:[4,2,3,1,5,6,7,8,9,10]", "v^-1*T:[2,4,3,1,5,6,7,8,9,10]",
+    "v^-1*T:[3,2,4,1,5,6,7,8,9,10]", "v^-1*T:[2,3,4,1,5,6,7,8,9,10]",
+    "v*T:[3,2,1,4,5,6,7,8,9,10]", "v*T:[2,3,1,4,5,6,7,8,9,10]",
+    "v^3*T:[2,1,3,4,5,6,7,8,9,10]", "v^3*T:[1,2,3,4,5,6,7,8,9,10]"]) + "\n"
+BELOW_321546789 = ["123456789", "123546789", "132456789", "213456789", "132546789",
+                   "213546789", "231456789", "312456789", "231546789", "312546789",
+                   "321456789", "321546789"]
+KL_RANK9 = "".join("P[%s,321546789] = 1\n" % u for u in BELOW_321546789) + \
+    "C' = %s\n" % " + ".join("v^-4*T:%s" % u for u in [
+        "321546789", "231546789", "312546789", "321456789", "132546789",
+        "213546789", "231456789", "312456789", "123546789", "132456789",
+        "213456789", "123456789"])
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["hecke-mul", "--rank", "10", "--left", "T:s1*s2*s3", "--right", "Cp:s3*s2*s1"],
+     HECKE_MUL_RANK10),
+    (["kl", "--rank", "9", "--element", "s1*s2*s1*s4"], KL_RANK9),
+])
+def test_single_element_requests_stay_cheap_at_high_rank(capsys, argv, want):
+    # guards against any design that enumerates all of S_n for one element
+    start = time.perf_counter()
+    code, out, _ = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    assert out == want
 
 
 def test_help_still_exits_zero(capsys):

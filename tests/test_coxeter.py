@@ -1,10 +1,11 @@
 """Symmetric group combinatorics: lengths, words, Bruhat order."""
 
 import itertools
+import time
 
 import pytest
 
-from ihkl.coxeter import (Permutation, all_elements, bruhat_interval,
+from ihkl.coxeter import (MAX_ENUMERATE, Permutation, all_elements, bruhat_interval,
                           bruhat_leq, bruhat_leq_subword, from_word, identity,
                           longest_element, parse_element, reduced_words, simple)
 from ihkl.errors import ComputationError
@@ -94,6 +95,24 @@ def test_bruhat_interval():
     below = bruhat_interval(Permutation((3, 1, 2)))
     assert sorted(x.word for x in below) == [
         (1, 2, 3), (1, 3, 2), (2, 1, 3), (3, 1, 2)]
+
+
+def test_all_elements_refuses_large_ranks_before_enumerating():
+    start = time.perf_counter()
+    for n in (MAX_ENUMERATE + 1, 12):
+        with pytest.raises(ComputationError, match="limited to n <= 8") as info:
+            all_elements(n)
+        assert "\n" not in str(info.value)
+    with pytest.raises(ComputationError):
+        bruhat_interval(identity(MAX_ENUMERATE + 1))
+    assert time.perf_counter() - start < 1
+    # single elements stay usable at any rank
+    w = from_word((1, 2, 1, 4, 11), 12)
+    assert w.length() == 5
+    assert bruhat_leq(simple(4, 12), w) and not bruhat_leq(w, simple(4, 12))
+    assert bruhat_leq_subword(simple(4, 12), w)
+    assert not bruhat_leq(simple(3, 12), w)
+    assert not bruhat_leq_subword(simple(3, 12), w)
 
 
 def test_parse_element_forms():

@@ -191,6 +191,32 @@ def test_kl_table_rejects_unknown_algorithm():
         kl_table(3, algorithm="magic")
 
 
+def test_hecke_element_rejects_a_term_of_the_wrong_rank():
+    with pytest.raises(ComputationError, match="wrong rank"):
+        HeckeElement(3, {identity(4): 1})
+    with pytest.raises(ComputationError, match="wrong rank"):
+        HeckeElement(4, {identity(4): 1, simple(1, 3): LaurentPoly({1: 2})})
+
+
+def test_terms_view_round_trips_every_cprime_in_s4():
+    for w in all_elements(4):
+        for alg in ("bott_samelson", "recursion"):
+            e = cprime(w, alg).cprime
+            assert HeckeElement(4, e.terms) == e, (w, alg)
+            assert all(isinstance(u, Permutation) and u.n == 4 for u in e.terms)
+    with pytest.raises(TypeError):
+        e.terms[w] = LaurentPoly({0: 1})
+
+
+def test_single_elements_work_past_the_enumeration_bound():
+    with pytest.raises(ComputationError, match="limited to n <= 8"):
+        kl_table(9)
+    w = from_word((1, 2, 1, 4), 9)
+    bs, rec = cprime(w, "bott_samelson"), cprime(w, "recursion")
+    assert bs.kl_polys == rec.kl_polys
+    assert len(bs.kl_polys) == 12 and all(p == 1 for p in bs.kl_polys.values())
+
+
 def test_hecke_element_formatting():
     s1 = simple(1, 3)
     e = T(s1).scale(LaurentPoly({2: 1, 0: -1})) + HeckeElement.unit(3)
