@@ -267,13 +267,20 @@ def t_mul(a: HeckeElement, b: HeckeElement) -> HeckeElement:
     return total
 
 
+@lru_cache(maxsize=None)
+def _iota_t(x: tuple) -> HeckeElement:
+    """iota(T_x) for a one-line tuple x: iota(T_{xs}) T_s^{-1} at the first
+    right descent s, with T_s^{-1} = v^{-2} T_s + (v^{-2} - 1)."""
+    i = next((i for i in range(1, len(x)) if x[i - 1] > x[i]), None)
+    if i is None:
+        return HeckeElement._of(len(x), {x: ONE})
+    prev = _iota_t(_swap(x, i))
+    return _mul_right_simple(prev, i).scale(VM2) + prev.scale(VM2M1)
+
+
 def t_inverse(w: Permutation) -> HeckeElement:
-    """(T_w)^{-1} as the reversed product of the simple inverses
-    T_s^{-1} = v^{-2} T_s + (v^{-2} - 1)."""
-    out = HeckeElement.unit(w.n)
-    for i in reversed(w.reduced_word()):
-        out = _mul_right_simple(out, i).scale(VM2) + out.scale(VM2M1)
-    return out
+    """(T_w)^{-1}, which is iota(T at w^{-1})."""
+    return _iota_t(w.inverse().word)
 
 
 def iota(a: HeckeElement) -> HeckeElement:
@@ -286,7 +293,7 @@ def iota(a: HeckeElement) -> HeckeElement:
     """
     total = HeckeElement(a.n)
     for x, c in a._coeffs.items():
-        total = total + t_inverse(Permutation(x).inverse()).scale(c.bar())
+        total = total + _iota_t(x).scale(c.bar())
     return total
 
 

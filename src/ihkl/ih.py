@@ -14,14 +14,13 @@ kernels of finite rational matrices.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .complexes import (Chain, SimplicialComplex, StratifiedComplex,
                         barycentric_subdivide, boundary_columns, chain_basis,
                         chain_dims, check_supports, compact_model, cone,
                         faces_with_signs, homology_dims, simplex, suspend, vkey)
 from .errors import ComputationError, InternalConsistencyError, ValidationError
-from .linalg import RationalMatrix, rank_kernel, solve_in_span
+from .linalg import RationalMatrix, rank_kernel
 from .perversity import Perversity, is_complementary, make_standard
 
 
@@ -79,6 +78,19 @@ def allowable_simplices(s: StratifiedComplex, p: Perversity, i: int,
             and (allowed is None or allowed(x, i))]
 
 
+def _prepare(s: StratifiedComplex, p: Perversity | None, supports: str):
+    """The model, fitted p and allowability test of ``ih_dims`` and
+    ``allowable_complex``: ``compact_model`` in compact supports, then one
+    barycentric subdivision when the filtration subcomplexes are not full."""
+    check_supports(supports)
+    if supports == "compact":
+        s = compact_model(s)
+    if not s.strata_full():
+        s = barycentric_subdivide(s)
+    p = _fit_perversity(p, s.dimension)
+    return s, p, _allowability(s, p)
+
+
 def ih_dims(s: StratifiedComplex, p: Perversity | None,
             supports: str = "borel_moore") -> dict:
     """Intersection homology dimensions by degree.
@@ -86,12 +98,8 @@ def ih_dims(s: StratifiedComplex, p: Perversity | None,
     One barycentric subdivision is applied when the filtration
     subcomplexes are not full.
     """
-    check_supports(supports)
-    if supports == "compact":
-        s = compact_model(s)
-    if not s.strata_full():
-        s = barycentric_subdivide(s)
-    return chain_dims(s, _allowability(s, _fit_perversity(p, s.dimension)))
+    s, _, allowed = _prepare(s, p, supports)
+    return chain_dims(s, allowed)
 
 
 # ---------------------------------------------------------------------------
@@ -103,8 +111,9 @@ class AllowableComplex:
 
     ``basis[i]`` is a list of chains spanning the degree-i allowable
     group; ``boundary[i]`` expresses their boundaries in the degree-(i-1)
-    basis. In compact mode the chains live on the derived interior model
-    stored in ``context``.
+    basis. The chains live on the model stored in ``context``: the
+    compact model in compact mode, subdivided once when the strata of
+    the input are not full.
     """
 
     context: StratifiedComplex
@@ -129,75 +138,47 @@ def allowable_complex(s: StratifiedComplex, p: Perversity,
                       supports: str = "borel_moore") -> AllowableComplex:
     """Explicit bases for the allowable chain groups (small complexes).
 
-    An independent oracle for ``ih_dims``: it builds the allowable
-    chains as kernels with ``rank_kernel`` and their boundaries with
-    ``solve_in_span``, and the tests check its ``dims()`` against the
-    rank shortcut.
+    An independent oracle for ``ih_dims`` on the same model: the
+    allowable i-chains are the kernel of the boundary projected off the
+    allowable (i-1)-simplices, with a basis from ``rank_kernel``. Each
+    basis vector is 1 at its free column and 0 past it, so the
+    coordinates of an allowable chain are its entries at the free
+    columns; every boundary is recombined from them and checked exactly.
+    The tests check ``dims()`` against the rank shortcut.
     """
-    check_supports(supports)
-    if supports == "compact":
-        s = compact_model(s)
-    _require_full_strata(s)
+    s, p, allowed = _prepare(s, p, supports)
     n = s.dimension
-    p = _fit_perversity(p, n)
-    allowed = _allowability(s, p)
-    bases = {i: chain_basis(s, i) for i in range(0, n + 1)}
-    allow = {i: [x for x in bases[i] if allowed is None or allowed(x, i)]
-             for i in range(0, n + 1)}
-
     out = AllowableComplex(s, p, supports)
-    chain_cols = {}  # i -> list of columns (simplex-row coords) spanning I_pC_i
+    prev_basis, prev_inside, prev_free, prev_cols = [], set(), [], []
     for i in range(0, n + 1):
-        cols = boundary_columns(s, i, allow[i], bases[i - 1]) if i > 0 else \
-            [dict() for _ in allow[i]]
-        lookup = {x: r for r, x in enumerate(bases[i - 1])} if i > 0 else {}
-        allowed_prev = {lookup[x] for x in allow[i - 1]} if i > 0 else set()
+        basis = chain_basis(s, i)
+        allow = [x for x in basis if allowed is None or allowed(x, i)]
+        cols = boundary_columns(s, i, allow, prev_basis)
         proj = RationalMatrix(
-            len(bases[i - 1] if i > 0 else []), len(allow[i]),
+            len(prev_basis), len(allow),
             {(r, j): v for j, col in enumerate(cols)
-             for r, v in col.items() if r not in allowed_prev})
-        _, kernel = rank_kernel(proj)
-        simp_index = {x: r for r, x in enumerate(bases[i])}
-        chains = []
-        ccols = []
-        for vec in kernel:
-            coeffs = {allow[i][j]: c for j, c in enumerate(vec) if c}
+             for r, v in col.items() if r not in prev_inside})
+        index = {x: r for r, x in enumerate(basis)}
+        chains, free, chain_cols, bounds = [], [], [], []
+        for vec in rank_kernel(proj)[1]:
+            coeffs = {allow[j]: c for j, c in enumerate(vec) if c}
             chains.append(Chain(i, coeffs))
-            ccols.append({simp_index[x]: c for x, c in coeffs.items()})
+            free.append(index[next(reversed(coeffs))])  # last non-zero entry
+            chain_cols.append({index[x]: c for x, c in coeffs.items()})
+            bounds.append(_combine(zip(cols, vec)))
         out.basis[i] = chains
-        chain_cols[i] = ccols
-
-    for i in range(1, n + 1):
-        if not out.basis[i]:
-            continue
-        prev_index = {x: r for r, x in enumerate(bases[i - 1])}
-        targets = []
-        for ch in out.basis[i]:
-            col = {}
-            for x, c in ch.coefficients.items():
-                for f, sign in ((f, sg) for f, sg in faces_with_signs(x)
-                                if f in prev_index):
-                    r = prev_index[f]
-                    v = col.get(r, Fraction(0)) + sign * c
-                    if v:
-                        col[r] = v
-                    else:
-                        del col[r]
-            targets.append(col)
-        if out.basis[i - 1]:
-            try:
-                combos = solve_in_span(chain_cols[i - 1], targets)
-            except ValueError:
-                raise InternalConsistencyError(
-                    "boundary of an allowable chain left the allowable complex")
-        else:
-            if any(t for t in targets):
-                raise InternalConsistencyError(
-                    "boundary of an allowable chain left the allowable complex")
-            combos = [dict() for _ in targets]
-        out.boundary[i] = RationalMatrix(
-            len(out.basis[i - 1]), len(out.basis[i]),
-            {(r, j): v for j, combo in enumerate(combos) for r, v in combo.items()})
+        if i and chains:
+            entries = {}
+            for j, b in enumerate(bounds):
+                coords = [b.get(r, 0) for r in prev_free]
+                if _combine(zip(prev_cols, coords)) != b:
+                    raise InternalConsistencyError(
+                        "boundary of an allowable chain left the allowable "
+                        "complex in degree %d" % i)
+                entries.update(((k, j), c) for k, c in enumerate(coords) if c)
+            out.boundary[i] = RationalMatrix(len(prev_free), len(chains), entries)
+        prev_basis, prev_free, prev_cols = basis, free, chain_cols
+        prev_inside = {index[x] for x in allow}
 
     for i in range(2, n + 1):
         a, b = out.boundary.get(i - 1), out.boundary.get(i)
@@ -206,6 +187,16 @@ def allowable_complex(s: StratifiedComplex, p: Perversity,
         if not _product_is_zero(a, b):
             raise InternalConsistencyError("composite boundary is non-zero")
     return out
+
+
+def _combine(pairs) -> dict:
+    """The sum of c * col over (col, c) pairs, without zero entries."""
+    out = {}
+    for col, c in pairs:
+        if c:
+            for r, v in col.items():
+                out[r] = out.get(r, 0) + c * v
+    return {r: v for r, v in out.items() if v}
 
 
 def _product_is_zero(a: RationalMatrix, b: RationalMatrix) -> bool:

@@ -4,9 +4,11 @@ Everything is over Fraction; no floating point anywhere. Two engines:
 
 * ``rank_kernel`` -- row-major Gaussian elimination with the fixed
   "first non-zero entry in row-major scan" pivot rule, so kernel bases
-  are deterministic and can be frozen in golden tests. With
-  ``solve_in_span`` it is the independent oracle engine behind
-  ``ih.allowable_complex``, which the tests check the fast path against.
+  are deterministic and can be frozen in golden tests. Each kernel
+  vector is 1 at its free column and 0 past it, so a vector in the
+  kernel has its free-column entries as coordinates. It is the
+  independent oracle engine behind ``ih.allowable_complex``, which the
+  tests check the fast path against.
 * ``sparse_rank`` -- column reduction in the style of boundary-matrix
   reduction (pivot = lowest non-zero row), much faster on the large,
   very sparse boundary matrices that dominate homology computations.
@@ -126,41 +128,3 @@ def sparse_rank(columns) -> int:
                 break
     return rank
 
-
-def solve_in_span(basis_cols, target_cols):
-    """Express each target column in the span of the basis columns.
-
-    All columns are dicts row->Fraction. Returns a list of coefficient
-    dicts (basis index -> Fraction), one per target. Raises ValueError
-    if a target is not in the span. Part of the oracle engine: only
-    ``ih.allowable_complex`` uses it.
-    """
-    low = {}  # pivot row -> (reduced column, combination dict)
-    for idx, col in enumerate(basis_cols):
-        d = {r: Fraction(v) for r, v in col.items() if v}
-        comb = {idx: Fraction(1)}
-        while d:
-            r = max(d)
-            if r in low:
-                other, ocomb = low[r]
-                f = -d[r] / other[r]
-                _axpy(d, other, f)
-                _axpy(comb, ocomb, f)
-            else:
-                low[r] = (d, comb)
-                break
-
-    out = []
-    for col in target_cols:
-        d = {r: Fraction(v) for r, v in col.items() if v}
-        comb = {}
-        while d:
-            r = max(d)
-            if r not in low:
-                raise ValueError("target column not in span of basis")
-            other, ocomb = low[r]
-            f = -d[r] / other[r]
-            _axpy(d, other, f)
-            _axpy(comb, ocomb, f)
-        out.append({i: -v for i, v in comb.items()})
-    return out

@@ -140,8 +140,8 @@ def test_bott_samelson_other_reduced_word_is_not_memoised():
 
 def test_every_cache_clears_and_recomputes_the_same_table():
     before = kl_table(4, algorithm="both")
-    caches = (hecke._bott_samelson, hecke.kl_recursion, complexes.vkey,
-              coxeter.all_elements, coxeter._bruhat_leq,
+    caches = (hecke._bott_samelson, hecke.kl_recursion, hecke._iota_t,
+              complexes.vkey, coxeter.all_elements, coxeter._bruhat_leq,
               flagfq.enumerate_flags, flagfq._cells,
               flagfq._structure_constants)
     for cache in caches:

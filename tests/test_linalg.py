@@ -1,4 +1,4 @@
-"""Exact linear algebra: ranks, kernels, span membership.
+"""Exact linear algebra: ranks and kernels.
 
 The dense row-reduction engine is cross-checked against the sparse
 column-reduction engine on deterministic pseudo-random matrices; the
@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from ihkl.linalg import RationalMatrix, rank_kernel, solve_in_span, sparse_rank
+from ihkl.linalg import RationalMatrix, rank_kernel, sparse_rank
 
 
 def dense_rank_oracle(rows):
@@ -65,16 +65,33 @@ def test_kernel_golden_pivot_rule():
     ]
 
 
+def free_columns(rows):
+    """The columns in the span of the columns to their left, ascending."""
+    ncols = len(rows[0])
+    return [j for j in range(ncols)
+            if dense_rank_oracle([r[:j + 1] for r in rows])
+            == dense_rank_oracle([r[:j] for r in rows])]
+
+
 def test_kernel_vectors_are_in_kernel():
+    # the contract allowable_complex reads coordinates by: each kernel
+    # vector's last non-zero entry is a 1 at its own free column, and the
+    # vectors come in ascending free-column order
     rng = random.Random(11)
-    for _ in range(25):
-        rows = [[rng.randint(-3, 3) for _ in range(6)] for _ in range(4)]
-        m = RationalMatrix.from_rows(rows)
-        rank, kernel = rank_kernel(m)
-        assert rank + len(kernel) == 6
-        for vec in kernel:
-            for row in rows:
-                assert sum(Fraction(a) * b for a, b in zip(row, vec)) == 0
+    for pool in (range(-3, 4), (0, 0, 0, 1, -1, 2)):
+        for _ in range(25):
+            rows = [[rng.choice(pool) for _ in range(6)] for _ in range(4)]
+            m = RationalMatrix.from_rows(rows)
+            rank, kernel = rank_kernel(m)
+            assert rank + len(kernel) == 6
+            lasts = []
+            for vec in kernel:
+                for row in rows:
+                    assert sum(Fraction(a) * b for a, b in zip(row, vec)) == 0
+                last = max(j for j, x in enumerate(vec) if x)
+                assert vec[last] == 1
+                lasts.append(last)
+            assert lasts == free_columns(rows)
 
 
 def test_sparse_rank_matches_dense_oracle():
@@ -87,19 +104,6 @@ def test_sparse_rank_matches_dense_oracle():
                 for j in range(ncols)]
         assert sparse_rank(cols) == dense_rank_oracle(rows)
         assert rank_kernel(RationalMatrix.from_rows(rows))[0] == dense_rank_oracle(rows)
-
-
-def test_solve_in_span():
-    basis = [{0: Fraction(1), 1: Fraction(1)}, {1: Fraction(1)}]
-    target = [{0: Fraction(2), 1: Fraction(3)}]
-    combos = solve_in_span(basis, target)
-    assert combos == [{0: Fraction(2), 1: Fraction(1)}]
-
-
-def test_solve_in_span_rejects_outside():
-    basis = [{0: Fraction(1)}]
-    with pytest.raises(ValueError):
-        solve_in_span(basis, [{1: Fraction(1)}])
 
 
 def test_matrix_entry_validation():

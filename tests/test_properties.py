@@ -2,7 +2,8 @@
 
 Complexes are drawn from triangulated circles, two circles, the
 octahedral sphere and the 7-vertex torus, with up to two cones or
-suspensions on top, up to dimension 3.
+suspensions on top, up to dimension 3. The bases themselves are the
+drawn complexes with empty ends.
 """
 
 import itertools
@@ -11,9 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ihkl import builders
-from ihkl.complexes import (SUPPORTS, barycentric_subdivide, chain_basis, cone,
+from ihkl.complexes import (SUPPORTS, SimplicialComplex, StratifiedComplex,
+                            barycentric_subdivide, chain_basis, cone,
                             homology_dims, interior_order_complex, suspend)
-from ihkl.ih import duality_report, ih_dims
+from ihkl.ih import (allowable_complex, cone_formula_check, duality_report,
+                     ih_dims, suspension_check)
 from ihkl.perversity import STANDARD_KINDS, Perversity, make_standard
 
 BASES = st.one_of(
@@ -78,3 +81,36 @@ def test_duality_for_every_complementary_pair(s):
     for p in perversities(s.dimension):
         q = Perversity(tuple(k - 2 - p(k) for k in range(2, p.dimension + 1)))
         assert duality_report(s, p, q).passed
+
+
+@settings(max_examples=10)
+@given(complexes())
+def test_allowable_chain_oracle_matches_the_rank_shortcut(s):
+    for p in perversities(s.dimension):
+        for sup in SUPPORTS:
+            assert allowable_complex(s, p, sup).dims() == ih_dims(s, p, sup)
+
+
+@given(BASES)
+def test_cone_formula_on_every_compact_link(link):
+    for p in perversities(link.dimension + 1):
+        assert cone_formula_check(link, p).passed
+
+
+@settings(max_examples=10)
+@given(complexes())
+def test_suspension_shifts_ih_up_one_degree(s):
+    for p in perversities(s.dimension + 1):
+        assert suspension_check(s, p).passed
+
+
+def test_allowable_chain_oracle_subdivides_non_full_strata():
+    # F(2) is two vertices joined by an edge, so it is not full
+    sphere = builders.sphere()
+    s = StratifiedComplex(sphere.ambient, 2, filtration={
+        2: SimplicialComplex([("x+",), ("y+",)], closed=True)})
+    assert not s.strata_full()
+    p = make_standard("zero", 2)
+    for sup in SUPPORTS:
+        assert ih_dims(s, p, sup) == {0: 1, 1: 0, 2: 1}
+        assert allowable_complex(s, p, sup).dims() == ih_dims(s, p, sup)
