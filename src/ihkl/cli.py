@@ -14,8 +14,7 @@ import json
 import sys
 
 from . import builders, flagfq, hecke, ih
-from .complexes import (check_supports, dump_complex, load_complex,
-                        require_structure, validate)
+from .complexes import dump_complex, load_complex, validate
 from .coxeter import bruhat_leq, parse_element
 from .errors import (ComputationError, InternalConsistencyError, UsageError)
 from .perversity import parse as parse_perversity
@@ -66,8 +65,6 @@ def _dims_line(dims, n):
 def run_ih(args):
     s = _load(args)
     supports = "borel_moore" if args.supports == "bm" else args.supports
-    check_supports(supports)
-    require_structure(s)
     dims = ih.ih_dims(s, _perversity_for(s, args.perversity), supports)
     rows = [("degree", "dim")] + [(i, dims.get(i, 0)) for i in range(s.dimension + 1)]
     _emit(args,

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -114,10 +115,7 @@ class SimplicialComplex:
     def is_full_in(self, ambient: "SimplicialComplex") -> bool:
         """Full: any ambient simplex with all vertices here lies here."""
         vs = self.vertices
-        for s in ambient.simplices:
-            if s not in self._simplices and all(v in vs for v in s):
-                return False
-        return True
+        return not any(vs.issuperset(x) for x in ambient.simplices - self._simplices)
 
     def full_subcomplex(self, vertices) -> "SimplicialComplex":
         vs = set(vertices)
@@ -472,19 +470,16 @@ def _structure_report(s: StratifiedComplex) -> ValidationReport:
     n = s.dimension
     K = s.ambient
 
-    covered = set()
-    facet_count = {}
-    for t in K.of_dim(n):
-        for m in range(1, len(t) + 1):
-            covered.update(itertools.combinations(t, m))
-        for f, _ in faces_with_signs(t):
-            facet_count[f] = facet_count.get(f, 0) + 1
-    bad = [x for x in K.simplices if len(x) - 1 < n and x not in covered]
+    top = K.of_dim(n)
+    covered = {f for t in top for m in range(1, len(t) + 1)
+               for f in itertools.combinations(t, m)}
+    bad = [x for x in K.simplices - covered if len(x) - 1 < n]
     rep.add("purity", not bad,
             "%d simplices not contained in an %d-simplex" % (len(bad), n))
 
-    bad = [(x, facet_count.get(x, 0)) for x in K.of_dim(n - 1)
-           if x not in s.ends and facet_count.get(x, 0) != 2]
+    facet_count = Counter(f for t in top for f in itertools.combinations(t, n))
+    bad = [x for x in K.of_dim(n - 1)
+           if facet_count[x] != 2 and x not in s.ends]
     rep.add("pseudomanifold", not bad,
             "%d interior (n-1)-simplices without exactly two cofaces" % len(bad))
 

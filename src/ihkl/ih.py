@@ -18,8 +18,9 @@ from dataclasses import dataclass, field
 from .complexes import (Chain, SimplicialComplex, StratifiedComplex,
                         barycentric_subdivide, boundary_columns, chain_basis,
                         chain_dims, check_supports, compact_model, cone,
-                        faces_with_signs, homology_dims, simplex, suspend, vkey)
-from .errors import ComputationError, InternalConsistencyError, ValidationError
+                        faces_with_signs, homology_dims, require_structure,
+                        simplex, suspend, vkey)
+from .errors import ComputationError, InternalConsistencyError
 from .linalg import RationalMatrix, rank_kernel
 from .perversity import Perversity, is_complementary, make_standard
 
@@ -36,12 +37,6 @@ def _fit_perversity(p: Perversity | None, n: int) -> Perversity | None:
         return p.restrict(n)
     raise ComputationError(
         "perversity dimension %d too small for a %d-complex" % (p.dimension, n))
-
-
-def _require_full_strata(s: StratifiedComplex):
-    if not s.strata_full():
-        raise ValidationError(
-            "filtration subcomplexes are not full; barycentric_subdivide first")
 
 
 def _allowability(s: StratifiedComplex, p: Perversity | None):
@@ -66,23 +61,16 @@ def _allowability(s: StratifiedComplex, p: Perversity | None):
     return allowed
 
 
-def allowable_simplices(s: StratifiedComplex, p: Perversity, i: int,
-                        supports: str = "borel_moore"):
-    """The i-simplices that may appear in an allowable chain."""
-    check_supports(supports)
-    _require_full_strata(s)
-    allowed = _allowability(s, _fit_perversity(p, s.dimension))
-    ends_v = s.ends.vertices if supports == "compact" else ()
-    return [x for x in chain_basis(s, i)
-            if not any(v in ends_v for v in x)
-            and (allowed is None or allowed(x, i))]
-
-
 def _prepare(s: StratifiedComplex, p: Perversity | None, supports: str):
-    """The model, fitted p and allowability test of ``ih_dims`` and
-    ``allowable_complex``: ``compact_model`` in compact supports, then one
-    barycentric subdivision when the filtration subcomplexes are not full."""
+    """The one way into an IH computation: the model, fitted p and
+    allowability test behind every entry point.
+
+    Checks the supports mode, gates the input with ``require_structure``,
+    takes ``compact_model`` in compact supports, then applies one
+    barycentric subdivision when the filtration subcomplexes are not full.
+    """
     check_supports(supports)
+    require_structure(s)
     if supports == "compact":
         s = compact_model(s)
     if not s.strata_full():
@@ -95,11 +83,26 @@ def ih_dims(s: StratifiedComplex, p: Perversity | None,
             supports: str = "borel_moore") -> dict:
     """Intersection homology dimensions by degree.
 
-    One barycentric subdivision is applied when the filtration
+    The input must pass ``require_structure`` (ValidationError
+    otherwise). Compact supports are computed on ``compact_model``, and
+    one barycentric subdivision is applied when the filtration
     subcomplexes are not full.
     """
     s, _, allowed = _prepare(s, p, supports)
     return chain_dims(s, allowed)
+
+
+def allowable_simplices(s: StratifiedComplex, p: Perversity, i: int,
+                        supports: str = "borel_moore"):
+    """The i-simplices that may appear in an allowable i-chain.
+
+    They are simplices of the model ``ih_dims`` computes on, which is
+    ``allowable_complex(s, p, supports).context``: the input is gated,
+    compact supports use ``compact_model``, and one barycentric
+    subdivision is applied when the filtration subcomplexes are not full.
+    """
+    s, _, allowed = _prepare(s, p, supports)
+    return [x for x in chain_basis(s, i) if allowed is None or allowed(x, i)]
 
 
 # ---------------------------------------------------------------------------
@@ -123,15 +126,9 @@ class AllowableComplex:
     boundary: dict = field(default_factory=dict)    # i -> RationalMatrix
 
     def dims(self):
-        out = {}
-        n = self.context.dimension
-        for i in range(0, n + 1):
-            d_i = self.boundary.get(i)
-            d_next = self.boundary.get(i + 1)
-            rank_i = rank_kernel(d_i)[0] if d_i is not None else 0
-            rank_next = rank_kernel(d_next)[0] if d_next is not None else 0
-            out[i] = len(self.basis.get(i, [])) - rank_i - rank_next
-        return out
+        rank = {i: rank_kernel(m)[0] for i, m in self.boundary.items()}
+        return {i: len(self.basis.get(i, [])) - rank.get(i, 0) - rank.get(i + 1, 0)
+                for i in range(0, self.context.dimension + 1)}
 
 
 def allowable_complex(s: StratifiedComplex, p: Perversity,
@@ -289,19 +286,29 @@ def local_stalk_table(s: StratifiedComplex, x, p: Perversity) -> dict:
     Entries sit in degrees -n + j for 0 <= j <= p(k) where k is the
     codimension of the stratum of x; the entry at -n + j is the link's
     IH in degree (k - 1) - j. Only non-zero entries are returned.
+
+    The input is gated like ``ih_dims``. The stalk is a local invariant,
+    so when the filtration subcomplexes are not full it is read at the
+    vertex (x,) of one barycentric subdivision, where the link's strata
+    are full.
     """
     n = s.dimension
     if (x,) not in s.ambient:
         raise ComputationError("%r is not a vertex of the complex" % (x,))
     if (x,) in s.ends:
         raise ComputationError("%r lies in the ends; it has no stalk in X" % (x,))
-    _require_full_strata(s)
+    model, p, _ = _prepare(s, p, "borel_moore")
+    if model is not s:  # subdivided: x is now the barycenter (x,)
+        s, x = model, (x,)
     link = s.ambient.link(x)
     linkst = StratifiedComplex(
         link, n - 1,
         filtration={k: s.F(k).restrict_to(link.simplices)
                     for k in range(2, n)})
-    link_ih = ih_dims(linkst, p, "borel_moore")
+    # the link is not gated: next to a stratum, F(k) cut down to the link can
+    # have one dimension more than the gate allows; its strata are full
+    # because those of s are
+    link_ih = chain_dims(linkst, _allowability(linkst, _fit_perversity(p, n - 1)))
     k = None
     for j in range(n, 1, -1):
         if (x,) in s.F(j):
@@ -310,7 +317,7 @@ def local_stalk_table(s: StratifiedComplex, x, p: Perversity) -> dict:
     if k is None:
         k, jmax = n, 0  # smooth point: single entry, the link's top IH
     else:
-        jmax = _fit_perversity(p, n)(k)
+        jmax = p(k)
     table = {}
     for j in range(0, jmax + 1):
         d = link_ih.get(k - 1 - j, 0)

@@ -320,6 +320,10 @@ def test_ih_rejects_non_pseudomanifold_in_one_line(tmp_path, capsys):
     lines = [line for line in err.splitlines() if line.strip()]
     assert len(lines) == 1
     assert "pseudomanifold" in lines[0]
+    # the perversity is parsed before the structural gate runs
+    code, _, err = run(capsys, "ih", "--input", str(target), "--perversity", "bogus")
+    assert code == 2
+    assert len([line for line in err.splitlines() if line.strip()]) == 1
 
 
 def test_version_matches_pyproject():

@@ -5,8 +5,10 @@ extremal perversities, normalization)."""
 import pytest
 
 from ihkl import builders
-from ihkl.complexes import barycentric_subdivide, homology_dims, suspend
-from ihkl.errors import ComputationError, UsageError
+from ihkl.complexes import (SUPPORTS, SimplicialComplex, StratifiedComplex,
+                            barycentric_subdivide, compact_model,
+                            homology_dims, suspend)
+from ihkl.errors import ComputationError, UsageError, ValidationError
 from ihkl.ih import (allowable_complex, allowable_simplices,
                      cone_formula_check, duality_report, extremal_comparison,
                      ih_dims, is_normal, is_orientable, local_stalk_table,
@@ -15,6 +17,10 @@ from ihkl.perversity import custom, make_standard
 
 ZERO2 = make_standard("zero", 2)
 MID3 = make_standard("lower_middle", 3)
+
+# three triangles on the edge ab: not a pseudomanifold
+BOOK = StratifiedComplex(
+    SimplicialComplex([("a", "b", "c"), ("a", "b", "d"), ("a", "b", "e")]), 2)
 
 
 def test_pinched_cylinder_ih_tables():
@@ -44,10 +50,16 @@ def test_allowable_simplices_cone_over_circle():
     assert len(allowable_simplices(c, ZERO2, 2)) == 3
 
 
-def test_allowable_simplices_compact_excludes_ends_stars():
+def test_allowable_simplices_compact_lie_on_the_compact_model():
+    # the open cone's compact model is the order complex of the simplices
+    # off the boundary circle; with zero perversity every 2-simplex of it
+    # is allowable, and every vertex but the apex
     c = builders.cone_circle()
-    tris = allowable_simplices(c, ZERO2, 2, "compact")
-    assert tris == []  # every triangle meets the boundary circle
+    model = compact_model(c)
+    assert allowable_complex(c, ZERO2, "compact").context.ambient == model.ambient
+    assert allowable_simplices(c, ZERO2, 2, "compact") == model.ambient.of_dim(2)
+    verts = allowable_simplices(c, ZERO2, 0, "compact")
+    assert verts == [v for v in model.ambient.of_dim(0) if v != (("apex",),)]
 
 
 def test_allowable_complex_matches_rank_shortcut():
@@ -58,6 +70,32 @@ def test_allowable_complex_matches_rank_shortcut():
             p = make_standard(kind, n)
             ac = allowable_complex(s, p)
             assert ac.dims() == ih_dims(s, p, "borel_moore"), (name, kind)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: ih_dims(BOOK, ZERO2, "borel_moore"),
+    lambda: ih_dims(BOOK, ZERO2, "compact"),
+    lambda: allowable_complex(BOOK, ZERO2),
+    lambda: allowable_simplices(BOOK, ZERO2, 0),
+    lambda: local_stalk_table(BOOK, "a", ZERO2),
+], ids=["ih_dims-bm", "ih_dims-compact", "allowable_complex",
+        "allowable_simplices", "local_stalk_table"])
+def test_every_ih_entry_point_gates_its_input(call):
+    with pytest.raises(ValidationError, match="pseudomanifold"):
+        call()
+
+
+def test_non_full_strata_are_subdivided_not_refused():
+    # the octahedral sphere with F(2) = {x+, y+}: the edge x+y+ is not in F(2)
+    s = StratifiedComplex(builders.sphere().ambient, 2, filtration={
+        2: SimplicialComplex([("x+",), ("y+",)], closed=True)})
+    assert not s.strata_full()
+    assert local_stalk_table(s, "x+", ZERO2) == {-2: 1}
+    for sup in SUPPORTS:
+        model = allowable_complex(s, ZERO2, sup).context.ambient
+        for i in range(3):
+            simps = allowable_simplices(s, ZERO2, i, sup)
+            assert simps and all(x in model for x in simps), (sup, i)
 
 
 def test_unknown_supports_mode_is_one_usage_error():

@@ -15,8 +15,9 @@ from ihkl import builders
 from ihkl.complexes import (SUPPORTS, SimplicialComplex, StratifiedComplex,
                             barycentric_subdivide, chain_basis, cone,
                             homology_dims, interior_order_complex, suspend)
-from ihkl.ih import (allowable_complex, cone_formula_check, duality_report,
-                     ih_dims, suspension_check)
+from ihkl.ih import (allowable_complex, allowable_simplices,
+                     cone_formula_check, duality_report, ih_dims,
+                     suspension_check)
 from ihkl.perversity import STANDARD_KINDS, Perversity, make_standard
 
 BASES = st.one_of(
@@ -89,6 +90,16 @@ def test_allowable_chain_oracle_matches_the_rank_shortcut(s):
     for p in perversities(s.dimension):
         for sup in SUPPORTS:
             assert allowable_complex(s, p, sup).dims() == ih_dims(s, p, sup)
+
+
+@settings(max_examples=10)
+@given(complexes())
+def test_allowable_chains_lie_on_the_allowable_simplices(s):
+    for p in perversities(s.dimension):
+        for sup in SUPPORTS:
+            for i, chains in allowable_complex(s, p, sup).basis.items():
+                allowed = set(allowable_simplices(s, p, i, sup))
+                assert all(set(c.coefficients) <= allowed for c in chains)
 
 
 @given(BASES)
