@@ -238,7 +238,7 @@ def boundary_columns(s: StratifiedComplex, i: int, basis_i, basis_prev):
         for f, sign in faces_with_signs(x):
             r = index.get(f)
             if r is not None:
-                col[r] = Fraction(sign)
+                col[r] = sign
         cols.append(col)
     return cols
 

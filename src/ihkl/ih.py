@@ -285,7 +285,9 @@ def local_stalk_table(s: StratifiedComplex, x, p: Perversity) -> dict:
 
     Entries sit in degrees -n + j for 0 <= j <= p(k) where k is the
     codimension of the stratum of x; the entry at -n + j is the link's
-    IH in degree (k - 1) - j. Only non-zero entries are returned.
+    IH in degree (n - 1) - j. The link of x is the join of S^(n-k-1)
+    with its normal link, so this is the normal link's IH in degree
+    (k - 1) - j. Only non-zero entries are returned.
 
     The input is gated like ``ih_dims``. The stalk is a local invariant,
     so when the filtration subcomplexes are not full it is read at the
@@ -300,30 +302,16 @@ def local_stalk_table(s: StratifiedComplex, x, p: Perversity) -> dict:
     model, p, _ = _prepare(s, p, "borel_moore")
     if model is not s:  # subdivided: x is now the barycenter (x,)
         s, x = model, (x,)
-    link = s.ambient.link(x)
+    # F(k) of the link is the link of x in F(k), so a stratum of codimension
+    # k in s stays one in the link; its strata are full because those of s are
     linkst = StratifiedComplex(
-        link, n - 1,
-        filtration={k: s.F(k).restrict_to(link.simplices)
-                    for k in range(2, n)})
-    # the link is not gated: next to a stratum, F(k) cut down to the link can
-    # have one dimension more than the gate allows; its strata are full
-    # because those of s are
+        s.ambient.link(x), n - 1,
+        filtration={k: s.F(k).link(x) for k in range(2, n) if (x,) in s.F(k)})
     link_ih = chain_dims(linkst, _allowability(linkst, _fit_perversity(p, n - 1)))
-    k = None
-    for j in range(n, 1, -1):
-        if (x,) in s.F(j):
-            k = j
-            break
-    if k is None:
-        k, jmax = n, 0  # smooth point: single entry, the link's top IH
-    else:
-        jmax = p(k)
-    table = {}
-    for j in range(0, jmax + 1):
-        d = link_ih.get(k - 1 - j, 0)
-        if d:
-            table[-n + j] = d
-    return table
+    k = next((j for j in range(n, 1, -1) if (x,) in s.F(j)), None)
+    jmax = 0 if k is None else p(k)  # a smooth point: the link's top IH only
+    table = {-n + j: link_ih.get(n - 1 - j, 0) for j in range(jmax + 1)}
+    return {deg: d for deg, d in table.items() if d}
 
 
 def normalize_isolated(s: StratifiedComplex) -> StratifiedComplex:

@@ -152,6 +152,18 @@ def test_local_stalk_tables():
     assert local_stalk_table(builders.pinched_cylinder(), "p0", ZERO2) == {-2: 2}
 
 
+def test_local_stalk_tables_next_to_a_stratum():
+    # once subdivided, the suspended pinched cylinder has 49 vertices off the
+    # ends: the barycenter of the singular line's edge, whose normal link is
+    # two circles, and 48 smooth vertices, many of them next to that line
+    s = barycentric_subdivide(builders.susp_pinched_cylinder())
+    tables = {v: local_stalk_table(s, v, MID3)
+              for v in s.ambient.vertices if (v,) not in s.ends}
+    assert len(tables) == 49
+    assert tables.pop((("p0", 0), ("p0", 1))) == {-3: 2}
+    assert all(t == {-3: 1} for t in tables.values())
+
+
 def test_local_stalk_table_rejects_ends_vertex():
     with pytest.raises(ComputationError):
         local_stalk_table(builders.cone_torus(), "t0", MID3)

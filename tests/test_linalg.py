@@ -106,6 +106,16 @@ def test_sparse_rank_matches_dense_oracle():
         assert rank_kernel(RationalMatrix.from_rows(rows))[0] == dense_rank_oracle(rows)
 
 
+def test_sparse_rank_refuses_non_integer_entries():
+    # integral Fractions and bools are integers; the columns are not changed
+    cols = [{0: Fraction(2), 1: -1}, {1: True}]
+    assert sparse_rank(cols) == 2
+    assert cols == [{0: 2, 1: -1}, {1: 1}]
+    for bad in (Fraction(1, 2), 0.5, 1.0):
+        with pytest.raises(ValueError, match="row 3 is not an integer"):
+            sparse_rank([{0: 1}, {3: bad, 0: 2}])
+
+
 def test_matrix_entry_validation():
     with pytest.raises(ValueError):
         RationalMatrix(1, 1, {(2, 0): Fraction(1)})

@@ -3,7 +3,8 @@
 Complexes are drawn from triangulated circles, two circles, the
 octahedral sphere and the 7-vertex torus, with up to two cones or
 suspensions on top, up to dimension 3. The bases themselves are the
-drawn complexes with empty ends.
+drawn complexes with empty ends. The integer rank engine behind them is
+checked against the Fraction oracle on random sparse integer matrices.
 """
 
 import itertools
@@ -13,11 +14,13 @@ from hypothesis import strategies as st
 
 from ihkl import builders
 from ihkl.complexes import (SUPPORTS, SimplicialComplex, StratifiedComplex,
-                            barycentric_subdivide, chain_basis, cone,
-                            homology_dims, interior_order_complex, suspend)
+                            barycentric_subdivide, boundary_columns,
+                            chain_basis, cone, homology_dims,
+                            interior_order_complex, suspend)
 from ihkl.ih import (allowable_complex, allowable_simplices,
                      cone_formula_check, duality_report, ih_dims,
                      suspension_check)
+from ihkl.linalg import RationalMatrix, rank_kernel, sparse_rank
 from ihkl.perversity import STANDARD_KINDS, Perversity, make_standard
 
 BASES = st.one_of(
@@ -41,6 +44,15 @@ def perversities(n):
     n = max(n, 2)
     for steps in itertools.product((0, 1), repeat=n - 2):
         yield Perversity((0,) + tuple(itertools.accumulate(steps)))
+
+
+@st.composite
+def integer_matrices(draw):
+    """Sparse matrices with entries in -3..3: non-unit pivots and content."""
+    rows, cols = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    cells = st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1))
+    return RationalMatrix(rows, cols, draw(st.dictionaries(
+        cells, st.integers(-3, 3), max_size=rows * cols)))
 
 
 def euler(counts):
@@ -125,3 +137,23 @@ def test_allowable_chain_oracle_subdivides_non_full_strata():
     for sup in SUPPORTS:
         assert ih_dims(s, p, sup) == {0: 1, 1: 0, 2: 1}
         assert allowable_complex(s, p, sup).dims() == ih_dims(s, p, sup)
+
+
+@settings(max_examples=300)
+@given(integer_matrices())
+def test_integer_rank_engine_matches_the_fraction_oracle(m):
+    cols = [{} for _ in range(m.cols)]
+    for (i, j), v in m.entries.items():
+        cols[j][i] = int(v)
+    assert sparse_rank(cols) == rank_kernel(m)[0]
+
+
+def test_integer_rank_engine_on_every_bundled_boundary_matrix():
+    for name in builders.BUILDERS:
+        s = builders.build(name)
+        for i in range(1, s.dimension + 1):
+            rows, cells = chain_basis(s, i - 1), chain_basis(s, i)
+            cols = boundary_columns(s, i, cells, rows)
+            m = RationalMatrix(len(rows), len(cells), {
+                (r, j): v for j, col in enumerate(cols) for r, v in col.items()})
+            assert sparse_rank(cols) == rank_kernel(m)[0], (name, i)
