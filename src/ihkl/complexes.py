@@ -22,6 +22,7 @@ from functools import lru_cache
 
 from .errors import ComputationError, UsageError, ValidationError
 from .linalg import sparse_rank
+from .perversity import Perversity
 
 @lru_cache(maxsize=None)
 def vkey(v):
@@ -229,8 +230,8 @@ def chain_basis(s: StratifiedComplex, i: int):
     return [x for x in s.ambient.of_dim(i) if x not in s.ends]
 
 
-def boundary_columns(s: StratifiedComplex, i: int, basis_i, basis_prev):
-    """Columns of the boundary matrix from basis_i to basis_prev in degree i."""
+def boundary_columns(basis_i, basis_prev):
+    """Columns of the boundary matrix from basis_i to basis_prev."""
     index = {x: r for r, x in enumerate(basis_prev)}
     cols = []
     for x in basis_i:
@@ -259,7 +260,7 @@ def chain_dims(s: StratifiedComplex, allow=None) -> dict:
         i: [x for x in basis if allow(x, i)] for i, basis in bases.items()}
     rank, rank_out = {}, {}
     for i in range(1, n + 1):
-        cols = boundary_columns(s, i, cells[i], bases[i - 1])
+        cols = boundary_columns(cells[i], bases[i - 1])
         rank[i] = sparse_rank(cols)
         if allow is not None:
             index = {x: r for r, x in enumerate(bases[i - 1])}
@@ -269,6 +270,33 @@ def chain_dims(s: StratifiedComplex, allow=None) -> dict:
     return {i: len(cells[i]) - rank.get(i, 0)
             - (rank.get(i + 1, 0) - rank_out.get(i + 1, 0))
             for i in range(0, n + 1)}
+
+
+def _fit_perversity(p: Perversity | None, n: int) -> Perversity | None:
+    """Restrict p to dimension n; None when there is no allowability condition."""
+    return None if p is None or n < 2 else p.restrict(n)
+
+
+def _allowability(s: StratifiedComplex, p: Perversity | None):
+    """The test (simplex, degree) -> allowable for p; None when all are.
+
+    With full filtration subcomplexes a closed i-simplex meets F(k) in
+    the face spanned by its vertices in F(k), of dimension cnt - 1.
+    """
+    steps = [] if p is None else [
+        (k, s.F(k).vertices, p(k)) for k in range(2, s.dimension + 1)
+        if len(s.F(k))]
+    if not steps:
+        return None
+
+    def allowed(x, i):
+        for k, vs, pk in steps:
+            cnt = sum(1 for v in x if v in vs)
+            if cnt and cnt - 1 > i - k + pk:
+                return False
+        return True
+
+    return allowed
 
 
 def interior_order_complex(s: StratifiedComplex) -> StratifiedComplex:
@@ -344,25 +372,31 @@ def _interior_retract_ok(s: StratifiedComplex) -> bool:
 SUPPORTS = ("borel_moore", "compact")
 
 
-def check_supports(supports):
+def _prepare(s: StratifiedComplex, p: Perversity | None, supports: str):
+    """The model, fitted p and allowability test behind every homology and
+    IH entry point: checks the supports mode, gates s, drops the filtration
+    when no perversity reads it, takes ``compact_model`` in compact
+    supports, and subdivides once when p reads strata that are not full.
+    """
     if supports not in SUPPORTS:
         raise UsageError("unknown supports mode %r" % (supports,))
+    require_structure(s)
+    p = _fit_perversity(p, s.dimension)
+    if p is None:
+        s = StratifiedComplex(s.ambient, s.dimension, ends=s.ends)
+    if supports == "compact":
+        s = compact_model(s)
+    if p is not None and not s.strata_full():
+        s = barycentric_subdivide(s)
+    return s, p, _allowability(s, p)
 
 
 def homology_dims(s: StratifiedComplex, supports: str) -> dict:
-    """Rational homology dimensions by degree.
-
-    Ordinary homology is intersection homology with no allowability
-    condition: the same rank loop as ``ih.ih_dims`` with every simplex
-    allowed. ``borel_moore`` is the homology of the relative complex
-    C(K)/C(L); ``compact`` that of ``compact_model`` of (K, L) with the
-    filtration dropped.
-    """
-    require_structure(s)
-    check_supports(supports)
-    if supports == "compact":
-        s = compact_model(StratifiedComplex(s.ambient, s.dimension, ends=s.ends))
-    return chain_dims(s)
+    """Rational homology dimensions by degree: IH with no allowability
+    condition, ``ih.ih_dims(s, None, supports)``. ``borel_moore`` is the
+    homology of C(K)/C(L), ``compact`` that of ``compact_model`` of (K, L)
+    with the filtration dropped."""
+    return chain_dims(_prepare(s, None, supports)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -506,7 +540,7 @@ def validate(s: StratifiedComplex) -> ValidationReport:
 
     not_full = [k for k in range(2, s.dimension + 1) if not s.F(k).is_full_in(K)]
     rep.add("strata_full", not not_full,
-            "F(%s) not full; barycentric_subdivide first" %
+            "F(%s) not full; IH is computed after one barycentric subdivision" %
             ",".join(map(str, not_full)))
     return rep
 

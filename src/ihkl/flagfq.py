@@ -21,25 +21,38 @@ from functools import lru_cache
 from .coxeter import Permutation, all_elements
 from .errors import ComputationError
 
-MAX_N = 4
-MAX_Q = 7
+# Relative positions one call may compute: [n]_q! (one per flag) to sort the
+# flags into cells, 2 * n! * [n]_q! for the structure constants; (4, 2)'s sweep.
+MAX_POSITIONS = 15_120
+MAX_Q = 7  # bounds the q^n vector scan and the trial division at every n
 
 
 def is_prime(q: int) -> bool:
     return q >= 2 and all(q % d for d in range(2, math.isqrt(q) + 1))
 
 
-def check_size(n, q):
-    """Refuse n and q outside the brute-force limits.
+def _flag_count(n, q):
+    """[n]_q!, the number of full flags in F_q^n, until it passes MAX_POSITIONS."""
+    count, qint = 1, 0
+    for _ in range(n):
+        qint = qint * q + 1  # [i]_q = 1 + q + ... + q^(i-1)
+        count *= qint
+        if count > MAX_POSITIONS:
+            break
+    return count
 
-    Checked before primality, whose trial division grows as sqrt(q).
+
+def check_size(n, q):
+    """Refuse n and q outside the brute-force limits: q <= MAX_Q and at
+    most MAX_POSITIONS flags. Checked before any enumeration and before
+    primality, whose trial division grows as sqrt(q); q < 2 is no prime.
     """
     if n < 1:
         raise ComputationError("need n >= 1")
-    if n > MAX_N or q > MAX_Q:
+    if q > MAX_Q or q >= 2 and _flag_count(n, q) > MAX_POSITIONS:
         raise ComputationError(
-            "n=%d, q=%d exceeds the brute-force bounds n<=%d, q<=%d"
-            % (n, q, MAX_N, MAX_Q))
+            "n=%d, q=%d exceeds the brute-force bounds: q<=%d and at most %d "
+            "relative positions" % (n, q, MAX_Q, MAX_POSITIONS))
 
 
 def _check_bounds(n, q):
@@ -167,6 +180,10 @@ def _structure_constants(n, q):
     Counted over every flag F against the first two flags F_x in the cell
     of x. The count is G-invariant, so it must not depend on which F_x.
     """
+    if 2 * math.factorial(n) * _flag_count(n, q) > MAX_POSITIONS:
+        raise ComputationError(
+            "n=%d, q=%d: the structure constants need more than %d relative "
+            "positions" % (n, q, MAX_POSITIONS))
     cells = _cells(n, q)
     table = {}
     for x in all_elements(n):

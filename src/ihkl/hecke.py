@@ -14,7 +14,7 @@ appears only at the public boundary (``HeckeElement.terms``, ``KLResult``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 from types import MappingProxyType
 
 from .coxeter import (Permutation, _inversions, _swap, all_elements, bruhat_leq,
@@ -190,19 +190,14 @@ class HeckeElement:
                 and self._coeffs == other._coeffs)
 
     def __add__(self, other):
-        if self.n != other.n:
-            raise ComputationError("rank mismatch")
-        out = dict(self._coeffs)
-        for x, c in other._coeffs.items():
-            out[x] = out[x] + c if x in out else c
-        return HeckeElement._of(self.n, out)
+        return _combine(self.n, ((self, ONE), (other, ONE)))
 
     def __sub__(self, other):
-        return self + other.scale(-1)
+        return _combine(self.n, ((self, ONE), (other, -1)))
 
     def scale(self, c) -> "HeckeElement":
         """Multiply every coefficient by c, an int or a LaurentPoly."""
-        return HeckeElement._of(self.n, {x: p * c for x, p in self._coeffs.items()})
+        return _combine(self.n, ((self, c),))
 
     def format(self):
         if not self._coeffs:
@@ -232,6 +227,18 @@ VM2 = LaurentPoly({-2: 1})
 VM2M1 = LaurentPoly({-2: 1, 0: -1})    # v^{-2} - 1
 
 
+def _combine(n, terms) -> HeckeElement:
+    """The sum of c * a over pairs (a, c), a of rank n, c an int or a LaurentPoly."""
+    out = {}
+    for a, c in terms:
+        if a.n != n:
+            raise ComputationError("rank mismatch")
+        for x, p in a._coeffs.items():
+            p = p if c is ONE else p * c
+            out[x] = out[x] + p if x in out else p
+    return HeckeElement._of(n, out)
+
+
 def _mul_right_simple(a: HeckeElement, i: int) -> HeckeElement:
     """a * T_{s_i} by the quadratic relation; x s_i < x iff x[i-1] > x[i]."""
     out = {}
@@ -258,13 +265,8 @@ def t_mul(a: HeckeElement, b: HeckeElement) -> HeckeElement:
     """The algebra product, expanding b along reduced words."""
     if a.n != b.n:
         raise ComputationError("rank mismatch")
-    total = HeckeElement(a.n)
-    for x, c in b._coeffs.items():
-        part = a.scale(c)
-        for i in Permutation(x).reduced_word():
-            part = _mul_right_simple(part, i)
-        total = total + part
-    return total
+    return _combine(a.n, ((reduce(_mul_right_simple, Permutation(x).reduced_word(), a), c)
+                          for x, c in b._coeffs.items()))
 
 
 @lru_cache(maxsize=None)
@@ -275,7 +277,7 @@ def _iota_t(x: tuple) -> HeckeElement:
     if i is None:
         return HeckeElement._of(len(x), {x: ONE})
     prev = _iota_t(_swap(x, i))
-    return _mul_right_simple(prev, i).scale(VM2) + prev.scale(VM2M1)
+    return _combine(len(x), ((_mul_right_simple(prev, i), VM2), (prev, VM2M1)))
 
 
 def t_inverse(w: Permutation) -> HeckeElement:
@@ -291,10 +293,7 @@ def iota(a: HeckeElement) -> HeckeElement:
     while inverting each factor lands on the inverse of the basis
     element at w^{-1}, which is what makes the canonical basis fixed.
     """
-    total = HeckeElement(a.n)
-    for x, c in a._coeffs.items():
-        total = total + _iota_t(x).scale(c.bar())
-    return total
+    return _combine(a.n, ((_iota_t(x), c.bar()) for x, c in a._coeffs.items()))
 
 
 @dataclass
@@ -401,12 +400,13 @@ def kl_recursion(w: Permutation) -> KLResult:
     wp = w.apply_right(i)
     prev = kl_recursion(wp)
     lp = wp.length()
-    e = _mul_right_cs(prev.cprime, i).scale(VM1)
+    terms = [(_mul_right_cs(prev.cprime, i), VM1)]
     for u, p in prev.kl_polys.items():
         if u != wp and u.word[i - 1] > u.word[i]:
             m = _mu(p, u.length(), lp)
             if m:
-                e = e - kl_recursion(u).cprime.scale(m)
+                terms.append((kl_recursion(u).cprime, -m))
+    e = _combine(w.n, terms)
 
     if iota(e) != e:
         raise InternalConsistencyError("C'_%s from the recursion is not iota-fixed" % w)

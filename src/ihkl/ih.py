@@ -16,72 +16,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .complexes import (Chain, SimplicialComplex, StratifiedComplex,
-                        barycentric_subdivide, boundary_columns, chain_basis,
-                        chain_dims, check_supports, compact_model, cone,
-                        faces_with_signs, homology_dims, require_structure,
-                        simplex, suspend, vkey)
+                        _allowability, _fit_perversity, _prepare,
+                        boundary_columns, chain_basis, chain_dims, cone,
+                        faces_with_signs, homology_dims, simplex, suspend, vkey)
 from .errors import ComputationError, InternalConsistencyError
 from .linalg import RationalMatrix, rank_kernel
 from .perversity import Perversity, is_complementary, make_standard
 
 
-def _fit_perversity(p: Perversity | None, n: int) -> Perversity | None:
-    """Restrict p to dimension n; None when no perversity is needed."""
-    if n < 2:
-        return None
-    if p is None:
-        raise ComputationError("a perversity is required in dimension >= 2")
-    if p.dimension == n:
-        return p
-    if p.dimension > n:
-        return p.restrict(n)
-    raise ComputationError(
-        "perversity dimension %d too small for a %d-complex" % (p.dimension, n))
-
-
-def _allowability(s: StratifiedComplex, p: Perversity | None):
-    """The test (simplex, degree) -> allowable for p; None when all are.
-
-    With full filtration subcomplexes a closed i-simplex meets F(k) in
-    the face spanned by its vertices in F(k), of dimension cnt - 1.
-    """
-    steps = [] if p is None else [
-        (k, s.F(k).vertices, p(k)) for k in range(2, s.dimension + 1)
-        if len(s.F(k))]
-    if not steps:
-        return None
-
-    def allowed(x, i):
-        for k, vs, pk in steps:
-            cnt = sum(1 for v in x if v in vs)
-            if cnt and cnt - 1 > i - k + pk:
-                return False
-        return True
-
-    return allowed
-
-
-def _prepare(s: StratifiedComplex, p: Perversity | None, supports: str):
-    """The one way into an IH computation: the model, fitted p and
-    allowability test behind every entry point.
-
-    Checks the supports mode, gates the input with ``require_structure``,
-    takes ``compact_model`` in compact supports, then applies one
-    barycentric subdivision when the filtration subcomplexes are not full.
-    """
-    check_supports(supports)
-    require_structure(s)
-    if supports == "compact":
-        s = compact_model(s)
-    if not s.strata_full():
-        s = barycentric_subdivide(s)
-    p = _fit_perversity(p, s.dimension)
-    return s, p, _allowability(s, p)
-
-
 def ih_dims(s: StratifiedComplex, p: Perversity | None,
             supports: str = "borel_moore") -> dict:
-    """Intersection homology dimensions by degree.
+    """Intersection homology dimensions by degree; ``homology_dims`` when p is None.
 
     The input must pass ``require_structure`` (ValidationError
     otherwise). Compact supports are computed on ``compact_model``, and
@@ -92,7 +37,7 @@ def ih_dims(s: StratifiedComplex, p: Perversity | None,
     return chain_dims(s, allowed)
 
 
-def allowable_simplices(s: StratifiedComplex, p: Perversity, i: int,
+def allowable_simplices(s: StratifiedComplex, p: Perversity | None, i: int,
                         supports: str = "borel_moore"):
     """The i-simplices that may appear in an allowable i-chain.
 
@@ -131,7 +76,7 @@ class AllowableComplex:
                 for i in range(0, self.context.dimension + 1)}
 
 
-def allowable_complex(s: StratifiedComplex, p: Perversity,
+def allowable_complex(s: StratifiedComplex, p: Perversity | None,
                       supports: str = "borel_moore") -> AllowableComplex:
     """Explicit bases for the allowable chain groups (small complexes).
 
@@ -141,7 +86,8 @@ def allowable_complex(s: StratifiedComplex, p: Perversity,
     basis vector is 1 at its free column and 0 past it, so the
     coordinates of an allowable chain are its entries at the free
     columns; every boundary is recombined from them and checked exactly.
-    The tests check ``dims()`` against the rank shortcut.
+    The tests check ``dims()`` against the rank shortcut; with ``p=None``
+    every chain is allowable and it is the oracle for ``homology_dims``.
     """
     s, p, allowed = _prepare(s, p, supports)
     n = s.dimension
@@ -150,7 +96,7 @@ def allowable_complex(s: StratifiedComplex, p: Perversity,
     for i in range(0, n + 1):
         basis = chain_basis(s, i)
         allow = [x for x in basis if allowed is None or allowed(x, i)]
-        cols = boundary_columns(s, i, allow, prev_basis)
+        cols = boundary_columns(allow, prev_basis)
         proj = RationalMatrix(
             len(prev_basis), len(allow),
             {(r, j): v for j, col in enumerate(cols)
@@ -300,7 +246,9 @@ def local_stalk_table(s: StratifiedComplex, x, p: Perversity) -> dict:
     if (x,) in s.ends:
         raise ComputationError("%r lies in the ends; it has no stalk in X" % (x,))
     model, p, _ = _prepare(s, p, "borel_moore")
-    if model is not s:  # subdivided: x is now the barycenter (x,)
+    if p is None and n >= 2:
+        raise ComputationError("a perversity is required in dimension >= 2")
+    if model.ambient is not s.ambient:  # subdivided: x is now the barycenter (x,)
         s, x = model, (x,)
     # F(k) of the link is the link of x in F(k), so a stratum of codimension
     # k in s stays one in the link; its strata are full because those of s are
@@ -353,9 +301,8 @@ def normalize_isolated(s: StratifiedComplex) -> StratifiedComplex:
 
     copies = [((v, i),) for v in split for i in range(len(split[v]))]
     amb = map_sub(s.ambient, extra=copies)
-    new_sing = [((v, i),) for v in split for i in range(len(split[v]))]
-    new_sing += [(v,) for v in sing.vertices if v not in split]
-    filt = {2: SimplicialComplex(new_sing, closed=True)}
+    filt = {2: SimplicialComplex(copies + [(v,) for v in sing.vertices if v not in split],
+                                 closed=True)}
     for k in range(3, s.dimension + 1):
         filt[k] = map_sub(s.F(k))
     return StratifiedComplex(amb, s.dimension, ends=map_sub(s.ends), filtration=filt)
@@ -365,7 +312,7 @@ def duality_report(s: StratifiedComplex, p: Perversity, q: Perversity) -> Compar
     """Dimension form of Poincare duality for complementary perversities."""
     n = s.dimension
     pf, qf = _fit_perversity(p, n), _fit_perversity(q, n)
-    if pf is not None and not is_complementary(pf, qf):
+    if n >= 2 and (pf is None or qf is None or not is_complementary(pf, qf)):
         raise ComputationError("perversities %s and %s are not complementary" % (p, q))
     rep = ComparisonReport("duality: I_pH_i vs I_qH^c_{n-i}")
     bm = ih_dims(s, pf, "borel_moore")

@@ -181,6 +181,16 @@ def test_flagcheck_prime_near_1e14_stops_at_bounds_before_primality(capsys):
     assert "exceeds the brute-force bounds" in err
 
 
+@pytest.mark.parametrize("n, q", [("4", "7"), ("1000000000", "2")])
+def test_flagcheck_past_the_work_budget_is_refused_at_once(capsys, n, q):
+    # (4, 7): 182,400 flags; n = 10^9 is refused a few factors into the count
+    start = time.perf_counter()
+    code, out, err = run(capsys, "flagcheck", "--n", n, "--q", q)
+    assert time.perf_counter() - start < 1
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and "relative positions" in err
+
+
 def test_huge_dimension_is_rejected_before_any_work(tmp_path, capsys):
     target = tmp_path / "huge.json"
     target.write_text(json.dumps({

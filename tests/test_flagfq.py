@@ -1,6 +1,7 @@
 """Finite-field flag variety oracle: flags, cells, convolution."""
 
 import random
+import time
 
 import pytest
 
@@ -140,9 +141,22 @@ def test_specialization_n4_q2():
 
 
 def test_bounds_enforced():
+    # [6]_2! = 615,195 and [5]_3! = 251,680 flags, past the 15,120 budget
     with pytest.raises(ComputationError):
-        enumerate_flags(5, 2)
+        enumerate_flags(6, 2)
+    with pytest.raises(ComputationError):
+        schubert_cell_sizes(5, 3)
     with pytest.raises(ComputationError):
         enumerate_flags(3, 11)
     with pytest.raises(ComputationError):
         enumerate_flags(3, 4)  # not prime
+
+
+def test_sweep_budget_refuses_before_enumerating():
+    # 2,080 flags at (4, 3), but a sweep of 2 * 4! * 2,080 = 99,840 positions
+    start = time.perf_counter()
+    with pytest.raises(ComputationError, match="relative positions"):
+        verify_hecke_specialization(4, 3)
+    with pytest.raises(ComputationError, match="relative positions"):
+        convolve(WFunction.t(identity(4)), WFunction.t(identity(4)), 4, 3)
+    assert time.perf_counter() - start < 1

@@ -78,11 +78,43 @@ def test_allowable_complex_matches_rank_shortcut():
     lambda: allowable_complex(BOOK, ZERO2),
     lambda: allowable_simplices(BOOK, ZERO2, 0),
     lambda: local_stalk_table(BOOK, "a", ZERO2),
+    lambda: homology_dims(BOOK, "borel_moore"),
+    lambda: homology_dims(BOOK, "compact"),
 ], ids=["ih_dims-bm", "ih_dims-compact", "allowable_complex",
-        "allowable_simplices", "local_stalk_table"])
+        "allowable_simplices", "local_stalk_table", "homology_dims-bm",
+        "homology_dims-compact"])
 def test_every_ih_entry_point_gates_its_input(call):
     with pytest.raises(ValidationError, match="pseudomanifold"):
         call()
+
+
+def test_homology_gates_the_filtration_before_dropping_it():
+    # the octahedral sphere with an edge in F(2): a codimension-1 stratum
+    s = StratifiedComplex(builders.sphere().ambient, 2, filtration={
+        2: SimplicialComplex([("x+", "y+")])})
+    for sup in SUPPORTS:
+        for call in (lambda: homology_dims(s, sup), lambda: ih_dims(s, None, sup)):
+            with pytest.raises(ValidationError, match="filtration"):
+                call()
+
+
+def test_duality_needs_two_perversities_in_dimension_two_and_up():
+    # None is no allowability condition, complementary to no perversity
+    pc = builders.pinched_cylinder()
+    for p, q in ((None, ZERO2), (ZERO2, None), (None, None)):
+        with pytest.raises(ComputationError, match="not complementary"):
+            duality_report(pc, p, q)
+
+
+def test_a_perversity_below_the_complex_dimension_is_refused():
+    with pytest.raises(ComputationError, match="cannot restrict"):
+        ih_dims(builders.cone_torus(), ZERO2, "borel_moore")
+
+
+def test_stalks_need_a_perversity_in_dimension_two_and_up():
+    with pytest.raises(ComputationError,
+                       match="a perversity is required in dimension >= 2"):
+        local_stalk_table(builders.sphere(), "x+", None)
 
 
 def test_non_full_strata_are_subdivided_not_refused():
