@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
 
@@ -49,11 +48,7 @@ def _emit(args, text_fn, json_obj, csv_rows=None):
     if args.format == "json":
         print(json.dumps(json_obj, indent=1, sort_keys=True))
     elif args.format == "csv":
-        out = io.StringIO()
-        writer = csv.writer(out)
-        for row in csv_rows:
-            writer.writerow(row)
-        sys.stdout.write(out.getvalue())
+        csv.writer(sys.stdout).writerows(csv_rows)
     else:
         print(text_fn())
 
@@ -77,11 +72,12 @@ def run_ih(args):
 
 def run_stalks(args):
     s = _load(args)
-    vs = {v: v for v in s.ambient.vertices if isinstance(v, str)}
-    if args.vertex not in vs:
-        raise UsageError("unknown vertex %r" % args.vertex)
+    named = [v for v in s.ambient.vertices if str(v) == args.vertex]
+    if len(named) != 1:
+        raise UsageError("%s vertex %r"
+                         % ("ambiguous" if named else "unknown", args.vertex))
     p = _perversity_for(s, args.perversity)
-    table = ih.local_stalk_table(s, args.vertex, p)
+    table = ih.local_stalk_table(s, named[0], p)
     _emit(args,
           lambda: " ".join("%d:%d" % (d, table[d]) for d in sorted(table)) or "(zero)",
           {"vertex": args.vertex, "perversity": args.perversity,

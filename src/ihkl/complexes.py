@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import ComputationError, UsageError, ValidationError
-from .linalg import sparse_rank
+from .linalg import column_pivots
 from .perversity import Perversity
 
 @lru_cache(maxsize=None)
@@ -248,28 +248,29 @@ def chain_dims(s: StratifiedComplex, allow=None) -> dict:
     """Homology dimensions of the relative chains of (K, L), by degree.
 
     ``allow(x, i)`` says whether the i-simplex x may carry an allowable
-    chain; the allowable i-chains are the chains on such simplices whose
-    boundary is allowable too, so degree i has dimension
-    |allow_i| - rank d_i - (rank d_{i+1} - rank of its rows outside
-    allow_i). With ``allow=None`` every simplex counts, the last rank is
-    zero, and the result is ordinary homology.
+    chain (None: every simplex may, which gives ordinary homology). The
+    allowable i-chains lie on allow_i with boundary on allow_{i-1}, so
+    degree i has dimension |allow_i| - rank d_i - b_{i+1}, where d_i acts
+    on the chains on allow_i and b_i = dim(im d_i meeting allow_{i-1}).
+
+    One reduction of d_i, rows in allow_{i-1} first, gives both ranks:
+    ``column_pivots`` makes R = d_i V, V invertible, each non-zero column
+    pivoting on its largest non-zero row. A column pivoting in allow_{i-1}
+    is zero on every later row, and columns with distinct pivots are
+    independent, so rank d_i is the pivot count, b_i the count in allow_{i-1}.
     """
-    n = s.dimension
-    bases = {i: chain_basis(s, i) for i in range(0, n + 1)}
-    cells = bases if allow is None else {
-        i: [x for x in basis if allow(x, i)] for i, basis in bases.items()}
-    rank, rank_out = {}, {}
-    for i in range(1, n + 1):
-        cols = boundary_columns(cells[i], bases[i - 1])
-        rank[i] = sparse_rank(cols)
-        if allow is not None:
-            index = {x: r for r, x in enumerate(bases[i - 1])}
-            inside = {index[x] for x in cells[i - 1]}
-            rank_out[i] = sparse_rank(
-                [{r: v for r, v in col.items() if r not in inside} for col in cols])
-    return {i: len(cells[i]) - rank.get(i, 0)
-            - (rank.get(i + 1, 0) - rank_out.get(i + 1, 0))
-            for i in range(0, n + 1)}
+    dims, rows, split = {}, [], 0  # rows: the (i-1)-simplices, allow_{i-1} first
+    for i in range(0, s.dimension + 1):
+        inside, outside = [], []
+        for x in chain_basis(s, i):
+            (inside if allow is None or allow(x, i) else outside).append(x)
+        dims[i] = len(inside)
+        if i:
+            pivots = column_pivots(boundary_columns(inside, rows))
+            dims[i] -= len(pivots)
+            dims[i - 1] -= sum(1 for r in pivots if r < split)
+        rows, split = inside + outside, len(inside)
+    return dims
 
 
 def _fit_perversity(p: Perversity | None, n: int) -> Perversity | None:

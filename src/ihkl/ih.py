@@ -15,9 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .complexes import (Chain, SimplicialComplex, StratifiedComplex,
-                        _allowability, _fit_perversity, _prepare,
-                        boundary_columns, chain_basis, chain_dims, cone,
+from .complexes import (Chain, SimplicialComplex, StratifiedComplex, _fit_perversity,
+                        _prepare, boundary_columns, chain_basis, chain_dims, cone,
                         faces_with_signs, homology_dims, simplex, suspend, vkey)
 from .errors import ComputationError, InternalConsistencyError
 from .linalg import RationalMatrix, rank_kernel
@@ -255,7 +254,7 @@ def local_stalk_table(s: StratifiedComplex, x, p: Perversity) -> dict:
     linkst = StratifiedComplex(
         s.ambient.link(x), n - 1,
         filtration={k: s.F(k).link(x) for k in range(2, n) if (x,) in s.F(k)})
-    link_ih = chain_dims(linkst, _allowability(linkst, _fit_perversity(p, n - 1)))
+    link_ih = ih_dims(linkst, p)
     k = next((j for j in range(n, 1, -1) if (x,) in s.F(j)), None)
     jmax = 0 if k is None else p(k)  # a smooth point: the link's top IH only
     table = {-n + j: link_ih.get(n - 1 - j, 0) for j in range(jmax + 1)}

@@ -9,11 +9,11 @@ No floating point anywhere. Two engines:
   in the kernel has its free-column entries as coordinates. It is the
   independent oracle engine behind ``ih.allowable_complex``, which the
   tests check the fast path against.
-* ``sparse_rank`` -- fraction-free column reduction of integer matrices
+* ``column_pivots`` -- fraction-free column reduction of integer matrices
   in the style of boundary-matrix reduction (pivot = lowest non-zero
-  row), much faster on the large, very sparse +-1 boundary matrices
-  that dominate homology computations. Ranks over Q agree with the
-  row-major engine, only the internal order differs.
+  row), much faster on the large, very sparse +-1 boundary matrices that
+  dominate homology computations; ``sparse_rank`` counts its pivots.
+  Ranks over Q agree with the row-major engine, only the order differs.
 """
 
 from __future__ import annotations
@@ -119,21 +119,19 @@ def _subtract(target: dict, source: dict, factor: int):
             del target[c]
 
 
-def sparse_rank(columns) -> int:
-    """Rank over Q of the matrix whose columns are the given dicts row->entry.
+def column_pivots(columns) -> list:
+    """Pivot rows of the column reduction of the given dicts row->entry.
 
-    Column reduction: a column's pivot is its largest non-zero row index;
-    columns colliding on a pivot are reduced against the earlier one.
-    Entries must be integers (ints or integral Fractions; anything else
-    raises ValueError) and stay Python ints throughout: against a pivot
-    that divides it, a column subtracts an integer multiple of the pivot
-    column, otherwise it becomes a*d - b*other with a, b coprime and is
-    divided by its content. Each step scales a column by a non-zero
-    integer and adds a multiple of an earlier one, so the rank over Q is
-    the one Fraction elimination gives (cf. Bareiss 1968).
+    A column's pivot is its largest non-zero row; a column meeting an
+    earlier pivot is reduced against that column, and one reduced to
+    zero has none. Entries must be integers (ints or integral Fractions;
+    anything else raises ValueError) and stay Python ints: against a
+    pivot that divides it, a column subtracts an integer multiple of the
+    pivot column, otherwise it becomes a*d - b*other with a, b coprime
+    and is divided by its content. So the reduced matrix is the input
+    times an invertible rational matrix (cf. Bareiss 1968).
     """
     low = {}  # pivot row -> reduced column
-    rank = 0
     for col in columns:
         d = {}
         for r, v in col.items():
@@ -148,7 +146,6 @@ def sparse_rank(columns) -> int:
             other = low.get(r)
             if other is None:
                 low[r] = d
-                rank += 1
                 break
             a, b = other[r], d[r]
             if b % a == 0:
@@ -160,4 +157,9 @@ def sparse_rank(columns) -> int:
                 g = gcd(*d.values())
                 if g > 1:
                     d = {c: v // g for c, v in d.items()}
-    return rank
+    return list(low)
+
+
+def sparse_rank(columns) -> int:
+    """Rank over Q of the matrix whose columns are the given dicts row->entry."""
+    return len(column_pivots(columns))

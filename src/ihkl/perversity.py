@@ -117,8 +117,10 @@ def parse(text: str, n: int) -> Perversity:
     if text in names:
         return make_standard(names[text], n)
     if text.startswith("custom:"):
-        vals = [int(x) for x in text[len("custom:"):].split(",") if x != ""]
-        pv = custom(vals)
+        try:
+            pv = custom(x for x in text[len("custom:"):].split(",") if x != "")
+        except ValueError:
+            raise PerversityError("cannot parse perversity %r" % text) from None
         if pv.dimension != n:
             raise PerversityError(
                 "custom perversity has dimension %d, expected %d" % (pv.dimension, n)

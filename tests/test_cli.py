@@ -55,6 +55,47 @@ def test_stalks(capsys):
     assert out.strip() == "-3:1 -2:2"
 
 
+def _cone_circle_file(tmp_path, apex, rim):
+    """The cone on a triangle with the given vertex ids, apex in F(2)."""
+    a, b, c = rim
+    target = tmp_path / "cone.json"
+    target.write_text(json.dumps({
+        "dimension": 2, "vertices": [apex, a, b, c],
+        "simplices": [[apex, a, b], [apex, b, c], [apex, a, c]],
+        "ends": [[a, b], [b, c], [a, c]], "filtration": {"2": [[apex]]}}))
+    return str(target)
+
+
+def test_stalks_at_an_integer_vertex(tmp_path, capsys):
+    path = _cone_circle_file(tmp_path, 0, [1, 2, 3])
+    code, out, _ = run(capsys, "stalks", "--input", path, "--vertex", "0",
+                       "--perversity", "zero")
+    assert code == 0
+    assert out.strip() == "-2:1"
+    code, _, err = run(capsys, "stalks", "--input", path, "--vertex", "9")
+    assert code == 2
+    assert err.strip() == "usage error: unknown vertex '9'"
+
+
+def test_stalks_refuses_a_vertex_text_naming_two_vertices(tmp_path, capsys):
+    path = _cone_circle_file(tmp_path, 0, ["0", 1, 2])
+    code, _, err = run(capsys, "stalks", "--input", path, "--vertex", "0")
+    assert code == 2
+    assert err.strip() == "usage error: ambiguous vertex '0'"
+
+
+@pytest.mark.parametrize("argv", [
+    ["ih", "--example", "cone-torus", "--perversity", "custom:0,x"],
+    ["stalks", "--example", "cone-torus", "--vertex", "apex", "--perversity", "custom:0,x"],
+    ["duality", "--example", "cone-torus", "--p", "custom:0,1.5", "--q", "zero"],
+    ["duality", "--example", "cone-torus", "--p", "zero", "--q", "custom:,0,1e3"],
+])
+def test_non_integer_custom_perversity_is_one_usage_error(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert re.fullmatch(r"usage error: cannot parse perversity 'custom:[^']*'\n", err), err
+
+
 def test_duality(capsys):
     code, out, _ = run(capsys, "duality", "--example", "pinched-cylinder",
                        "--p", "zero", "--q", "zero")

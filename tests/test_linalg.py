@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from ihkl.linalg import RationalMatrix, rank_kernel, sparse_rank
+from ihkl.linalg import RationalMatrix, column_pivots, rank_kernel, sparse_rank
 
 
 def dense_rank_oracle(rows):
@@ -104,6 +104,11 @@ def test_sparse_rank_matches_dense_oracle():
                 for j in range(ncols)]
         assert sparse_rank(cols) == dense_rank_oracle(rows)
         assert rank_kernel(RationalMatrix.from_rows(rows))[0] == dense_rank_oracle(rows)
+
+
+def test_column_pivots_are_largest_rows_after_reduction():
+    # the second column reduces to zero, the third to one pivoting in row 0
+    assert column_pivots([{0: 1, 2: 1}, {0: 2, 2: 2}, {0: 3, 2: 1}]) == [2, 0]
 
 
 def test_sparse_rank_refuses_non_integer_entries():

@@ -4,12 +4,13 @@ Complexes are drawn from triangulated circles, two circles, the
 octahedral sphere and the 7-vertex torus, with up to two cones or
 suspensions on top, up to dimension 3. The bases themselves are the
 drawn complexes with empty ends. The integer rank engine behind them is
-checked against the Fraction oracle on random sparse integer matrices.
+checked against the Fraction oracle on random sparse integer matrices,
+with a random split of their rows.
 """
 
 import itertools
 
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from ihkl import builders
@@ -20,7 +21,7 @@ from ihkl.complexes import (SUPPORTS, SimplicialComplex, StratifiedComplex,
 from ihkl.ih import (allowable_complex, allowable_simplices,
                      cone_formula_check, duality_report, ih_dims,
                      suspension_check)
-from ihkl.linalg import RationalMatrix, rank_kernel, sparse_rank
+from ihkl.linalg import RationalMatrix, column_pivots, rank_kernel, sparse_rank
 from ihkl.perversity import STANDARD_KINDS, Perversity, make_standard
 
 BASES = st.one_of(
@@ -142,13 +143,21 @@ def test_allowable_chain_oracle_subdivides_non_full_strata():
         assert allowable_complex(s, p, sup).dims() == ih_dims(s, p, sup)
 
 
+@seed(1)
 @settings(max_examples=300)
-@given(integer_matrices())
-def test_integer_rank_engine_matches_the_fraction_oracle(m):
+@given(integer_matrices(), st.data())
+def test_integer_rank_engine_matches_the_fraction_oracle(m, data):
+    # the lemma behind chain_dims: the pivots in rows at or past any split
+    # number the rank of those rows
     cols = [{} for _ in range(m.cols)]
     for (i, j), v in m.entries.items():
         cols[j][i] = int(v)
-    assert sparse_rank(cols) == rank_kernel(m)[0]
+    pivots = column_pivots(cols)
+    assert len(pivots) == sparse_rank(cols) == rank_kernel(m)[0]
+    split = data.draw(st.integers(0, m.rows), label="split")
+    tail = RationalMatrix(m.rows - split, m.cols, {
+        (i - split, j): v for (i, j), v in m.entries.items() if i >= split})
+    assert sum(1 for r in pivots if r >= split) == rank_kernel(tail)[0]
 
 
 def test_integer_rank_engine_on_every_bundled_boundary_matrix():
