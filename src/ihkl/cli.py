@@ -11,6 +11,7 @@ import argparse
 import csv
 import json
 import sys
+from functools import lru_cache
 
 from . import builders, flagfq, hecke, ih
 from .complexes import dump_complex, load_complex, validate
@@ -20,14 +21,13 @@ from .perversity import parse as parse_perversity
 
 
 def _load(args):
-    if getattr(args, "example", None):
-        try:
-            return builders.build(args.example)
-        except ValueError as e:
-            raise UsageError(str(e))
-    if getattr(args, "input", None):
+    """The complex named by --input or --example, exactly one of which is given."""
+    if args.input is not None:
         return load_complex(args.input)
-    raise UsageError("provide --input FILE or --example NAME")
+    try:
+        return builders.build(args.example)
+    except ValueError as e:
+        raise UsageError(str(e))
 
 
 def _perversity_for(s, text):
@@ -112,7 +112,7 @@ def run_validate(args):
 
 def run_kl(args):
     n = args.rank
-    if args.element:
+    if args.element is not None:
         w = _parse_element(args.element, n)
         alg = {"bs": "bott_samelson", "recursion": "recursion"}.get(
             args.algorithm, "bott_samelson")
@@ -136,14 +136,15 @@ def run_kl(args):
 
     algorithm = {"bs": "bott_samelson", "recursion": "recursion",
                  "both": "both"}[args.algorithm]
-    table = hecke.kl_table(n, algorithm)
-    if args.interval:
+    if args.interval is not None:
         parts = args.interval.split(",")
         if len(parts) != 2:
             raise UsageError("--interval wants U,W")
         u0, w0 = (_parse_element(t, n) for t in parts)
         if not bruhat_leq(u0, w0):
             raise ComputationError("%s is not below %s in Bruhat order" % (u0, w0))
+    table = hecke.kl_table(n, algorithm)
+    if args.interval is not None:
         table = {(u, w): p for (u, w), p in table.items()
                  if bruhat_leq(u0, u) and bruhat_leq(w, w0)}
     keys = sorted(table, key=lambda k: (k[1].length(), k[1].word,
@@ -241,7 +242,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _rank(text):
-    """The --rank value: an integer n >= 1."""
+    """A --rank or flagcheck --n value: an integer n >= 1."""
     try:
         n = int(text)
     except ValueError:
@@ -252,8 +253,9 @@ def _rank(text):
 
 
 def _add_complex_source(sp):
-    sp.add_argument("--input", help="complex JSON file")
-    sp.add_argument("--example", help="built-in example name")
+    source = sp.add_mutually_exclusive_group(required=True)
+    source.add_argument("--input", help="complex JSON file")
+    source.add_argument("--example", help="built-in example name")
 
 
 def _add_format(sp, *extra):
@@ -261,7 +263,9 @@ def _add_format(sp, *extra):
     sp.add_argument("--format", default="text", choices=("text", "json") + extra)
 
 
+@lru_cache(maxsize=None)
 def build_parser():
+    """The ihkl argument parser, built once per process on first use."""
     ap = _Parser(
         prog="ihkl",
         description="intersection homology and Kazhdan-Lusztig toolkit")
@@ -308,7 +312,7 @@ def build_parser():
     sp.set_defaults(func=run_kl)
 
     sp = sub.add_parser("flagcheck", help="Hecke vs finite-field convolution")
-    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--n", type=_rank, required=True)
     sp.add_argument("--q", type=int, required=True)
     _add_format(sp)
     sp.set_defaults(func=run_flagcheck)
@@ -352,7 +356,7 @@ def main(argv=None) -> int:
     except ComputationError as e:
         print("error: %s" % e, file=sys.stderr)
         return 1
-    except FileNotFoundError as e:
+    except OSError as e:  # an --input or --output path that cannot be used
         print("usage error: %s" % e, file=sys.stderr)
         return 2
 

@@ -19,6 +19,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 
 from .errors import ComputationError, UsageError, ValidationError
 from .linalg import column_pivots
@@ -115,17 +116,25 @@ class SimplicialComplex:
 
     def is_full_in(self, ambient: "SimplicialComplex") -> bool:
         """Full: any ambient simplex with all vertices here lies here."""
-        vs = self.vertices
-        return not any(vs.issuperset(x) for x in ambient.simplices - self._simplices)
+        return not any(map(self.vertices.issuperset, ambient.simplices - self._simplices))
 
     def full_subcomplex(self, vertices) -> "SimplicialComplex":
-        vs = set(vertices)
-        return SimplicialComplex(
-            [s for s in self._simplices if all(v in vs for v in s)], closed=True)
+        return self._subcomplex(filter(frozenset(vertices).issuperset, self._simplices))
 
     def restrict_to(self, simplices) -> "SimplicialComplex":
-        keep = set(simplices)
-        return SimplicialComplex(self._simplices & keep, closed=True)
+        return self._subcomplex(self._simplices.intersection(simplices))
+
+    def _subcomplex(self, keep) -> "SimplicialComplex":
+        """The subcomplex on ``keep``, face-closed simplices of self. A
+        subset keeps self's order in each dimension, so nothing is re-sorted."""
+        sub = object.__new__(SimplicialComplex)
+        sub._simplices = frozenset(keep)
+        sub._by_dim = {}
+        for d, xs in self._by_dim.items():
+            kept = [x for x in xs if x in sub._simplices]
+            if kept:
+                sub._by_dim[d] = kept
+        return sub
 
     def link(self, x) -> "SimplicialComplex":
         out = []
@@ -157,31 +166,43 @@ class SimplicialComplex:
 
 
 class StratifiedComplex:
-    """Ambient complex K, formal dimension n, ends L, filtration F(2..n)."""
+    """Ambient complex K, formal dimension n, ends L, filtration F(2..n).
+
+    Immutable once built, so it can keep what every homology and IH
+    entry point derives from it alone: the model for each supports mode
+    with and without a perversity (see ``_prepare``).
+    """
+
+    __slots__ = ("ambient", "dimension", "ends", "filtration", "_memo")
 
     def __init__(self, ambient: SimplicialComplex, dimension: int,
                  ends: SimplicialComplex | None = None,
                  filtration: dict | None = None):
-        self.ambient = ambient
-        self.dimension = dimension
-        self.ends = ends if ends is not None else SimplicialComplex.empty()
+        ends = ends if ends is not None else SimplicialComplex.empty()
         filt = dict(filtration or {})
-        if not self.ends.is_subcomplex_of(ambient):
+        if not ends.is_subcomplex_of(ambient):
             raise ComputationError("ends is not a subcomplex of the ambient complex")
-        self.filtration = {}
+        steps = {}
         for k in range(2, dimension + 1):
             fk = filt.pop(k, None)
             if fk is None:
                 fk = SimplicialComplex.empty()
             if not fk.is_subcomplex_of(ambient):
                 raise ComputationError("filtration F(%d) is not a subcomplex" % k)
-            self.filtration[k] = fk
+            steps[k] = fk
         if filt:
             raise ComputationError("filtration keys out of range: %r" % sorted(filt))
-        ks = sorted(self.filtration)
+        ks = sorted(steps)
         for a, b in zip(ks, ks[1:]):
-            if not self.filtration[b].is_subcomplex_of(self.filtration[a]):
+            if not steps[b].is_subcomplex_of(steps[a]):
                 raise ComputationError("filtration not nested at codimension %d" % b)
+        for name, value in (("ambient", ambient), ("dimension", dimension),
+                            ("ends", ends), ("filtration", MappingProxyType(steps)),
+                            ("_memo", {})):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("a StratifiedComplex is immutable")
 
     def F(self, k) -> SimplicialComplex:
         if k < 2:
@@ -357,13 +378,13 @@ def compact_model(s: StratifiedComplex) -> StratifiedComplex:
 
 def _interior_retract_ok(s: StratifiedComplex) -> bool:
     ev = s.ends.vertices
-    fs = [s.F(k) for k in range(2, s.dimension + 1) if len(s.F(k))]
+    fs = [s.F(k).simplices for k in range(2, s.dimension + 1) if len(s.F(k))]
     if not fs:
         return True
-    for x in s.ambient.simplices:
-        if x in s.ends:
-            continue
-        tau = tuple(v for v in x if v not in ev)
+    for x in s.ambient.simplices - s.ends.simplices:
+        if ev.isdisjoint(x):
+            continue  # x is its own interior face
+        tau = tuple(itertools.filterfalse(ev.__contains__, x))
         for fk in fs:
             if tau in fk and x not in fk:
                 return False
@@ -378,18 +399,25 @@ def _prepare(s: StratifiedComplex, p: Perversity | None, supports: str):
     IH entry point: checks the supports mode, gates s, drops the filtration
     when no perversity reads it, takes ``compact_model`` in compact
     supports, and subdivides once when p reads strata that are not full.
+
+    s keeps the model for each (supports, p is None), which those two
+    decide. The gate, the fitted p and the allowability test are made per
+    call: a kept gate would put its cost on whichever query comes first.
     """
     if supports not in SUPPORTS:
         raise UsageError("unknown supports mode %r" % (supports,))
     require_structure(s)
     p = _fit_perversity(p, s.dimension)
-    if p is None:
-        s = StratifiedComplex(s.ambient, s.dimension, ends=s.ends)
-    if supports == "compact":
-        s = compact_model(s)
-    if p is not None and not s.strata_full():
-        s = barycentric_subdivide(s)
-    return s, p, _allowability(s, p)
+    key = (supports, p is None)
+    if key not in s._memo:
+        m = StratifiedComplex(s.ambient, s.dimension, ends=s.ends) if p is None else s
+        if supports == "compact":
+            m = compact_model(m)
+        if p is not None and not m.strata_full():
+            m = barycentric_subdivide(m)
+        s._memo[key] = None if m is s else m  # s itself: no reference cycle
+    model = s._memo[key] or s
+    return model, p, _allowability(model, p)
 
 
 def homology_dims(s: StratifiedComplex, supports: str) -> dict:
@@ -506,13 +534,14 @@ def _structure_report(s: StratifiedComplex) -> ValidationReport:
     K = s.ambient
 
     top = K.of_dim(n)
-    covered = {f for t in top for m in range(1, len(t) + 1)
-               for f in itertools.combinations(t, m)}
+    covered = set(itertools.chain.from_iterable(
+        itertools.combinations(t, m) for t in top for m in range(1, len(t) + 1)))
     bad = [x for x in K.simplices - covered if len(x) - 1 < n]
     rep.add("purity", not bad,
             "%d simplices not contained in an %d-simplex" % (len(bad), n))
 
-    facet_count = Counter(f for t in top for f in itertools.combinations(t, n))
+    facet_count = Counter(itertools.chain.from_iterable(
+        map(itertools.combinations, top, itertools.repeat(n))))
     bad = [x for x in K.of_dim(n - 1)
            if facet_count[x] != 2 and x not in s.ends]
     rep.add("pseudomanifold", not bad,

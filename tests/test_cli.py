@@ -387,6 +387,48 @@ def test_missing_input_file(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["ih", "--input", "{dir}"],
+    ["normalize", "--example", "pinched-cylinder", "--output", "{dir}"],
+    ["example-export", "--name", "cone-torus", "--output", "{dir}"],
+], ids=["ih-input", "normalize-output", "example-export-output"])
+def test_a_directory_as_a_file_path_is_one_usage_error(tmp_path, capsys, argv):
+    code, out, err = run(capsys, *(a.format(dir=tmp_path) for a in argv))
+    assert code == 2 and out == ""
+    assert re.fullmatch(r"usage error: .*Is a directory.*\n", err), err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["ih", "--input", "{dir}/x.json", "--example", "circle"],
+     "argument --example: not allowed with argument --input"),
+    (["ih", "--perversity", "zero"], "one of the arguments --input --example is required"),
+    (["kl", "--rank", "3", "--element", ""], "one-line notation '' has wrong rank"),
+    (["kl", "--rank", "3", "--interval", ""], "--interval wants U,W"),
+    (["flagcheck", "--n", "0", "--q", "2"], "argument --n: rank must be at least 1"),
+], ids=["input-and-example", "no-source", "empty-element", "empty-interval", "flagcheck-n-0"])
+def test_inputs_once_ignored_or_misread_are_usage_errors(tmp_path, capsys, argv, message):
+    code, out, err = run(capsys, *(a.format(dir=tmp_path) for a in argv))
+    assert code == 2 and out == ""
+    assert err.startswith("usage error: " + message) and err.count("\n") == 1, err
+
+
+def test_one_process_keeps_no_state_between_calls(capsys):
+    # the parser is built once per process; each call must parse afresh
+    middle = ("ih", "--example", "cone-torus")
+    assert run(capsys, *middle) == (0, "0:0 1:0 2:0 3:1\n", "")
+    assert run(capsys, *middle, "--perversity", "top") == (0, "0:0 1:0 2:2 3:1\n", "")
+    assert run(capsys, *middle) == (0, "0:0 1:0 2:0 3:1\n", "")
+    code, _, err = run(capsys, *middle, "--supports", "compact", "--format", "xml")
+    assert code == 2 and "invalid choice" in err
+    assert run(capsys, *middle, "--supports", "compact") == (0, "0:1 1:2 2:0 3:0\n", "")
+    code, out, _ = run(capsys, "ih", "--help")
+    assert code == 0 and "--perversity" in out
+    assert run(capsys, *middle, "--format", "csv") == (
+        0, "degree,dim\r\n0,0\r\n1,0\r\n2,0\r\n3,1\r\n", "")
+    assert run(capsys, "kl", "--rank", "3", "--element", "213") == (
+        0, "P[123,213] = 1\nP[213,213] = 1\nC' = v^-1*T:213 + v^-1*T:123\n", "")
+
+
 def test_shipped_data_matches_expected_tables(capsys):
     from importlib import resources
 

@@ -5,11 +5,13 @@ import json
 import pytest
 
 from ihkl import builders
-from ihkl.complexes import (SimplicialComplex, StratifiedComplex,
+from ihkl.complexes import (SUPPORTS, SimplicialComplex, StratifiedComplex,
                             barycentric_subdivide, complex_from_dict,
                             complex_to_dict, cone, homology_dims, simplex,
                             suspend, validate)
 from ihkl.errors import ComputationError, UsageError
+from ihkl.ih import ih_dims
+from ihkl.perversity import STANDARD_KINDS, make_standard
 
 
 def test_simplex_normalization():
@@ -31,6 +33,20 @@ def test_fullness():
     hollow = SimplicialComplex([("a", "b"), ("b", "c"), ("a", "c")])
     assert not hollow.is_full_in(filled)
     assert filled.full_subcomplex({"a", "b"}).f_vector() == (2, 1)
+
+
+def test_subcomplexes_keep_the_order_a_fresh_build_sorts():
+    for name in builders.BUILDERS:
+        if name == "susp2-cone-circle":
+            continue  # 30,309 simplices once subdivided
+        k = barycentric_subdivide(builders.build(name)).ambient
+        vs = set(sorted(k.vertices, key=repr)[::2])
+        low = [x for x in k.simplices if len(x) < 3]
+        for sub, kept in ((k.full_subcomplex(vs), [x for x in k.simplices if vs >= set(x)]),
+                          (k.restrict_to(low), low)):
+            want = SimplicialComplex(kept, closed=True)
+            assert sub == want and sub.dim == want.dim, name
+            assert all(sub.of_dim(d) == want.of_dim(d) for d in range(-1, k.dim + 2)), name
 
 
 def test_link_of_torus_vertex_is_circle():
@@ -94,6 +110,45 @@ def test_suspend_shifts_borel_moore_homology():
     assert dims == {0: 0, 1: 1, 2: 2, 3: 1}
     # ordinary homology is untouched by the factor of R
     assert homology_dims(s, "compact") == {0: 1, 1: 2, 2: 1, 3: 0}
+
+
+def test_a_stratified_complex_is_immutable():
+    s = builders.pinched_cylinder()
+    for name in ("ambient", "dimension", "ends", "filtration", "extra"):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(s, name, None)
+    with pytest.raises(TypeError):
+        s.filtration[2] = SimplicialComplex.empty()
+    with pytest.raises(TypeError):
+        del s.filtration[2]
+    assert s.F(2) == builders.pinched_cylinder().F(2)
+
+
+def _fresh(s):
+    return StratifiedComplex(s.ambient, s.dimension, ends=s.ends,
+                             filtration=dict(s.filtration))
+
+
+def _table(s, copy):
+    """Homology and IH in both supports, each call on copy(s)."""
+    n = max(s.dimension, 2)
+    return [(homology_dims(copy(s), sup),
+             [ih_dims(copy(s), make_standard(kind, n), sup) for kind in STANDARD_KINDS])
+            for sup in SUPPORTS]
+
+
+@pytest.mark.parametrize("subdivided", [False, True], ids=["raw", "subdivided"])
+def test_repeated_queries_on_one_complex_equal_fresh_copies(subdivided):
+    # subdivided, susp2-cone-circle has 30,309 simplices: too slow for tier-1
+    for name in builders.BUILDERS:
+        if subdivided and name == "susp2-cone-circle":
+            continue
+        s = builders.build(name)
+        if subdivided:
+            s = barycentric_subdivide(s)
+        want = _table(s, _fresh)
+        for _ in range(2):
+            assert _table(s, lambda c: c) == want, name
 
 
 def test_barycentric_subdivision_counts():

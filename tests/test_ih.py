@@ -4,7 +4,7 @@ extremal perversities, normalization)."""
 
 import pytest
 
-from ihkl import builders
+from ihkl import builders, complexes
 from ihkl.complexes import (SUPPORTS, SimplicialComplex, StratifiedComplex,
                             barycentric_subdivide, compact_model,
                             homology_dims, suspend)
@@ -13,7 +13,7 @@ from ihkl.ih import (allowable_complex, allowable_simplices,
                      cone_formula_check, duality_report, extremal_comparison,
                      ih_dims, is_normal, is_orientable, local_stalk_table,
                      normalize_isolated, suspension_check)
-from ihkl.perversity import custom, make_standard
+from ihkl.perversity import STANDARD_KINDS, custom, make_standard
 
 ZERO2 = make_standard("zero", 2)
 MID3 = make_standard("lower_middle", 3)
@@ -73,19 +73,37 @@ def test_allowable_complex_matches_rank_shortcut():
 
 
 @pytest.mark.parametrize("call", [
-    lambda: ih_dims(BOOK, ZERO2, "borel_moore"),
-    lambda: ih_dims(BOOK, ZERO2, "compact"),
-    lambda: allowable_complex(BOOK, ZERO2),
-    lambda: allowable_simplices(BOOK, ZERO2, 0),
-    lambda: local_stalk_table(BOOK, "a", ZERO2),
-    lambda: homology_dims(BOOK, "borel_moore"),
-    lambda: homology_dims(BOOK, "compact"),
+    lambda s: ih_dims(s, ZERO2, "borel_moore"),
+    lambda s: ih_dims(s, ZERO2, "compact"),
+    lambda s: allowable_complex(s, ZERO2),
+    lambda s: allowable_simplices(s, ZERO2, 0),
+    lambda s: local_stalk_table(s, "a", ZERO2),
+    lambda s: homology_dims(s, "borel_moore"),
+    lambda s: homology_dims(s, "compact"),
 ], ids=["ih_dims-bm", "ih_dims-compact", "allowable_complex",
         "allowable_simplices", "local_stalk_table", "homology_dims-bm",
         "homology_dims-compact"])
 def test_every_ih_entry_point_gates_its_input(call):
-    with pytest.raises(ValidationError, match="pseudomanifold"):
-        call()
+    # a fresh complex each case, refused on every call
+    book = StratifiedComplex(BOOK.ambient, BOOK.dimension)
+    for _ in range(2):
+        with pytest.raises(ValidationError, match="pseudomanifold"):
+            call(book)
+
+
+def test_a_complex_is_gated_every_call_and_keeps_one_model_per_mode(monkeypatch):
+    gated = []
+    monkeypatch.setattr(complexes, "require_structure", gated.append)
+    s = builders.cone_torus()
+    ps = [make_standard(kind, 3) for kind in STANDARD_KINDS]
+    for sup in SUPPORTS:
+        models = {allowable_complex(s, p, sup).context for p in ps}
+        assert len(models) == 1, sup
+        assert allowable_complex(s, None, sup).context not in models
+        assert homology_dims(s, sup) == ih_dims(s, None, sup)
+    assert gated == [s] * (len(SUPPORTS) * (len(ps) + 3))
+    # a strata-full complex is its own Borel-Moore model under a perversity
+    assert allowable_complex(s, ps[0]).context is s
 
 
 def test_homology_gates_the_filtration_before_dropping_it():
