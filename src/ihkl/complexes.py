@@ -279,18 +279,35 @@ def chain_dims(s: StratifiedComplex, allow=None) -> dict:
     pivoting on its largest non-zero row. A column pivoting in allow_{i-1}
     is zero on every later row, and columns with distinct pivots are
     independent, so rank d_i is the pivot count, b_i the count in allow_{i-1}.
+
+    Clearing: the degrees are reduced from n down, and d_i skips the
+    column of every j in allow_i that is a pivot of d_{i+1}. Let z be the
+    reduced column of d_{i+1} pivoting at j. Every later row is outside
+    allow_i, so z is an allowable i-chain whose last entry is at j, and
+    d_i z = 0. So d_i e_j lies in the span of the allowable columns before
+    j, and the reduction takes column j to zero: a non-zero vector in the
+    span of reduced columns with distinct pivots always meets one of those
+    pivots at its largest row. A zero column adds no pivot and changes no
+    later column, so rank d_i and b_i stay the same. This needs allow_i in
+    the order of the columns of d_i. With every simplex allowed it is the
+    usual twist (Chen & Kerber 2011).
     """
-    dims, rows, split = {}, [], 0  # rows: the (i-1)-simplices, allow_{i-1} first
+    dims, bases = {}, []  # bases[i]: the i-simplices, allow_i first, and |allow_i|
     for i in range(0, s.dimension + 1):
         inside, outside = [], []
         for x in chain_basis(s, i):
             (inside if allow is None or allow(x, i) else outside).append(x)
         dims[i] = len(inside)
-        if i:
-            pivots = column_pivots(boundary_columns(inside, rows))
-            dims[i] -= len(pivots)
-            dims[i - 1] -= sum(1 for r in pivots if r < split)
-        rows, split = inside + outside, len(inside)
+        bases.append((inside + outside, len(inside)))
+    cleared = ()  # the positions in allow_i whose column of d_i reduces to zero
+    for i in range(s.dimension, 0, -1):
+        cells, n = bases[i]
+        rows, split = bases[i - 1]
+        pivots = column_pivots(boundary_columns(
+            [x for j, x in enumerate(cells[:n]) if j not in cleared], rows))
+        dims[i] -= len(pivots)
+        cleared = {r for r in pivots if r < split}
+        dims[i - 1] -= len(cleared)
     return dims
 
 

@@ -265,8 +265,11 @@ def normalize_isolated(s: StratifiedComplex) -> StratifiedComplex:
     """Split isolated singular vertices into one copy per link component.
 
     Incident simplices reattach to the copy carrying their link
-    component. The copies stay in F(2) as (now normal) markers.
+    component. The copies stay in F(2) as (now normal) markers. Below
+    dimension 2 there is no singular stratum, and s is returned as it is.
     """
+    if s.dimension < 2:
+        return s
     sing = s.F(2)
     if sing.dim > 0:
         raise ComputationError(

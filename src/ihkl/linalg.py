@@ -14,6 +14,9 @@ No floating point anywhere. Two engines:
   row), much faster on the large, very sparse +-1 boundary matrices that
   dominate homology computations; ``sparse_rank`` counts its pivots.
   Ranks over Q agree with the row-major engine, only the order differs.
+  It reduces every column it is given: clearing, which leaves out the
+  columns known to reduce to zero, is the caller's job (see
+  ``complexes.chain_dims``).
 """
 
 from __future__ import annotations

@@ -126,6 +126,18 @@ def test_normalize_round_trip(tmp_path, capsys):
     assert out.strip() == "0:0 1:0 2:2"
 
 
+@pytest.mark.parametrize("name", ["point", "circle", "two-circles"])
+def test_normalize_below_dimension_two_writes_the_complex_unchanged(tmp_path, capsys, name):
+    target = tmp_path / "norm.json"
+    code, _, err = run(capsys, "normalize", "--example", name, "--output", str(target))
+    assert (code, err) == (0, "")
+    assert "2" not in json.loads(target.read_text()).get("filtration", {})
+    for sup in ("bm", "compact"):
+        tables = [run(capsys, "ih", source, arg, "--supports", sup, "--format", "json")
+                  for source, arg in (("--example", name), ("--input", str(target)))]
+        assert tables[0] == tables[1] and tables[0][0] == 0
+
+
 def test_example_export_round_trip(tmp_path, capsys):
     target = tmp_path / "pc.json"
     code, _, _ = run(capsys, "example-export", "--name", "pinched-cylinder",

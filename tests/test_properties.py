@@ -5,19 +5,21 @@ octahedral sphere and the 7-vertex torus, with up to two cones or
 suspensions on top, up to dimension 3. The bases themselves are the
 drawn complexes with empty ends. The integer rank engine behind them is
 checked against the Fraction oracle on random sparse integer matrices,
-with a random split of their rows. Every test pins its draws with
+with a random split of their rows, and the clearing in ``chain_dims``
+against a reduction of every column. Every test pins its draws with
 ``@seed`` (see conftest.py).
 """
 
 import itertools
 
+import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from ihkl import builders
 from ihkl.complexes import (SUPPORTS, SimplicialComplex, StratifiedComplex,
-                            barycentric_subdivide, boundary_columns,
-                            chain_basis, cone, homology_dims,
+                            _prepare, barycentric_subdivide, boundary_columns,
+                            chain_basis, chain_dims, cone, homology_dims,
                             interior_order_complex, suspend)
 from ihkl.ih import (allowable_complex, allowable_simplices,
                      cone_formula_check, duality_report, ih_dims,
@@ -178,3 +180,45 @@ def test_integer_rank_engine_on_every_bundled_boundary_matrix():
             m = RationalMatrix(len(rows), len(cells), {
                 (r, j): v for j, col in enumerate(cols) for r, v in col.items()})
             assert sparse_rank(cols) == rank_kernel(m)[0], (name, i)
+
+
+def check_clearing(s):
+    """chain_dims on every model of s, for None and every perversity in both
+    supports, against each d_i rebuilt with all its columns and reduced whole.
+
+    The columns that d_{i+1}'s pivots in allowable rows clear must leave the
+    pivots of d_i as they are, and each must reduce to zero against the others.
+    """
+    for p in (None, *perversities(s.dimension)):
+        for sup in SUPPORTS:
+            model, _, allow = _prepare(s, p, sup)
+            want, above = {}, []  # above: the pivots of d_{i+1}
+            for i in range(model.dimension, -1, -1):
+                inside = [x for x in chain_basis(model, i) if allow is None or allow(x, i)]
+                cleared = {r for r in above if r < len(inside)}
+                want[i] = len(inside) - len(cleared)
+                if i:
+                    rows = sorted(chain_basis(model, i - 1),
+                                  key=lambda x: not (allow is None or allow(x, i - 1)))
+                    cols = boundary_columns(inside, rows)
+                    above = column_pivots(cols)
+                    want[i] -= len(above)
+                    kept = [c for j, c in enumerate(cols) if j not in cleared]
+                    assert set(column_pivots(kept)) == set(above), (p, sup, i)
+                    # cleared columns after the kept ones: as long as none adds
+                    # a pivot, each is reduced against the kept columns alone
+                    tail = [cols[j] for j in sorted(cleared)]
+                    assert set(column_pivots(kept + tail)) == set(above), (p, sup, i)
+            assert chain_dims(model, allow) == want, (p, sup)
+
+
+@seed(10)
+@settings(max_examples=30)
+@given(complexes())
+def test_clearing_skips_only_columns_that_reduce_to_zero(s):
+    check_clearing(s)
+
+
+@pytest.mark.parametrize("name", builders.BUILDERS)
+def test_clearing_on_every_builder_subdivided(name):
+    check_clearing(barycentric_subdivide(builders.build(name)))
