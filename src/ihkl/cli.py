@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import re
 import sys
 from functools import lru_cache
 
@@ -42,6 +43,14 @@ def _parse_element(text, n):
         return parse_element(text, n)
     except ComputationError as e:
         raise UsageError(str(e))
+
+
+def _element_pair(text, n, flag):
+    """U,W split at the comma outside brackets: either may read [3,4,1,2]."""
+    parts = re.split(r",(?![^\[]*\])", text)
+    if len(parts) != 2:
+        raise UsageError("%s wants U,W" % flag)
+    return tuple(_parse_element(t, n) for t in parts)
 
 
 def _emit(args, text_fn, json_obj, csv_rows=None):
@@ -137,10 +146,7 @@ def run_kl(args):
     algorithm = {"bs": "bott_samelson", "recursion": "recursion",
                  "both": "both"}[args.algorithm]
     if args.interval is not None:
-        parts = args.interval.split(",")
-        if len(parts) != 2:
-            raise UsageError("--interval wants U,W")
-        u0, w0 = (_parse_element(t, n) for t in parts)
+        u0, w0 = _element_pair(args.interval, n, "--interval")
         if not bruhat_leq(u0, w0):
             raise ComputationError("%s is not below %s in Bruhat order" % (u0, w0))
     table = hecke.kl_table(n, algorithm)
@@ -177,10 +183,7 @@ def run_flagcheck(args):
 
 
 def run_bruhat(args):
-    parts = args.leq.split(",")
-    if len(parts) != 2:
-        raise UsageError("--leq wants U,W")
-    u, w = (_parse_element(t, args.rank) for t in parts)
+    u, w = _element_pair(args.leq, args.rank, "--leq")
     ans = bruhat_leq(u, w)
     _emit(args, lambda: "true" if ans else "false",
           {"u": str(u), "w": str(w), "leq": ans})

@@ -115,6 +115,36 @@ def test_validate(capsys):
     assert "pseudomanifold   pass" in out
 
 
+def _tetrahedron_file(tmp_path):
+    """A solid tetrahedron declared 2-dimensional: a ball, not the sphere
+    its triangles bound."""
+    target = tmp_path / "tetrahedron.json"
+    target.write_text(json.dumps({"dimension": 2, "vertices": ["a", "b", "c", "d"],
+                                  "simplices": [["a", "b", "c", "d"]]}))
+    return str(target)
+
+
+def test_a_simplex_above_the_dimension_fails_purity(tmp_path, capsys):
+    path = _tetrahedron_file(tmp_path)
+    code, out, _ = run(capsys, "validate", "--input", path)
+    assert code == 1
+    assert out.splitlines()[0].split()[:2] == ["purity", "FAIL"]
+    code, out, err = run(capsys, "ih", "--input", path)
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and "purity" in err
+
+
+@pytest.mark.parametrize("passes", [True, False], ids=["cone-torus", "tetrahedron"])
+def test_validate_json_gives_a_detail_only_for_failed_checks(tmp_path, capsys, passes):
+    source = (("--example", "cone-torus") if passes
+              else ("--input", _tetrahedron_file(tmp_path)))
+    code, out, _ = run(capsys, "validate", *source, "--format", "json")
+    checks = json.loads(out)
+    assert code == (0 if passes else 1)
+    assert all(c["passed"] for c in checks.values()) == passes
+    assert all(bool(c["detail"]) != c["passed"] for c in checks.values()), checks
+
+
 def test_normalize_round_trip(tmp_path, capsys):
     target = tmp_path / "norm.json"
     code, _, _ = run(capsys, "normalize", "--example", "pinched-cylinder",
@@ -190,6 +220,16 @@ def test_kl_algorithms_agree(capsys):
 def test_kl_bad_element_is_usage_error(capsys):
     code, _, err = run(capsys, "kl", "--rank", "3", "--element", "999")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv, plain", [
+    (["bruhat", "--rank", "3", "--leq", "[2,1,3],[3,2,1]"], "213,321"),
+    (["kl", "--rank", "3", "--interval", "[1,2,3],[3,2,1]"], "123,321"),
+], ids=["bruhat", "kl"])
+def test_u_w_flags_take_the_bracket_one_line_form(capsys, argv, plain):
+    want = run(capsys, *argv[:-1], plain)
+    assert want[0] == 0 and want[1]
+    assert run(capsys, *argv) == want
 
 
 def test_bruhat(capsys):
@@ -387,6 +427,20 @@ def test_ih_rejects_non_pseudomanifold_in_one_line(tmp_path, capsys):
     code, _, err = run(capsys, "ih", "--input", str(target), "--perversity", "bogus")
     assert code == 2
     assert len([line for line in err.splitlines() if line.strip()]) == 1
+
+
+@pytest.mark.parametrize("content", [
+    b"[" * 100000,
+    b'{"dimension": ' + b"9" * 5000 + b', "vertices": [], "simplices": []}',
+    b"\xff\xfe{\x00}\x00",
+], ids=["nested-too-deep", "long-integer", "utf-16-bom"])
+def test_undecodable_json_is_one_usage_error(tmp_path, capsys, content):
+    target = tmp_path / "bad.json"
+    target.write_bytes(content)
+    code, out, err = run(capsys, "validate", "--input", str(target))
+    assert code == 2 and out == ""
+    assert err.startswith("usage error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
 
 
 def test_version_matches_pyproject():

@@ -243,6 +243,8 @@ TRIANGLE = {"dimension": 2, "vertices": ["a", "b", "c"],
     {"filtration": {"1": [["a"]]}},
     {"filtration": {"3": [["a"]]}},
     {"vertices": [1, True, "c"], "simplices": [[1, True, "c"]]},
+    {"ends": [["a", "q"]]},
+    {"filtration": {"2": [["q"]]}},
 ])
 def test_json_rejects_malformed_fields(change):
     with pytest.raises(UsageError):

@@ -5,12 +5,15 @@ octahedral sphere and the 7-vertex torus, with up to two cones or
 suspensions on top, up to dimension 3. The bases themselves are the
 drawn complexes with empty ends. The integer rank engine behind them is
 checked against the Fraction oracle on random sparse integer matrices,
-with a random split of their rows, and the clearing in ``chain_dims``
-against a reduction of every column. Every test pins its draws with
-``@seed`` (see conftest.py).
+with a random split of their rows, the clearing in ``chain_dims``
+against a reduction of every column, and the structural gate against
+its checks read straight off their definitions, on the drawn complexes
+and on broken copies of them. Every test pins its draws with ``@seed``
+(see conftest.py).
 """
 
 import itertools
+from collections import Counter
 
 import pytest
 from hypothesis import given, seed, settings
@@ -18,9 +21,10 @@ from hypothesis import strategies as st
 
 from ihkl import builders
 from ihkl.complexes import (SUPPORTS, SimplicialComplex, StratifiedComplex,
-                            _prepare, barycentric_subdivide, boundary_columns,
-                            chain_basis, chain_dims, cone, homology_dims,
-                            interior_order_complex, suspend)
+                            _prepare, _structure_report, barycentric_subdivide,
+                            boundary_columns, chain_basis, chain_dims, cone,
+                            faces_with_signs, homology_dims,
+                            interior_order_complex, simplex, suspend)
 from ihkl.ih import (allowable_complex, allowable_simplices,
                      cone_formula_check, duality_report, ih_dims,
                      suspension_check)
@@ -222,3 +226,60 @@ def test_clearing_skips_only_columns_that_reduce_to_zero(s):
 @pytest.mark.parametrize("name", builders.BUILDERS)
 def test_clearing_on_every_builder_subdivided(name):
     check_clearing(barycentric_subdivide(builders.build(name)))
+
+
+def reference_gate(s):
+    """The gate's four pass flags, each read off its definition."""
+    n, K = s.dimension, s.ambient
+    has_coface = {f for y in K.simplices for f, _ in faces_with_signs(y)}
+    cofaces = Counter(f for t in K.of_dim(n) for f, _ in faces_with_signs(t))
+    return {
+        # impure: a simplex of dimension other than n with no coface one up
+        "purity": all(len(x) - 1 == n or x in has_coface for x in K.simplices),
+        "pseudomanifold": all(cofaces[x] == 2 for x in K.of_dim(n - 1)
+                              if x not in s.ends),
+        "filtration": all(s.F(k).dim <= n - k for k in range(2, n + 1)),
+        "no_codim_1": not any(len(x) == n for x in s.F(2).simplices),
+    }
+
+
+def broken_copies(s, pick=0):
+    """s with a stray vertex, with a simplex one above dimension n, with one
+    n-simplex removed, and with an (n-1)-simplex added to F(2)."""
+    n, K = s.dimension, s.ambient
+
+    def with_ambient(amb, filtration=None):
+        return StratifiedComplex(
+            amb, n, ends=s.ends.restrict_to(amb.simplices),
+            filtration=filtration or {k: s.F(k).restrict_to(amb.simplices)
+                                      for k in range(2, n + 1)})
+
+    top = K.of_dim(n)[pick % len(K.of_dim(n))]
+    yield with_ambient(SimplicialComplex(K.simplices | {("stray",)}, closed=True))
+    yield with_ambient(SimplicialComplex([*K.simplices, simplex(top + ("over",))]))
+    yield with_ambient(K.restrict_to(K.simplices - {top}))
+    if n >= 2:
+        low = K.of_dim(n - 1)[pick % len(K.of_dim(n - 1))]
+        f2 = SimplicialComplex([*s.F(2).simplices, low])
+        yield with_ambient(K, {**s.filtration, 2: f2})
+
+
+def check_gate(s, pick=0):
+    for c in (s, *broken_copies(s, pick)):
+        got = {name: passed for name, (passed, _) in _structure_report(c).checks.items()}
+        assert got == reference_gate(c)
+
+
+@pytest.mark.parametrize("subdivided", [False, True], ids=["raw", "subdivided"])
+def test_gate_matches_its_definitions_on_every_builder(subdivided):
+    for name in builders.BUILDERS:
+        if subdivided and name == "susp2-cone-circle":
+            continue  # 30,309 simplices once subdivided
+        s = builders.build(name)
+        check_gate(barycentric_subdivide(s) if subdivided else s)
+
+
+@seed(11)
+@given(complexes(), st.integers(0, 1000))
+def test_gate_matches_its_definitions_on_drawn_complexes(s, pick):
+    check_gate(s, pick)
