@@ -244,14 +244,21 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _rank(text):
-    """A --rank or flagcheck --n value: an integer n >= 1."""
+# The largest --rank: an element of S_100 has 100 entries, a Bruhat walk
+# at most 4,950 steps. flagcheck --n has none: check_size bounds its work.
+MAX_RANK = 100
+
+
+def _rank(text, most=MAX_RANK):
+    """A --rank value, 1 <= n <= most; flagcheck --n passes most=None, no bound."""
     try:
         n = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError("invalid rank %r" % text)
     if n < 1:
         raise argparse.ArgumentTypeError("rank must be at least 1, got %d" % n)
+    if most is not None and n > most:
+        raise argparse.ArgumentTypeError("rank must be at most %d, got %d" % (most, n))
     return n
 
 
@@ -315,7 +322,7 @@ def build_parser():
     sp.set_defaults(func=run_kl)
 
     sp = sub.add_parser("flagcheck", help="Hecke vs finite-field convolution")
-    sp.add_argument("--n", type=_rank, required=True)
+    sp.add_argument("--n", type=lambda text: _rank(text, None), required=True)
     sp.add_argument("--q", type=int, required=True)
     _add_format(sp)
     sp.set_defaults(func=run_flagcheck)

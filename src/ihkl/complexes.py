@@ -61,20 +61,17 @@ class SimplicialComplex:
     """A finite set of simplices closed under taking faces."""
 
     def __init__(self, simplices, closed=False):
-        simps = set(tuple(s) for s in simplices)
+        simps = set(map(tuple, simplices))
         if not closed:
-            stack = list(simps)
-            while stack:
-                s = stack.pop()
-                for f, _ in faces_with_signs(s):
-                    if f and f not in simps:
-                        simps.add(f)
-                        stack.append(f)
+            simps.update([f for s in simps for m in range(1, len(s))
+                          for f in itertools.combinations(s, m)])
         self._simplices = frozenset(simps)
         by_dim = {}
         for s in simps:
             by_dim.setdefault(len(s) - 1, []).append(s)
-        self._by_dim = {d: sorted(v, key=lambda s: tuple(vkey(x) for x in s))
+        # the vertices sorted by vkey once; rank tuples compare as the vkey tuples do
+        rank = {v: r for r, v in enumerate(sorted(set().union(*simps), key=vkey))}
+        self._by_dim = {d: sorted(v, key=lambda s: tuple(map(rank.__getitem__, s)))
                         for d, v in by_dim.items()}
 
     @classmethod
@@ -165,6 +162,9 @@ class SimplicialComplex:
         return sorted(comps.values(), key=lambda c: min(vkey(v) for v in c))
 
 
+_EMPTY = SimplicialComplex.empty()  # complexes are immutable, so one serves every default
+
+
 class StratifiedComplex:
     """Ambient complex K, formal dimension n, ends L, filtration F(2..n).
 
@@ -178,15 +178,13 @@ class StratifiedComplex:
     def __init__(self, ambient: SimplicialComplex, dimension: int,
                  ends: SimplicialComplex | None = None,
                  filtration: dict | None = None):
-        ends = ends if ends is not None else SimplicialComplex.empty()
+        ends = ends if ends is not None else _EMPTY
         filt = dict(filtration or {})
         if not ends.is_subcomplex_of(ambient):
             raise ComputationError("ends is not a subcomplex of the ambient complex")
         steps = {}
         for k in range(2, dimension + 1):
-            fk = filt.pop(k, None)
-            if fk is None:
-                fk = SimplicialComplex.empty()
+            fk = filt.pop(k, None) or _EMPTY
             if not fk.is_subcomplex_of(ambient):
                 raise ComputationError("filtration F(%d) is not a subcomplex" % k)
             steps[k] = fk
@@ -207,10 +205,10 @@ class StratifiedComplex:
     def F(self, k) -> SimplicialComplex:
         if k < 2:
             return self.ambient
-        return self.filtration.get(k, SimplicialComplex.empty())
+        return self.filtration.get(k, _EMPTY)
 
     def stratum_nonempty(self, k) -> bool:
-        nxt = self.F(k + 1) if k + 1 <= self.dimension else SimplicialComplex.empty()
+        nxt = self.F(k + 1) if k + 1 <= self.dimension else _EMPTY
         return len(self.F(k)) > len(nxt)
 
     def strata_full(self) -> bool:
@@ -356,18 +354,20 @@ def _order_complex(s: StratifiedComplex, simplices) -> StratifiedComplex:
     them, which for a subcomplex means the chains whose largest member does.
     """
     members = set(simplices)
+    rank = {x: r for r, x in enumerate(sorted(members, key=vkey))}
     chains = {}  # largest member -> the chains ending there, as simplices
     for x in sorted(members, key=len):  # faces before cofaces
-        chains[x] = [(x,)] + [simplex(ch + (x,)) for m in range(1, len(x))
+        chains[x] = [(x,)] + [tuple(sorted(ch + (x,), key=rank.__getitem__))
+                              for m in range(1, len(x))
                               for f in itertools.combinations(x, m) if f in members
                               for ch in chains[f]]
+    amb = SimplicialComplex(itertools.chain.from_iterable(chains.values()), closed=True)
 
     def carried(sub):
-        return SimplicialComplex(
-            [ch for x, cs in chains.items() if x in sub for ch in cs], closed=True)
+        return amb._subcomplex(ch for x, cs in chains.items() if x in sub for ch in cs)
 
     return StratifiedComplex(
-        carried(members), s.dimension, ends=carried(s.ends),
+        amb, s.dimension, ends=carried(s.ends),
         filtration={k: carried(s.F(k)) for k in range(2, s.dimension + 1)})
 
 
@@ -675,12 +675,10 @@ def complex_from_dict(data: dict) -> StratifiedComplex:
         raise UsageError("the listed simplices have %d faces in all, more than %d"
                          % (faces, MAX_FACES))
     amb = SimplicialComplex(top)
-    filtration = {}
-    deeper = frozenset()
+    filtration, deeper = {}, []  # deeper: the lists at keys k..n, closed into F(k)
     for k in range(n, 1, -1):
-        if k in listed:
-            deeper |= SimplicialComplex(listed[k]).simplices
-        filtration[k] = SimplicialComplex(deeper, closed=True)
+        deeper += listed.get(k, ())
+        filtration[k] = SimplicialComplex(deeper)
     return StratifiedComplex(amb, n, ends=SimplicialComplex(ends), filtration=filtration)
 
 

@@ -3,7 +3,7 @@
 Elements are permutations in one-line notation; the simple generator
 s_i swaps i and i+1 (1-based). Length is the inversion count, reduced
 words come from a greedy descent scan, and the Bruhat order is decided
-by the standard lifting recursion. The one-line tuples themselves
+by the standard lifting steps. The one-line tuples themselves
 (``Permutation.word``) are what the Hecke algebra and the Bruhat cache
 key on; ``_swap`` and ``_inversions`` act on them directly.
 """
@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -27,8 +28,7 @@ def _swap(x: tuple, i: int) -> tuple:
 
 def _inversions(x: tuple) -> int:
     """Inversion count of a one-line tuple, i.e. its length."""
-    return sum(1 for i in range(len(x)) for j in range(i + 1, len(x))
-               if x[i] > x[j])
+    return sum(itertools.starmap(operator.gt, itertools.combinations(x, 2)))
 
 
 @dataclass(frozen=True)
@@ -133,7 +133,7 @@ def all_elements(n: int):
 
 
 def bruhat_leq(u: Permutation, w: Permutation) -> bool:
-    """Bruhat order by the lifting recursion.
+    """Bruhat order by the lifting property.
 
     If i is a right descent of w: u <= w iff min(u, u s_i) <= w s_i,
     where the minimum is u s_i when i is a descent of u, else u.
@@ -145,13 +145,15 @@ def bruhat_leq(u: Permutation, w: Permutation) -> bool:
 
 @lru_cache(maxsize=None)
 def _bruhat_leq(u, w):
-    """bruhat_leq on one-line tuples; w has a descent once l(u) < l(w)."""
-    if u == w:
-        return True
-    if _inversions(u) >= _inversions(w):
-        return False
-    i = next(i for i in range(1, len(w)) if w[i - 1] > w[i])
-    return _bruhat_leq(_swap(u, i) if u[i - 1] > u[i] else u, _swap(w, i))
+    """bruhat_leq on one-line tuples, in a loop: w has a descent while l(u) < l(w),
+    and the first descent of w s_i is at i - 1 or later (w ascends before i)."""
+    lu, lw, i = _inversions(u), _inversions(w), 1
+    while lu < lw:  # u == w forces lu == lw, so the loop stops there too
+        i = next(j for j in range(max(i - 1, 1), len(w)) if w[j - 1] > w[j])
+        if u[i - 1] > u[i]:
+            u, lu = _swap(u, i), lu - 1
+        w, lw = _swap(w, i), lw - 1
+    return u == w
 
 
 def bruhat_interval(w: Permutation):

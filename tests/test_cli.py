@@ -9,7 +9,7 @@ import pytest
 
 import ihkl
 
-from ihkl.cli import main
+from ihkl.cli import MAX_RANK, main
 
 
 def run(capsys, *argv):
@@ -340,6 +340,10 @@ def test_filtration_lists_count_once_per_step_they_enter(tmp_path, capsys):
     ["duality", "--example", "cone-torus", "--p", "zero", "--q", "top", "--format", "csv"],
     ["bruhat", "--rank", "3", "--leq", "e,321", "--format", "csv"],
     ["hecke-mul", "--rank", "3", "--left", "T:e", "--right", "T:e", "--format", "csv"],
+    ["kl", "--rank", str(MAX_RANK + 1), "--element", "e"],
+    ["kl", "--rank", "100000000000000000000", "--element", "e"],  # past a C index
+    ["bruhat", "--rank", str(MAX_RANK + 1), "--leq", "e,e"],
+    ["hecke-mul", "--rank", str(MAX_RANK + 1), "--left", "T:e", "--right", "T:e"],
 ])
 def test_bad_arguments_are_one_line_usage_errors(capsys, argv):
     code, _, err = run(capsys, *argv)
@@ -347,6 +351,14 @@ def test_bad_arguments_are_one_line_usage_errors(capsys, argv):
     lines = [line for line in err.splitlines() if line.strip()]
     assert len(lines) == 1, err
     assert "Traceback" not in err
+
+
+def test_bruhat_at_max_rank(capsys):
+    w0 = "[%s]" % ",".join(map(str, range(MAX_RANK, 0, -1)))
+    start = time.perf_counter()
+    assert run(capsys, "bruhat", "--rank", str(MAX_RANK), "--leq", "e," + w0)[:2] == (0, "true\n")
+    assert run(capsys, "bruhat", "--rank", str(MAX_RANK), "--leq", w0 + ",e")[:2] == (0, "false\n")
+    assert time.perf_counter() - start < 2
 
 
 def test_format_choice_is_checked_before_any_work(capsys):

@@ -115,6 +115,16 @@ def test_all_elements_refuses_large_ranks_before_enumerating():
     assert not bruhat_leq_subword(simple(3, 12), w)
 
 
+def test_bruhat_walks_a_long_word_without_recursing():
+    # l(w0) = 1,225 lifting steps in S_50, once one Python frame each
+    n = 50
+    w0 = from_word([i for k in range(1, n) for i in range(k, 0, -1)], n)
+    assert w0 == longest_element(n)
+    assert bruhat_leq(simple(1, n), w0) and bruhat_leq_subword(simple(1, n), w0)
+    assert not bruhat_leq(w0, simple(1, n)) and not bruhat_leq_subword(w0, simple(1, n))
+    assert bruhat_leq(w0, w0) and bruhat_leq(identity(n), w0)
+
+
 def test_parse_element_forms():
     assert parse_element("3412", 4).word == (3, 4, 1, 2)
     assert parse_element("[3,4,1,2]", 4).word == (3, 4, 1, 2)

@@ -8,7 +8,10 @@ checked against the Fraction oracle on random sparse integer matrices,
 with a random split of their rows, the clearing in ``chain_dims``
 against a reduction of every column, and the structural gate against
 its checks read straight off their definitions, on the drawn complexes
-and on broken copies of them. Every test pins its draws with ``@seed``
+and on broken copies of them. The canonical order, read off integer
+vertex ranks, is checked against the nested vkey tuples it replaced on
+complexes whose vertex ids mix strings, integers and nested tuples, raw,
+subdivided and off their ends. Every test pins its draws with ``@seed``
 (see conftest.py).
 """
 
@@ -24,7 +27,7 @@ from ihkl.complexes import (SUPPORTS, SimplicialComplex, StratifiedComplex,
                             _prepare, _structure_report, barycentric_subdivide,
                             boundary_columns, chain_basis, chain_dims, cone,
                             faces_with_signs, homology_dims,
-                            interior_order_complex, simplex, suspend)
+                            interior_order_complex, simplex, suspend, vkey)
 from ihkl.ih import (allowable_complex, allowable_simplices,
                      cone_formula_check, duality_report, ih_dims,
                      suspension_check)
@@ -283,3 +286,78 @@ def test_gate_matches_its_definitions_on_every_builder(subdivided):
 @given(complexes(), st.integers(0, 1000))
 def test_gate_matches_its_definitions_on_drawn_complexes(s, pick):
     check_gate(s, pick)
+
+
+LEAVES = st.integers(-3, 3) | st.text("ab1", max_size=2)
+VERTEX_IDS = LEAVES | st.recursive(
+    LEAVES, lambda kids: st.tuples(kids) | st.tuples(kids, kids), max_leaves=4)
+
+
+@st.composite
+def mixed_complexes(draw):
+    """Complexes on drawn vertex ids, with ends and an F(2) closed from
+    drawn simplices of theirs."""
+    vs = draw(st.lists(VERTEX_IDS, min_size=3, max_size=8, unique=True))
+    tops = draw(st.lists(st.lists(st.sampled_from(vs), min_size=2, max_size=4, unique=True),
+                         min_size=1, max_size=6))
+    amb = SimplicialComplex(map(simplex, tops))
+    some = st.lists(st.sampled_from(sorted(amb.simplices, key=repr)), max_size=3)
+    n = amb.dim
+    return StratifiedComplex(amb, n, ends=SimplicialComplex(draw(some)),
+                             filtration={2: SimplicialComplex(draw(some))} if n >= 2 else {})
+
+
+def chains_of(members):
+    """Every chain of proper face inclusions among members, as a simplex,
+    grown upwards from each member and sorted by ``simplex``."""
+    members = set(members)
+    up = {x: [y for y in members if len(y) > len(x) and set(x) < set(y)] for x in members}
+    out, stack = set(), [(x,) for x in members]
+    while stack:
+        ch = stack.pop()
+        out.add(simplex(ch))
+        stack.extend(ch + (y,) for y in up[ch[-1]])
+    return out
+
+
+def assert_in_vkey_order(c):
+    for d in range(-1, c.dim + 2):
+        want = sorted((x for x in c.simplices if len(x) == d + 1),
+                      key=lambda x: tuple(vkey(v) for v in x))
+        assert c.of_dim(d) == want, d
+
+
+def assert_order_complex(model, s, members):
+    amb = chains_of(members)
+    assert model.ambient.simplices == amb
+    assert model.ends.simplices == {ch for ch in amb if max(ch, key=len) in s.ends}
+    for k in range(2, s.dimension + 1):
+        assert model.F(k).simplices == {ch for ch in amb if max(ch, key=len) in s.F(k)}
+    for c in (model.ambient, model.ends, *model.filtration.values()):
+        assert_in_vkey_order(c)
+
+
+@seed(14)
+@given(mixed_complexes())
+def test_rank_order_is_the_vkey_order(s):
+    for c in (s.ambient, s.ends, *s.filtration.values()):
+        assert_in_vkey_order(c)
+    assert_order_complex(barycentric_subdivide(s), s, s.ambient.simplices)
+    assert_order_complex(interior_order_complex(s), s, s.ambient.simplices - s.ends.simplices)
+
+
+def test_no_construction_makes_a_boolean_vertex():
+    """True == 1, so a rank keyed on the vertex would give both one place;
+    the vkey order stays exact because no vertex id holds a boolean. JSON
+    refuses them, and builders, cones, suspensions and subdivisions make
+    ids from strings, integers and tuples of the ids they are given."""
+    def booleans(v):
+        return isinstance(v, bool) or isinstance(v, tuple) and any(map(booleans, v))
+
+    for name in builders.BUILDERS:
+        s = builders.build(name)
+        models = [s, barycentric_subdivide(s), suspend(s)] if s.dimension < 3 else [s]
+        if 1 <= s.dimension < 3 and not len(s.ends):
+            models.append(cone(s))
+        for m in models:
+            assert not any(map(booleans, m.ambient.vertices)), name
