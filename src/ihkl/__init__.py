@@ -5,7 +5,8 @@ Three computational pillars, cross-checked against each other:
 * intersection homology of stratified simplicial complexes under
   arbitrary perversities, with closed (Borel-Moore) or compact supports;
 * Kazhdan-Lusztig polynomials for symmetric groups, by Bott-Samelson
-  extraction and independently by the classical recursion;
+  extraction in the Hecke algebra and independently by the classical
+  recursion on the polynomials, with no Hecke product;
 * a brute-force flag variety over prime fields validating the Hecke
   algebra relations by counting.
 

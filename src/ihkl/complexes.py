@@ -31,12 +31,11 @@ def vkey(v):
 
     Vertex identifiers may be strings, integers, or (after subdivision,
     cones and suspensions) nested tuples of these; the key is injective
-    and consistent across mixed types.
+    up to ``==`` and consistent across mixed types. A boolean is the
+    integer it equals, as it is in every set and dict of simplices.
     """
     if isinstance(v, tuple):
         return ("t", tuple(vkey(x) for x in v))
-    if isinstance(v, bool):
-        return ("b", v)
     if isinstance(v, int):
         return ("i", v)
     return ("s", str(v))

@@ -1,14 +1,14 @@
 """Hecke algebra of S_n over integer Laurent polynomials in v.
 
 The T-basis satisfies T_s^2 = (v^2 - 1) T_s + v^2 T_1 and T_u T_w =
-T_{uw} when lengths add. Kazhdan-Lusztig polynomials are produced by
-two independent routes: extraction from Bott-Samelson products
-v^{-l(w)} (T_{s_1} + 1) ... (T_{s_k} + 1), and the classical descent
-recursion; agreement of the two is the main internal cross-check. Both
-build C'_w by right multiplication with C'_s = v^{-1} (T_s + 1) and
-differ in how they remove the lower canonical terms. Coefficients are
-keyed by one-line tuples (``Permutation.word``); a ``Permutation``
-appears only at the public boundary (``HeckeElement.terms``, ``KLResult``).
+T_{uw} when lengths add. Kazhdan-Lusztig polynomials come from two
+independent routes, cross-checked by ``kl_table``: Bott-Samelson
+extraction multiplies out v^{-l(w)} (T_{s_1} + 1) ... (T_{s_k} + 1) and
+removes the lower canonical terms; the classical recursion (Kazhdan &
+Lusztig 1979, (2.2.c)) computes P_{u,w} with no Hecke product. The
+involution iota is a test oracle. Everything is keyed by one-line tuples
+(``Permutation.word``); a ``Permutation`` appears only at the public
+boundary (``HeckeElement.terms``, ``KLResult``).
 """
 
 from __future__ import annotations
@@ -20,6 +20,8 @@ from types import MappingProxyType
 from .coxeter import (Permutation, _inversions, _swap, all_elements, bruhat_leq,
                       from_word, identity)
 from .errors import ComputationError, InternalConsistencyError
+
+MAX_KL_TABLE = 6   # kl_table refuses S_n past this rank (98,407 Bruhat pairs at n = 6)
 
 
 class LaurentPoly:
@@ -220,9 +222,9 @@ class HeckeElement:
 
 
 ONE = LaurentPoly({0: 1})
+ZERO = LaurentPoly()
 V2M1 = LaurentPoly({2: 1, 0: -1})      # v^2 - 1
 V2 = LaurentPoly({2: 1})
-VM1 = LaurentPoly({-1: 1})
 VM2 = LaurentPoly({-2: 1})
 VM2M1 = LaurentPoly({-2: 1, 0: -1})    # v^{-2} - 1
 
@@ -254,11 +256,6 @@ def _mul_right_simple(a: HeckeElement, i: int) -> HeckeElement:
             acc(x, c * V2M1)
             acc(xs, c * V2)
     return HeckeElement._of(a.n, out)
-
-
-def _mul_right_cs(a: HeckeElement, i: int) -> HeckeElement:
-    """a * (T_{s_i} + 1), which is v * (a * C'_{s_i})."""
-    return _mul_right_simple(a, i) + a
 
 
 def t_mul(a: HeckeElement, b: HeckeElement) -> HeckeElement:
@@ -361,7 +358,7 @@ def _bott_samelson(x: tuple) -> KLResult:
 def _extract_bott_samelson(w: Permutation, word: tuple) -> KLResult:
     e = HeckeElement.unit(w.n)
     for i in word:
-        e = _mul_right_cs(e, i)
+        e = _mul_right_simple(e, i) + e   # e * (T_s + 1)
     e = e.scale(LaurentPoly({-len(word): 1}))
 
     # Removing p_u C'_u changes only T_u and terms shorter than u, so one
@@ -379,38 +376,43 @@ def _extract_bott_samelson(w: Permutation, word: tuple) -> KLResult:
     return KLResult(w, e, _extract_kl(w, e), corrections)
 
 
-def _mu(p: LaurentPoly, lu: int, lw: int) -> int:
-    """Top-permitted-degree coefficient of P_{u,w} (0 when the bound is odd)."""
-    gap = lw - lu - 1
-    return p.coefficient(gap // 2) if gap % 2 == 0 and gap >= 0 else 0
+@lru_cache(maxsize=None)
+def kl_recursion(w: Permutation) -> KLResult:
+    """C'_w read off the polynomials of the descent recursion, verified
+    against the axioms: its T_u coefficient is v^{-l(w)} P_{u,w}(v^2)."""
+    lw = w.length()
+    e = HeckeElement._of(w.n, {y: LaurentPoly({2 * j - lw: c for j, c in p.coeffs.items()})
+                               for y, p in _kl_polys(w.word).items()})
+    return KLResult(w, e, _extract_kl(w, e))
 
 
 @lru_cache(maxsize=None)
-def kl_recursion(w: Permutation) -> KLResult:
-    """C'_w by the descent recursion, verified against the axioms.
+def _kl_polys(x: tuple) -> dict:
+    """P_{y,w} for every y <= w, keyed by one-line tuples; x is w's tuple.
 
-    For a right descent s of w and w' = w s:
-    C'_w = C'_{w'} C'_s - sum of mu(u, w') C'_u over u < w' with u s < u.
-    The result is checked to be iota-fixed with the right degree bounds.
+    At the first right descent s of w, with v = ws and c = 1 if ys < y,
+    else 0 (Kazhdan & Lusztig 1979, (2.2.c)):
+    P_{y,w} = q^(1-c) P_{ys,v} + q^c P_{y,v} - sum, over z with zs < z,
+    of mu(z, v) q^((l(w)-l(z))/2) P_{y,z}. [e, w] is [e, v] with [e, v]s.
+    mu(z, v) is the coefficient of q^((l(v)-l(z)-1)/2) in P_{z,v}, so it
+    is nonzero only when l(w) - l(z) is even.
     """
-    if w.length() == 0:
-        return KLResult(w, HeckeElement.unit(w.n), {w: ONE})
-
-    i = w.right_descents()[0]
-    wp = w.apply_right(i)
-    prev = kl_recursion(wp)
-    lp = wp.length()
-    terms = [(_mul_right_cs(prev.cprime, i), VM1)]
-    for u, p in prev.kl_polys.items():
-        if u != wp and u.word[i - 1] > u.word[i]:
-            m = _mu(p, u.length(), lp)
-            if m:
-                terms.append((kl_recursion(u).cprime, -m))
-    e = _combine(w.n, terms)
-
-    if iota(e) != e:
-        raise InternalConsistencyError("C'_%s from the recursion is not iota-fixed" % w)
-    return KLResult(w, e, _extract_kl(w, e))
+    i = next((i for i in range(1, len(x)) if x[i - 1] > x[i]), None)
+    if i is None:
+        return {x: ONE}
+    pv, lw = _kl_polys(_swap(x, i)), _inversions(x)
+    mus = [(_kl_polys(z), m, d // 2) for z, p in pv.items() if z[i - 1] > z[i]
+           for d in (lw - _inversions(z),) if d % 2 == 0
+           for m in (p.coefficient(d // 2 - 1),) if m]
+    out = {}
+    for y in dict.fromkeys([*pv, *(_swap(y, i) for y in pv)]):
+        c = y[i - 1] > y[i]
+        p = pv.get(_swap(y, i), ZERO).shift(1 - c) + pv.get(y, ZERO).shift(c)
+        for pz, m, k in mus:
+            if y in pz:
+                p = p - pz[y].shift(k) * m
+        out[y] = p
+    return out
 
 
 def cprime(w: Permutation, algorithm: str = "bott_samelson") -> KLResult:
@@ -422,7 +424,7 @@ def cprime(w: Permutation, algorithm: str = "bott_samelson") -> KLResult:
 
 
 def kl_table(n: int, algorithm: str = "both"):
-    """All P_{u,w} for u <= w in S_n, as polynomials in q.
+    """All P_{u,w} for u <= w in S_n, as polynomials in q; n <= MAX_KL_TABLE.
 
     In both mode the Bott-Samelson and recursion tables are computed
     independently and compared entry by entry; any discrepancy is a hard
@@ -430,15 +432,12 @@ def kl_table(n: int, algorithm: str = "both"):
     """
     if algorithm not in ("bott_samelson", "recursion", "both"):
         raise ComputationError("unknown algorithm %r" % algorithm)
+    if n > MAX_KL_TABLE:
+        raise ComputationError("KL tables are limited to n <= %d, got n = %d"
+                               % (MAX_KL_TABLE, n))
     algos = ("bott_samelson", "recursion") if algorithm == "both" else (algorithm,)
-    tables = []
-    for alg in algos:
-        table = {}
-        for w in all_elements(n):
-            res = cprime(w, algorithm=alg)
-            for u, p in res.kl_polys.items():
-                table[(u, w)] = p
-        tables.append(table)
+    tables = [{(u, w): p for w in all_elements(n)
+               for u, p in cprime(w, alg).kl_polys.items()} for alg in algos]
     if len(tables) == 2:
         bad = [k for k in set(tables[0]) | set(tables[1])
                if tables[0].get(k) != tables[1].get(k)]

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import ihkl
-
+from ihkl import hecke
 from ihkl.cli import MAX_RANK, main
 
 
@@ -386,7 +386,17 @@ def test_kl_table_past_the_enumeration_bound_is_refused(capsys):
     assert code == 1 and out == ""
     lines = [line for line in err.splitlines() if line.strip()]
     assert len(lines) == 1, err
-    assert "limited to n <= 8" in lines[0]
+    assert "limited to n <= 6" in lines[0]
+
+
+@pytest.mark.parametrize("rank", ["7", "8"])
+def test_kl_table_past_the_table_bound_is_refused_before_any_work(capsys, rank):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "kl", "--rank", rank, "--algorithm", "recursion")
+    assert time.perf_counter() - start < 1
+    assert code == 1 and out == ""
+    assert err.strip() == "error: KL tables are limited to n <= %d, got n = %s" % (
+        hecke.MAX_KL_TABLE, rank)
 
 
 HECKE_MUL_RANK10 = " + ".join([

@@ -1,8 +1,11 @@
 """Hecke algebra over Z[v, v^-1], canonical basis, KL polynomials."""
 
 import random
+from functools import reduce
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from ihkl import complexes, coxeter, flagfq, hecke
 from ihkl.coxeter import (Permutation, all_elements, bruhat_leq, from_word,
@@ -79,15 +82,59 @@ def test_associativity_random_triples():
 
 
 def test_iota_is_an_involution_and_antihomomorphism_fixes_cprime():
+    """iota fixes every C'_w of S_5 from either route; no route runs it."""
     rng = random.Random(9)
     elems = all_elements(3)
     for _ in range(8):
         a = HeckeElement(3, {rng.choice(elems): LaurentPoly({rng.randint(-2, 2): 1}),
                              rng.choice(elems): LaurentPoly({0: 1, 1: 1})})
         assert iota(iota(a)) == a
-    for w in all_elements(4):
-        c = cprime(w).cprime
-        assert iota(c) == c, w
+    for w in all_elements(5):
+        for alg in ("bott_samelson", "recursion"):
+            c = cprime(w, alg).cprime
+            assert iota(c) == c, (w, alg)
+
+
+def hecke_elements(n):
+    """Up to three T-basis terms of S_n with small Laurent coefficients."""
+    perms = st.permutations(range(1, n + 1)).map(lambda x: Permutation(tuple(x)))
+    polys = st.dictionaries(st.integers(-2, 2), st.integers(-3, 3), max_size=3)
+    return st.dictionaries(perms, polys.map(LaurentPoly), max_size=3).map(
+        lambda terms: HeckeElement(n, terms))
+
+
+ELEMENT_AND_SIMPLES = st.integers(3, 4).flatmap(lambda n: st.tuples(
+    hecke_elements(n), st.integers(1, n - 1), st.integers(1, n - 1)))
+
+
+@seed(16)
+@settings(max_examples=60)
+@given(ELEMENT_AND_SIMPLES)
+def test_t_mul_quadratic_and_braid_relations_on_random_elements(drawn):
+    a, i, j = drawn
+    ti, tj = T(simple(i, a.n)), T(simple(j, a.n))
+
+    def mul(*factors):
+        return reduce(t_mul, factors)
+
+    assert mul(a, ti, ti) == mul(a, ti).scale(LaurentPoly({2: 1, 0: -1})) + \
+        a.scale(LaurentPoly({2: 1}))
+    assert mul(ti, ti, a) == mul(ti, a).scale(LaurentPoly({2: 1, 0: -1})) + \
+        a.scale(LaurentPoly({2: 1}))
+    if abs(i - j) == 1:
+        assert mul(a, ti, tj, ti) == mul(a, tj, ti, tj)
+        assert mul(ti, tj, ti, a) == mul(tj, ti, tj, a)
+    else:
+        assert mul(a, ti, tj) == mul(a, tj, ti)
+        assert mul(ti, tj, a) == mul(tj, ti, a)
+
+
+@seed(17)
+@settings(max_examples=40)
+@given(st.integers(3, 4).flatmap(lambda n: st.tuples(*[hecke_elements(n)] * 3)))
+def test_t_mul_is_associative_on_random_elements(drawn):
+    a, b, c = drawn
+    assert t_mul(t_mul(a, b), c) == t_mul(a, t_mul(b, c))
 
 
 def test_cprime_simple_reflection():
@@ -140,8 +187,8 @@ def test_bott_samelson_other_reduced_word_is_not_memoised():
 
 def test_every_cache_clears_and_recomputes_the_same_table():
     before = kl_table(4, algorithm="both")
-    caches = (hecke._bott_samelson, hecke.kl_recursion, hecke._iota_t,
-              complexes.vkey, coxeter.all_elements, coxeter._bruhat_leq,
+    caches = (hecke._bott_samelson, hecke.kl_recursion, hecke._kl_polys,
+              hecke._iota_t, complexes.vkey, coxeter.all_elements, coxeter._bruhat_leq,
               flagfq.enumerate_flags, flagfq._cells,
               flagfq._structure_constants)
     for cache in caches:
@@ -209,8 +256,9 @@ def test_terms_view_round_trips_every_cprime_in_s4():
 
 
 def test_single_elements_work_past_the_enumeration_bound():
-    with pytest.raises(ComputationError, match="limited to n <= 8"):
-        kl_table(9)
+    for n in (7, 9):
+        with pytest.raises(ComputationError, match="limited to n <= 6"):
+            kl_table(n)
     w = from_word((1, 2, 1, 4), 9)
     bs, rec = cprime(w, "bott_samelson"), cprime(w, "recursion")
     assert bs.kl_polys == rec.kl_polys

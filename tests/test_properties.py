@@ -361,3 +361,11 @@ def test_no_construction_makes_a_boolean_vertex():
             models.append(cone(s))
         for m in models:
             assert not any(map(booleans, m.ambient.vertices)), name
+
+
+def test_vkey_agrees_with_equality_whichever_is_asked_first():
+    """True == 1, so (True,) and (1,) are one lru_cache entry; with no
+    boolean branch the key is the same whichever of them fills it."""
+    for first, second in (((True,), (1,)), ((1,), (True,))):
+        vkey.cache_clear()
+        assert vkey(first) == vkey(second) == ("t", (("i", 1),))
