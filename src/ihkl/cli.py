@@ -121,55 +121,33 @@ def run_validate(args):
 
 def run_kl(args):
     n = args.rank
-    if args.element is not None:
-        w = _parse_element(args.element, n)
-        alg = {"bs": "bott_samelson", "recursion": "recursion"}.get(
-            args.algorithm, "bott_samelson")
-        res = hecke.cprime(w, algorithm=alg)
-        us = sorted(res.kl_polys, key=lambda u: (u.length(), u.word))
-
-        def text():
-            lines = ["P[%s,%s] = %s" % (u, w, res.kl_polys[u].format("q"))
-                     for u in us]
-            lines.append("C' = %s" % res.cprime.format())
-            return "\n".join(lines)
-
-        _emit(args, text,
-              {"w": str(w),
-               "kl": {str(u): {str(e): c for e, c in res.kl_polys[u].coeffs.items()}
-                      for u in us},
-               "cprime": res.cprime.format()},
-              [("u", "w", "P")] + [(str(u), str(w), res.kl_polys[u].format("q"))
-                                   for u in us])
-        return 0
-
     algorithm = {"bs": "bott_samelson", "recursion": "recursion",
                  "both": "both"}[args.algorithm]
-    if args.interval is not None:
-        u0, w0 = _element_pair(args.interval, n, "--interval")
-        if not bruhat_leq(u0, w0):
-            raise ComputationError("%s is not below %s in Bruhat order" % (u0, w0))
-    table = hecke.kl_table(n, algorithm)
-    if args.interval is not None:
-        table = {(u, w): p for (u, w), p in table.items()
-                 if bruhat_leq(u0, u) and bruhat_leq(w, w0)}
-    keys = sorted(table, key=lambda k: (k[1].length(), k[1].word,
-                                        k[0].length(), k[0].word))
-
-    def text():
-        lines = ["P[%s,%s] = %s" % (u, w, table[(u, w)].format("q"))
-                 for u, w in keys]
-        if algorithm == "both":
-            lines.append("AGREE (%d pairs)" % len(table))
-        return "\n".join(lines)
-
-    _emit(args, text,
-          {"rank": n, "algorithm": algorithm, "pairs": len(table),
-           "kl": {"%s,%s" % (u, w): {str(e): c
-                                     for e, c in table[(u, w)].coeffs.items()}
-                  for u, w in keys}},
-          [("u", "w", "P")] + [(str(u), str(w), table[(u, w)].format("q"))
-                               for u, w in keys])
+    if args.element is not None:
+        w = _parse_element(args.element, n)
+        # one element is computed by one route; both reports the Bott-Samelson result
+        res = hecke.cprime(w, "recursion" if algorithm == "recursion" else "bott_samelson")
+        table = {(u, w): p for u, p in res.kl_polys.items()}
+        obj = {"w": str(w), "cprime": res.cprime.format()}
+        tail = ["C' = %s" % obj["cprime"]]
+    else:
+        if args.interval is not None:
+            u0, w0 = _element_pair(args.interval, n, "--interval")
+            if not bruhat_leq(u0, w0):
+                raise ComputationError("%s is not below %s in Bruhat order" % (u0, w0))
+        table = hecke.kl_table(n, algorithm)
+        if args.interval is not None:
+            table = {(u, w): p for (u, w), p in table.items()
+                     if bruhat_leq(u0, u) and bruhat_leq(w, w0)}
+        tail = ["AGREE (%d pairs)" % len(table)] if algorithm == "both" else []
+        obj = {"rank": n, "algorithm": algorithm, "pairs": len(table)}
+    items = sorted(table.items(), key=lambda item: (item[0][1].length(), item[0][1].word,
+                                                    item[0][0].length(), item[0][0].word))
+    obj["kl"] = {(str(u) if args.element is not None else "%s,%s" % (u, w)):
+                 {str(e): c for e, c in p.coeffs.items()} for (u, w), p in items}
+    rows = [(str(u), str(w), p.format("q")) for (u, w), p in items]
+    _emit(args, lambda: "\n".join(["P[%s,%s] = %s" % row for row in rows] + tail), obj,
+          [("u", "w", "P")] + rows)
     return 0
 
 

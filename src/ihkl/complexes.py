@@ -133,13 +133,9 @@ class SimplicialComplex:
         return sub
 
     def link(self, x) -> "SimplicialComplex":
-        out = []
-        for s in self._simplices:
-            if x not in s:
-                t = simplex(s + (x,))
-                if t in self._simplices:
-                    out.append(s)
-        return SimplicialComplex(out, closed=True)
+        """x deleted from every simplex that contains it, save (x,) itself."""
+        return SimplicialComplex([tuple(v for v in s if v != x) for s in self._simplices
+                                  if x in s and len(s) > 1], closed=True)
 
     def connected_components(self):
         """Partition of the vertex set by edge connectivity."""
@@ -700,11 +696,9 @@ def complex_to_dict(s: StratifiedComplex) -> dict:
         names[v] = name
         used.add(name)
 
-    def render(sub: SimplicialComplex, dims=None):
+    def render(sub: SimplicialComplex):
         out = []
         for d in range(sub.dim + 1):
-            if dims is not None and d not in dims:
-                continue
             out.extend([names[v] for v in x] for x in sub.of_dim(d))
         return out
 

@@ -5,7 +5,8 @@ s_i swaps i and i+1 (1-based). Length is the inversion count, reduced
 words come from a greedy descent scan, and the Bruhat order is decided
 by the standard lifting steps. The one-line tuples themselves
 (``Permutation.word``) are what the Hecke algebra and the Bruhat cache
-key on; ``_swap`` and ``_inversions`` act on them directly.
+key on; ``_swap``, ``_inversions`` and ``_first_descent`` act on them
+directly, so no walk along a word builds a ``Permutation`` per letter.
 """
 
 from __future__ import annotations
@@ -29,6 +30,12 @@ def _swap(x: tuple, i: int) -> tuple:
 def _inversions(x: tuple) -> int:
     """Inversion count of a one-line tuple, i.e. its length."""
     return sum(itertools.starmap(operator.gt, itertools.combinations(x, 2)))
+
+
+def _first_descent(x: tuple, start: int = 1):
+    """The smallest right descent i >= start of a one-line tuple x (x[i-1] > x[i]),
+    or None. Swapping x at its first descent i leaves none before i - 1."""
+    return next((i for i in range(start, len(x)) if x[i - 1] > x[i]), None)
 
 
 @dataclass(frozen=True)
@@ -84,15 +91,11 @@ class Permutation:
         collected in reverse so the product of the returned word (left
         to right) is w.
         """
-        w = self
-        out = []
-        while True:
-            ds = w.right_descents()
-            if not ds:
-                break
-            i = ds[0]
+        x, out, i = self.word, [], _first_descent(self.word)
+        while i is not None:
             out.append(i)
-            w = w.apply_right(i)
+            x = _swap(x, i)
+            i = _first_descent(x, max(i - 1, 1))
         return tuple(reversed(out))
 
     def __str__(self):
@@ -111,10 +114,12 @@ def simple(i: int, n: int) -> Permutation:
 
 def from_word(letters, n: int) -> Permutation:
     """Product s_{i1} s_{i2} ... applied left to right."""
-    w = identity(n)
+    x = tuple(range(1, n + 1))
     for i in letters:
-        w = w.apply_right(i)
-    return w
+        if not 1 <= i < n:
+            raise ComputationError("simple index %d out of range" % i)
+        x = _swap(x, i)
+    return Permutation(x)
 
 
 def longest_element(n: int) -> Permutation:
@@ -149,7 +154,7 @@ def _bruhat_leq(u, w):
     and the first descent of w s_i is at i - 1 or later (w ascends before i)."""
     lu, lw, i = _inversions(u), _inversions(w), 1
     while lu < lw:  # u == w forces lu == lw, so the loop stops there too
-        i = next(j for j in range(max(i - 1, 1), len(w)) if w[j - 1] > w[j])
+        i = _first_descent(w, max(i - 1, 1))
         if u[i - 1] > u[i]:
             u, lu = _swap(u, i), lu - 1
         w, lw = _swap(w, i), lw - 1

@@ -18,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .coxeter import Permutation, all_elements
+from .coxeter import Permutation, all_elements, identity
 from .errors import ComputationError
 
 # Relative positions one call may compute: [n]_q! (one per flag) to sort the
@@ -118,10 +118,7 @@ def enumerate_flags(n: int, q: int):
 
 
 def standard_flag(n: int, q: int) -> FullFlag:
-    steps = tuple(tuple(tuple(1 if j == k else 0 for j in range(n))
-                        for k in range(i))
-                  for i in range(1, n))
-    return FullFlag(n, q, steps)
+    return permuted_flag(identity(n), q)
 
 
 def permuted_flag(w: Permutation, q: int) -> FullFlag:

@@ -3,22 +3,27 @@
 The T-basis satisfies T_s^2 = (v^2 - 1) T_s + v^2 T_1 and T_u T_w =
 T_{uw} when lengths add. Kazhdan-Lusztig polynomials come from two
 independent routes, cross-checked by ``kl_table``: Bott-Samelson
-extraction multiplies out v^{-l(w)} (T_{s_1} + 1) ... (T_{s_k} + 1) and
-removes the lower canonical terms; the classical recursion (Kazhdan &
-Lusztig 1979, (2.2.c)) computes P_{u,w} with no Hecke product. The
-involution iota is a test oracle. Everything is keyed by one-line tuples
-(``Permutation.word``); a ``Permutation`` appears only at the public
-boundary (``HeckeElement.terms``, ``KLResult``).
+extraction multiplies out v^{-l(w)} (T_{s_1} + 1) ... (T_{s_k} + 1),
+removes the lower canonical terms and reads P_{u,w} off in q; the
+classical recursion (Kazhdan & Lusztig 1979, (2.2.c)) computes P_{u,w}
+with no Hecke product and writes C'_w from it. Each route keeps one memo
+(``_bott_samelson``, ``_kl_polys``) and ends in ``_check_kl`` on its table
+of P_{u,w}; a single element with more than 720 elements below it is
+refused first (``_check_work``). The involution iota is a test oracle.
+Everything is keyed by one-line tuples (``Permutation.word``); a
+``Permutation`` appears only at the public boundary
+(``HeckeElement.terms``, ``KLResult``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from functools import lru_cache, reduce
 from types import MappingProxyType
 
-from .coxeter import (Permutation, _inversions, _swap, all_elements, bruhat_leq,
-                      from_word, identity)
+from .coxeter import (Permutation, _first_descent, _inversions, _swap, all_elements,
+                      bruhat_leq, from_word, identity)
 from .errors import ComputationError, InternalConsistencyError
 
 MAX_KL_TABLE = 6   # kl_table refuses S_n past this rank (98,407 Bruhat pairs at n = 6)
@@ -270,7 +275,7 @@ def t_mul(a: HeckeElement, b: HeckeElement) -> HeckeElement:
 def _iota_t(x: tuple) -> HeckeElement:
     """iota(T_x) for a one-line tuple x: iota(T_{xs}) T_s^{-1} at the first
     right descent s, with T_s^{-1} = v^{-2} T_s + (v^{-2} - 1)."""
-    i = next((i for i in range(1, len(x)) if x[i - 1] > x[i]), None)
+    i = _first_descent(x)
     if i is None:
         return HeckeElement._of(len(x), {x: ONE})
     prev = _iota_t(_swap(x, i))
@@ -293,41 +298,48 @@ def iota(a: HeckeElement) -> HeckeElement:
     return _combine(a.n, ((_iota_t(x), c.bar()) for x, c in a._coeffs.items()))
 
 
-@dataclass
+@dataclass(frozen=True)
 class KLResult:
     """Canonical basis element C'_w with its polynomial data.
 
     kl_polys maps u to P_{u,w} as a polynomial in q; corrections maps u
     to the palindromic multiple p_u removed during Bott-Samelson
-    extraction (that route only).
+    extraction (that route only). Both are read-only views, since the
+    routes' memos keep the result.
     """
 
     w: Permutation
     cprime: HeckeElement
-    kl_polys: dict = field(default_factory=dict)      # Permutation -> LaurentPoly in q
-    corrections: dict = field(default_factory=dict)   # Permutation -> LaurentPoly in v
+    kl_polys: MappingProxyType      # Permutation -> LaurentPoly in q
+    corrections: MappingProxyType   # Permutation -> LaurentPoly in v
 
 
-def _extract_kl(w: Permutation, elem: HeckeElement) -> dict:
-    """Read P_{u,w} off C'_w and verify the defining constraints."""
+def _check_kl(w: Permutation, table: dict) -> MappingProxyType:
+    """One route's P_{u,w}(q), keyed by u's one-line tuple, checked and
+    viewed read-only by Permutation: P_{w,w} = 1 is present, and every other
+    entry is nonzero of degree at most (l(w) - l(u) - 1) / 2."""
+    if table.get(w.word) != 1:
+        raise InternalConsistencyError("P_{w,w} != 1 at w = %s" % w)
     lw = w.length()
-    polys = {}
-    for x, c in elem._coeffs.items():
-        u = Permutation(x)
-        scaled = c.shift(lw)
-        lo = scaled.min_degree()
-        if lo < 0 or any(e % 2 for e in scaled.coeffs):
-            raise InternalConsistencyError(
-                "coefficient of T_%s in C'_%s is %s, not in Z[v^2]" % (u, w, c))
-        p = scaled.to_q()
-        if u == w:
-            if p != 1:
-                raise InternalConsistencyError("P_{w,w} != 1 at w = %s" % w)
-        elif 2 * p.max_degree() > lw - _inversions(x) - 1:
-            raise InternalConsistencyError(
-                "degree bound violated at (%s, %s): %s" % (u, w, p.format("q")))
-        polys[u] = p
-    return polys
+    for x, p in table.items():
+        if x != w.word and (not p or 2 * p.max_degree() > lw - _inversions(x) - 1):
+            raise InternalConsistencyError("degree bound violated at (%s, %s): %s"
+                                           % (Permutation(x), w, p.format("q")))
+    return MappingProxyType({Permutation(x): p for x, p in table.items()})
+
+
+def _check_work(w: Permutation):
+    """Refuse w with more than factorial(MAX_KL_TABLE) = 720 elements in [e, w],
+    the largest interval a kl_table holds. The subword walk (each letter s of a
+    reduced word adds I s to I) stops as soon as the count I passes the limit."""
+    if w.n <= MAX_KL_TABLE:   # all of S_n has at most 720 elements
+        return
+    below, limit = {identity(w.n).word}, math.factorial(MAX_KL_TABLE)
+    for i in w.reduced_word():
+        below |= {_swap(x, i) for x in below}
+        if len(below) > limit:
+            raise ComputationError("the Bruhat interval [e, %s] has more than %d "
+                                   "elements, the limit for one KL element" % (w, limit))
 
 
 def kl_bott_samelson(word, n: int) -> KLResult:
@@ -343,6 +355,7 @@ def kl_bott_samelson(word, n: int) -> KLResult:
     w = from_word(word, n)
     if len(word) != w.length():
         raise ComputationError("word %r is not reduced" % (word,))
+    _check_work(w)
     if word == w.reduced_word():
         return _bott_samelson(w.word)
     return _extract_bott_samelson(w, word)
@@ -373,17 +386,21 @@ def _extract_bott_samelson(w: Permutation, word: tuple) -> KLResult:
             corrections[Permutation(x)] = p_u
             e = e - _bott_samelson(x).cprime.scale(p_u)
 
-    return KLResult(w, e, _extract_kl(w, e), corrections)
+    try:   # P_{u,w}(q) is v^{l(w)} times the coefficient of T_u
+        table = {x: c.shift(len(word)).to_q() for x, c in e._coeffs.items()}
+    except ComputationError as err:
+        raise InternalConsistencyError("C'_%s: %s" % (w, err)) from None
+    return KLResult(w, e, _check_kl(w, table), MappingProxyType(corrections))
 
 
-@lru_cache(maxsize=None)
 def kl_recursion(w: Permutation) -> KLResult:
-    """C'_w read off the polynomials of the descent recursion, verified
-    against the axioms: its T_u coefficient is v^{-l(w)} P_{u,w}(v^2)."""
-    lw = w.length()
+    """C'_w written once from the checked polynomials of the descent
+    recursion: its T_u coefficient is v^{-l(w)} P_{u,w}(v^2)."""
+    _check_work(w)
+    table, lw = _kl_polys(w.word), w.length()
     e = HeckeElement._of(w.n, {y: LaurentPoly({2 * j - lw: c for j, c in p.coeffs.items()})
-                               for y, p in _kl_polys(w.word).items()})
-    return KLResult(w, e, _extract_kl(w, e))
+                               for y, p in table.items()})
+    return KLResult(w, e, _check_kl(w, table), MappingProxyType({}))
 
 
 @lru_cache(maxsize=None)
@@ -397,7 +414,7 @@ def _kl_polys(x: tuple) -> dict:
     mu(z, v) is the coefficient of q^((l(v)-l(z)-1)/2) in P_{z,v}, so it
     is nonzero only when l(w) - l(z) is even.
     """
-    i = next((i for i in range(1, len(x)) if x[i - 1] > x[i]), None)
+    i = _first_descent(x)
     if i is None:
         return {x: ONE}
     pv, lw = _kl_polys(_swap(x, i)), _inversions(x)
@@ -416,7 +433,9 @@ def _kl_polys(x: tuple) -> dict:
 
 
 def cprime(w: Permutation, algorithm: str = "bott_samelson") -> KLResult:
+    """C'_w by one route; [e, w] may hold at most 720 elements (``_check_work``)."""
     if algorithm == "bott_samelson":
+        _check_work(w)
         return _bott_samelson(w.word)
     if algorithm == "recursion":
         return kl_recursion(w)
@@ -430,8 +449,6 @@ def kl_table(n: int, algorithm: str = "both"):
     independently and compared entry by entry; any discrepancy is a hard
     error listing the offending pairs.
     """
-    if algorithm not in ("bott_samelson", "recursion", "both"):
-        raise ComputationError("unknown algorithm %r" % algorithm)
     if n > MAX_KL_TABLE:
         raise ComputationError("KL tables are limited to n <= %d, got n = %d"
                                % (MAX_KL_TABLE, n))

@@ -428,6 +428,24 @@ def test_single_element_requests_stay_cheap_at_high_rank(capsys, argv, want):
     assert out == want
 
 
+W0_RANK100 = "[%s]" % ",".join(str(v) for v in range(100, 0, -1))
+
+
+@pytest.mark.parametrize("argv, w", [
+    (["kl", "--rank", "7", "--element", "7654321"], "7654321"),
+    (["kl", "--rank", "100", "--element", W0_RANK100], W0_RANK100),
+    (["hecke-mul", "--rank", "8", "--left", "T:12345678", "--right", "Cp:87654321"],
+     "87654321"),
+], ids=["kl-rank7", "kl-rank100", "hecke-mul-rank8"])
+def test_single_elements_past_the_interval_bound_are_refused_at_once(capsys, argv, w):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 1 and out == ""
+    assert err == "error: the Bruhat interval [e, %s] has more than 720 elements, " \
+        "the limit for one KL element\n" % w
+
+
 def test_help_still_exits_zero(capsys):
     code, out, _ = run(capsys, "--help")
     assert code == 0

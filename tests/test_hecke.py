@@ -1,6 +1,8 @@
 """Hecke algebra over Z[v, v^-1], canonical basis, KL polynomials."""
 
 import random
+import re
+import time
 from functools import reduce
 
 import pytest
@@ -187,7 +189,7 @@ def test_bott_samelson_other_reduced_word_is_not_memoised():
 
 def test_every_cache_clears_and_recomputes_the_same_table():
     before = kl_table(4, algorithm="both")
-    caches = (hecke._bott_samelson, hecke.kl_recursion, hecke._kl_polys,
+    caches = (hecke._bott_samelson, hecke._kl_polys,
               hecke._iota_t, complexes.vkey, coxeter.all_elements, coxeter._bruhat_leq,
               flagfq.enumerate_flags, flagfq._cells,
               flagfq._structure_constants)
@@ -270,3 +272,60 @@ def test_hecke_element_formatting():
     e = T(s1).scale(LaurentPoly({2: 1, 0: -1})) + HeckeElement.unit(3)
     text = e.format()
     assert "T:213" in text and "T:123" in text
+
+
+def test_kl_results_are_read_only_so_the_memo_stays_right():
+    w = Permutation((3, 4, 1, 2))
+    res = cprime(w)
+    for view in (res.kl_polys, res.corrections, cprime(w, "recursion").kl_polys):
+        with pytest.raises(AttributeError):
+            view.clear()
+        with pytest.raises(TypeError):
+            view[w] = LaurentPoly({0: 2})
+    assert ic_stalk_dims(identity(4), w) == {-2: 1, -4: 1}
+
+
+def test_check_kl_wants_p_w_w_and_the_degree_bound():
+    w = Permutation((3, 4, 1, 2))
+    good = {u.word: p for u, p in cprime(w).kl_polys.items()}
+    assert dict(hecke._check_kl(w, good)) == dict(cprime(w).kl_polys)
+    e = identity(4).word
+    for bad, why in [({x: p for x, p in good.items() if x != w.word}, "P_{w,w}"),
+                     ({**good, w.word: LaurentPoly({0: 2})}, "P_{w,w}"),
+                     ({**good, e: LaurentPoly({0: 1, 2: 1})}, "degree bound"),
+                     ({**good, e: LaurentPoly()}, "degree bound")]:
+        with pytest.raises(InternalConsistencyError, match=re.escape(why)):
+            hecke._check_kl(w, bad)
+
+
+def test_a_recursion_that_drops_e_v_s_fails_at_run_time(monkeypatch):
+    """The planted fault builds [e, w] as [e, v] alone, leaving out [e, v]s,
+    and so loses P_{w,w}; the route's check refuses it."""
+    real = hecke._kl_polys
+
+    def dropped(x):
+        i = coxeter._first_descent(x)
+        return real(x) if i is None else {
+            y: p for y, p in real(x).items() if y in dropped(coxeter._swap(x, i))}
+
+    real.cache_clear()
+    monkeypatch.setattr(hecke, "_kl_polys", dropped)
+    try:
+        with pytest.raises(InternalConsistencyError, match=re.escape("P_{w,w} != 1")):
+            kl_recursion(Permutation((3, 4, 1, 2)))
+    finally:
+        real.cache_clear()
+
+
+def test_single_element_work_is_bounded_by_the_largest_table_interval():
+    """[e, w] may hold 6! = 720 elements, as w0 of S_6 does, and no more."""
+    start = time.perf_counter()
+    hecke._check_work(Permutation((6, 5, 4, 3, 2, 1, 7)))
+    for w in (Permutation((6, 5, 4, 3, 2, 7, 1)), longest_element(7),
+              longest_element(100)):
+        for call in (lambda: cprime(w), lambda: cprime(w, "recursion"),
+                     lambda: kl_recursion(w), lambda: ic_stalk_dims(identity(w.n), w),
+                     lambda: kl_bott_samelson(w.reduced_word(), w.n)):
+            with pytest.raises(ComputationError, match="more than 720 elements"):
+                call()
+    assert time.perf_counter() - start < 1
