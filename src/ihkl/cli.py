@@ -53,29 +53,26 @@ def _element_pair(text, n, flag):
     return tuple(_parse_element(t, n) for t in parts)
 
 
-def _emit(args, text_fn, json_obj, csv_rows=None):
+def _emit(args, text, obj, rows=None):
+    """Print the output --format asks for. Each of text, obj (JSON) and rows
+    (CSV) is a function that builds its output, so only one is built."""
     if args.format == "json":
-        print(json.dumps(json_obj, indent=1, sort_keys=True))
+        print(json.dumps(obj(), indent=1, sort_keys=True))
     elif args.format == "csv":
-        csv.writer(sys.stdout).writerows(csv_rows)
+        csv.writer(sys.stdout).writerows(rows())
     else:
-        print(text_fn())
-
-
-def _dims_line(dims, n):
-    return " ".join("%d:%d" % (i, dims.get(i, 0)) for i in range(n + 1))
+        print(text())
 
 
 def run_ih(args):
     s = _load(args)
     supports = "borel_moore" if args.supports == "bm" else args.supports
     dims = ih.ih_dims(s, _perversity_for(s, args.perversity), supports)
-    rows = [("degree", "dim")] + [(i, dims.get(i, 0)) for i in range(s.dimension + 1)]
     _emit(args,
-          lambda: _dims_line(dims, s.dimension),
-          {"supports": supports, "perversity": args.perversity,
-           "dims": {str(i): dims.get(i, 0) for i in range(s.dimension + 1)}},
-          rows)
+          lambda: " ".join("%d:%d" % (i, dims.get(i, 0)) for i in range(s.dimension + 1)),
+          lambda: {"supports": supports, "perversity": args.perversity,
+                   "dims": {str(i): dims.get(i, 0) for i in range(s.dimension + 1)}},
+          lambda: [("degree", "dim")] + [(i, dims.get(i, 0)) for i in range(s.dimension + 1)])
     return 0
 
 
@@ -89,9 +86,9 @@ def run_stalks(args):
     table = ih.local_stalk_table(s, named[0], p)
     _emit(args,
           lambda: " ".join("%d:%d" % (d, table[d]) for d in sorted(table)) or "(zero)",
-          {"vertex": args.vertex, "perversity": args.perversity,
-           "stalks": {str(d): c for d, c in sorted(table.items())}},
-          [("degree", "dim")] + [(d, table[d]) for d in sorted(table)])
+          lambda: {"vertex": args.vertex, "perversity": args.perversity,
+                   "stalks": {str(d): c for d, c in sorted(table.items())}},
+          lambda: [("degree", "dim")] + [(d, table[d]) for d in sorted(table)])
     return 0
 
 
@@ -100,7 +97,7 @@ def run_duality(args):
     p = _perversity_for(s, args.p)
     q = _perversity_for(s, args.q)
     rep = ih.duality_report(s, p, q)
-    _emit(args, rep.render_text, rep.to_json())
+    _emit(args, rep.render_text, rep.to_json)
     return 0 if rep.passed else 1
 
 
@@ -115,7 +112,7 @@ def run_normalize(args):
 def run_validate(args):
     s = _load(args)
     rep = validate(s)
-    _emit(args, rep.render_text, rep.to_json())
+    _emit(args, rep.render_text, rep.to_json)
     return 0 if rep.ok else 1
 
 
@@ -128,8 +125,10 @@ def run_kl(args):
         # one element is computed by one route; both reports the Bott-Samelson result
         res = hecke.cprime(w, "recursion" if algorithm == "recursion" else "bott_samelson")
         table = {(u, w): p for u, p in res.kl_polys.items()}
-        obj = {"w": str(w), "cprime": res.cprime.format()}
-        tail = ["C' = %s" % obj["cprime"]]
+
+        def head():
+            return {"w": str(w), "cprime": res.cprime.format()}
+        tail = ["C' = %(cprime)s"]
     else:
         if args.interval is not None:
             u0, w0 = _element_pair(args.interval, n, "--interval")
@@ -139,15 +138,22 @@ def run_kl(args):
         if args.interval is not None:
             table = {(u, w): p for (u, w), p in table.items()
                      if bruhat_leq(u0, u) and bruhat_leq(w, w0)}
-        tail = ["AGREE (%d pairs)" % len(table)] if algorithm == "both" else []
-        obj = {"rank": n, "algorithm": algorithm, "pairs": len(table)}
+
+        def head():
+            return {"rank": n, "algorithm": algorithm, "pairs": len(table)}
+        tail = ["AGREE (%(pairs)d pairs)"] if algorithm == "both" else []
     items = sorted(table.items(), key=lambda item: (item[0][1].length(), item[0][1].word,
                                                     item[0][0].length(), item[0][0].word))
-    obj["kl"] = {(str(u) if args.element is not None else "%s,%s" % (u, w)):
-                 {str(e): c for e, c in p.coeffs.items()} for (u, w), p in items}
-    rows = [(str(u), str(w), p.format("q")) for (u, w), p in items]
-    _emit(args, lambda: "\n".join(["P[%s,%s] = %s" % row for row in rows] + tail), obj,
-          [("u", "w", "P")] + rows)
+
+    def rows():
+        return [(str(u), str(w), p.format("q")) for (u, w), p in items]
+
+    _emit(args, lambda: "\n".join(["P[%s,%s] = %s" % row for row in rows()]
+                                  + [line % head() for line in tail]),
+          lambda: {**head(), "kl": {(str(u) if args.element is not None else "%s,%s" % (u, w)):
+                                    {str(e): c for e, c in p.coeffs.items()}
+                                    for (u, w), p in items}},
+          lambda: [("u", "w", "P")] + rows())
     return 0
 
 
@@ -156,7 +162,7 @@ def run_flagcheck(args):
     if not flagfq.is_prime(args.q):
         raise UsageError("%d is not prime" % args.q)
     rep = flagfq.verify_hecke_specialization(args.n, args.q)
-    _emit(args, rep.render_text, rep.to_json())
+    _emit(args, rep.render_text, rep.to_json)
     return 0 if rep.passed else 1
 
 
@@ -164,7 +170,7 @@ def run_bruhat(args):
     u, w = _element_pair(args.leq, args.rank, "--leq")
     ans = bruhat_leq(u, w)
     _emit(args, lambda: "true" if ans else "false",
-          {"u": str(u), "w": str(w), "leq": ans})
+          lambda: {"u": str(u), "w": str(w), "leq": ans})
     return 0
 
 
@@ -193,9 +199,9 @@ def run_hecke_mul(args):
     b = _parse_hecke_expr(args.right, args.rank)
     prod = hecke.t_mul(a, b)
     _emit(args, prod.format,
-          {"left": args.left, "right": args.right,
-           "product": {str(w): {str(e): c for e, c in p.coeffs.items()}
-                       for w, p in prod.terms.items()}})
+          lambda: {"left": args.left, "right": args.right,
+                   "product": {str(w): {str(e): c for e, c in p.coeffs.items()}
+                               for w, p in prod.terms.items()}})
     return 0
 
 

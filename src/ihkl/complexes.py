@@ -8,7 +8,9 @@ live on the part of K disjoint from L.
 
 Simplices are tuples of vertex identifiers, strictly sorted under a fixed
 total order; the alternating-sign boundary of the sorted tuple is the
-orientation convention. All coefficients are exact rationals.
+orientation convention. All coefficients are exact rationals. An order
+complex (a subdivision) has int vertex ids, the ranks of its barycenters,
+named back through a label table only where it is handed out.
 """
 
 from __future__ import annotations
@@ -68,10 +70,13 @@ class SimplicialComplex:
         by_dim = {}
         for s in simps:
             by_dim.setdefault(len(s) - 1, []).append(s)
-        # the vertices sorted by vkey once; rank tuples compare as the vkey tuples do
-        rank = {v: r for r, v in enumerate(sorted(set().union(*simps), key=vkey))}
-        self._by_dim = {d: sorted(v, key=lambda s: tuple(map(rank.__getitem__, s)))
-                        for d, v in by_dim.items()}
+        # the vertices sorted by vkey once; rank tuples compare as the vkey tuples
+        # do, and so do tuples of ints, which are their own ranks
+        vs = set().union(*simps)
+        rank = None if all(type(v) is int for v in vs) else {
+            v: r for r, v in enumerate(sorted(vs, key=vkey))}
+        key = None if rank is None else lambda s: tuple(map(rank.__getitem__, s))
+        self._by_dim = {d: sorted(v, key=key) for d, v in by_dim.items()}
 
     @classmethod
     def empty(cls):
@@ -338,23 +343,25 @@ def interior_order_complex(s: StratifiedComplex) -> StratifiedComplex:
     empty. This is the standard deformation retract of |K| - |L| and
     needs no fullness hypothesis on L.
     """
-    return _order_complex(s, [x for x in s.ambient.simplices if x not in s.ends])
+    return _labelled(*_order_complex(s, s.ambient.simplices - s.ends.simplices))
 
 
-def _order_complex(s: StratifiedComplex, simplices) -> StratifiedComplex:
-    """The complex of chains of proper face inclusions among ``simplices``.
-
-    Its vertices are the given simplices of K (their barycenters). The
-    ends and each F(k) carry over as the chains whose members all lie in
-    them, which for a subcomplex means the chains whose largest member does.
+def _order_complex(s: StratifiedComplex, simplices):
+    """The complex of chains of proper face inclusions among ``simplices``,
+    int-labelled, and its label table: vertex r is the barycenter of
+    labels[r], the simplex of K of rank r in vkey order. The rank keeps the
+    order, so every chain basis and boundary matrix is the labelled one. The
+    ends and each F(k) carry over as the chains whose members all lie in them,
+    which for a subcomplex means the chains whose largest member does.
     """
-    members = set(simplices)
-    rank = {x: r for r, x in enumerate(sorted(members, key=vkey))}
-    chains = {}  # largest member -> the chains ending there, as simplices
-    for x in sorted(members, key=len):  # faces before cofaces
-        chains[x] = [(x,)] + [tuple(sorted(ch + (x,), key=rank.__getitem__))
+    labels = sorted(simplices, key=vkey)
+    rank = {x: r for r, x in enumerate(labels)}
+    chains = {}  # largest member -> the chains ending there, on ranks
+    for x in sorted(labels, key=len):  # faces before cofaces
+        r = rank[x]
+        chains[x] = [(r,)] + [tuple(sorted(ch + (r,)))
                               for m in range(1, len(x))
-                              for f in itertools.combinations(x, m) if f in members
+                              for f in itertools.combinations(x, m) if f in rank
                               for ch in chains[f]]
     amb = SimplicialComplex(itertools.chain.from_iterable(chains.values()), closed=True)
 
@@ -363,7 +370,27 @@ def _order_complex(s: StratifiedComplex, simplices) -> StratifiedComplex:
 
     return StratifiedComplex(
         amb, s.dimension, ends=carried(s.ends),
-        filtration={k: carried(s.F(k)) for k in range(2, s.dimension + 1)})
+        filtration={k: carried(s.F(k)) for k in range(2, s.dimension + 1)}), labels
+
+
+def _labelled(m: StratifiedComplex, labels) -> StratifiedComplex:
+    """m with vertex r named labels[r], keeping m as its twin for ``_prepare``
+    (m itself if labels is None). Each dimension keeps m's order, as labels are
+    in vkey order, and the subcomplexes share the ambient's tuples."""
+    if labels is None:
+        return m
+    named = {x: tuple(map(labels.__getitem__, x)) for x in m.ambient.simplices}
+
+    def renamed(sub):
+        out = object.__new__(SimplicialComplex)
+        out._by_dim = {d: [named[x] for x in xs] for d, xs in sub._by_dim.items()}
+        out._simplices = frozenset(itertools.chain.from_iterable(out._by_dim.values()))
+        return out
+
+    out = StratifiedComplex(renamed(m.ambient), m.dimension, ends=renamed(m.ends),
+                            filtration={k: renamed(m.F(k)) for k in m.filtration})
+    out._memo["twin"] = (m, labels)
+    return out
 
 
 def compact_model(s: StratifiedComplex) -> StratifiedComplex:
@@ -377,15 +404,20 @@ def compact_model(s: StratifiedComplex) -> StratifiedComplex:
     vertices are the simplices off the ends), for which the conditions
     always hold.
     """
+    return _labelled(*_compact_model(s))
+
+
+def _compact_model(s: StratifiedComplex):
+    """``compact_model``, int-labelled if an order complex, and its label table."""
     if len(s.ends) == 0:
-        return s
+        return s, None
     if s.ends.is_full_in(s.ambient) and _interior_retract_ok(s):
         inner = s.interior()
         return StratifiedComplex(
             inner, s.dimension,
             filtration={k: s.F(k).restrict_to(inner.simplices)
-                        for k in range(2, s.dimension + 1)})
-    return interior_order_complex(s)
+                        for k in range(2, s.dimension + 1)}), None
+    return _order_complex(s, s.ambient.simplices - s.ends.simplices)
 
 
 def _interior_retract_ok(s: StratifiedComplex) -> bool:
@@ -412,22 +444,41 @@ def _prepare(s: StratifiedComplex, p: Perversity | None, supports: str):
     when no perversity reads it, takes ``compact_model`` in compact
     supports, and subdivides once when p reads strata that are not full.
 
+    All of it runs on the int-labelled twin that ``_labelled`` keeps, when s
+    has one, and every order complex made here is int-labelled.
     s keeps the model for each (supports, p is None), which those two
-    decide. The gate, the fitted p and the allowability test are made per
+    decide, with the table naming its vertices in the ids of s (None: they
+    are). The gate, the fitted p and the allowability test are made per
     call: a kept gate would put its cost on whichever query comes first.
     """
     if supports not in SUPPORTS:
         raise UsageError("unknown supports mode %r" % (supports,))
-    require_structure(s)
+    base, names = s._memo.get("twin", (s, None))
+    require_structure(base)
     p = _fit_perversity(p, s.dimension)
     key = (supports, p is None)
     if key not in s._memo:
-        m = StratifiedComplex(s.ambient, s.dimension, ends=s.ends) if p is None else s
+        m, labels = (base if p is not None else
+                     StratifiedComplex(base.ambient, base.dimension, ends=base.ends)), None
         if supports == "compact":
-            m = compact_model(m)
+            m, labels = _compact_model(m)
         if p is not None and not m.strata_full():
-            m = barycentric_subdivide(m)
-        s._memo[key] = None if m is s else m  # s itself: no reference cycle
+            m, labels = _order_complex(m, m.ambient.simplices)
+        if labels is not None and names is not None:  # twin simplices in the ids of s
+            labels = [tuple(map(names.__getitem__, x)) for x in labels]
+        s._memo[key] = None if m is s else (m, names if labels is None else labels)
+    model = (s._memo[key] or (s,))[0]
+    return model, p, _allowability(model, p)
+
+
+def _oracle_model(s: StratifiedComplex, p: Perversity | None, supports: str):
+    """``_prepare``'s model named in the ids of s (kept once made; the twin is
+    s itself), its fitted p and its own allowability test, for the oracles."""
+    p = _prepare(s, p, supports)[1]
+    key = ("labelled", supports, p is None)
+    if key not in s._memo:
+        m, names = s._memo[key[1:]] or (s, None)
+        s._memo[key] = None if m is s._memo.get("twin", (s,))[0] else _labelled(m, names)
     model = s._memo[key] or s
     return model, p, _allowability(model, p)
 
@@ -450,7 +501,7 @@ def barycentric_subdivide(s: StratifiedComplex) -> StratifiedComplex:
     new vertex set is the old simplex set. After one application every
     filtration subcomplex and the ends are full subcomplexes.
     """
-    return _order_complex(s, s.ambient.simplices)
+    return _labelled(*_order_complex(s, s.ambient.simplices))
 
 
 def cone(base: StratifiedComplex) -> StratifiedComplex:
@@ -526,13 +577,9 @@ class ValidationReport:
         return all(p for p, _ in self.checks.values())
 
     def render_text(self):
-        lines = []
-        for name, (passed, msg) in self.checks.items():
-            line = "%-16s %s" % (name, "pass" if passed else "FAIL")
-            if msg:
-                line += "  (%s)" % msg
-            lines.append(line)
-        return "\n".join(lines)
+        return "\n".join("%-16s %s%s" % (name, "pass" if passed else "FAIL",
+                                        "  (%s)" % msg if msg else "")
+                         for name, (passed, msg) in self.checks.items())
 
     def to_json(self):
         return {name: {"passed": p, "detail": m}

@@ -92,15 +92,11 @@ class FullFlag:
     steps: tuple  # steps[i] = echelon basis of V_{i+1}, dims 1..n-1
 
 
-def _all_vectors(n, q):
-    return [v for v in itertools.product(range(q), repeat=n) if any(v)]
-
-
 @lru_cache(maxsize=None)
 def enumerate_flags(n: int, q: int):
     """All full flags in F_q^n, canonically deduplicated."""
     _check_bounds(n, q)
-    vectors = _all_vectors(n, q)
+    vectors = [v for v in itertools.product(range(q), repeat=n) if any(v)]
     partial = [()]
     for dim in range(1, n):
         nxt = set()
@@ -246,11 +242,8 @@ class SpecializationReport:
     def render_text(self):
         head = "hecke vs F_q convolution (n=%d, q=%d): %d/%d pairs match" % (
             self.n, self.q, self.checked - len(self.mismatches), self.checked)
-        lines = [head]
-        for u, w, hv, cv in self.mismatches:
-            lines.append("  MISMATCH T_%s * T_%s: hecke %s, convolution %s"
-                         % (u, w, hv, cv))
-        return "\n".join(lines)
+        return "\n".join([head] + ["  MISMATCH T_%s * T_%s: hecke %s, convolution %s" % m
+                                    for m in self.mismatches])
 
     def to_json(self):
         return {

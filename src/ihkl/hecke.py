@@ -8,8 +8,9 @@ removes the lower canonical terms and reads P_{u,w} off in q; the
 classical recursion (Kazhdan & Lusztig 1979, (2.2.c)) computes P_{u,w}
 with no Hecke product and writes C'_w from it. Each route keeps one memo
 (``_bott_samelson``, ``_kl_polys``) and ends in ``_check_kl`` on its table
-of P_{u,w}; a single element with more than 720 elements below it is
-refused first (``_check_work``). The involution iota is a test oracle.
+of P_{u,w}; a single element with more than 720 elements below it, and a
+product whose subword walk passes 720 elements, are refused first
+(``_check_work``). The involution iota is a test oracle.
 Everything is keyed by one-line tuples (``Permutation.word``); a
 ``Permutation`` appears only at the public boundary
 (``HeckeElement.terms``, ``KLResult``).
@@ -54,12 +55,8 @@ class LaurentPoly:
             other = LaurentPoly({0: other})
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
-            v = out.get(e, 0) + c
-            if v:
-                out[e] = v
-            else:
-                del out[e]
-        return LaurentPoly(out)
+            out[e] = out.get(e, 0) + c
+        return LaurentPoly(out)  # which drops the zeros
 
     def __neg__(self):
         return LaurentPoly({e: -c for e, c in self.coeffs.items()})
@@ -73,12 +70,7 @@ class LaurentPoly:
         out = {}
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
-                e = e1 + e2
-                v = out.get(e, 0) + c1 * c2
-                if v:
-                    out[e] = v
-                else:
-                    del out[e]
+                out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
         return LaurentPoly(out)
 
     __rmul__ = __mul__
@@ -264,9 +256,13 @@ def _mul_right_simple(a: HeckeElement, i: int) -> HeckeElement:
 
 
 def t_mul(a: HeckeElement, b: HeckeElement) -> HeckeElement:
-    """The algebra product, expanding b along reduced words."""
+    """The algebra product, expanding b along reduced words. The walk of each
+    term of b from the support of a, which holds every partial product's
+    support, is bounded first (``_check_work``)."""
     if a.n != b.n:
         raise ComputationError("rank mismatch")
+    for x in b._coeffs:
+        _check_work(Permutation(x), a._coeffs)
     return _combine(a.n, ((reduce(_mul_right_simple, Permutation(x).reduced_word(), a), c)
                           for x, c in b._coeffs.items()))
 
@@ -316,30 +312,34 @@ class KLResult:
 
 def _check_kl(w: Permutation, table: dict) -> MappingProxyType:
     """One route's P_{u,w}(q), keyed by u's one-line tuple, checked and
-    viewed read-only by Permutation: P_{w,w} = 1 is present, and every other
-    entry is nonzero of degree at most (l(w) - l(u) - 1) / 2."""
-    if table.get(w.word) != 1:
-        raise InternalConsistencyError("P_{w,w} != 1 at w = %s" % w)
+    viewed read-only by Permutation: P_{w,w} = 1 and P_{e,w} are present, and
+    every other entry has constant term 1 and degree at most (l(w) - l(u) - 1) / 2."""
+    if table.get(w.word) != 1 or tuple(range(1, w.n + 1)) not in table:
+        raise InternalConsistencyError("P_{w,w} != 1 or no P_{e,w} at w = %s" % w)
     lw = w.length()
     for x, p in table.items():
-        if x != w.word and (not p or 2 * p.max_degree() > lw - _inversions(x) - 1):
-            raise InternalConsistencyError("degree bound violated at (%s, %s): %s"
+        if x != w.word and (p.coefficient(0) != 1 or 2 * p.max_degree() > lw - _inversions(x) - 1):
+            raise InternalConsistencyError("P(0) != 1 or degree bound violated at (%s, %s): %s"
                                            % (Permutation(x), w, p.format("q")))
     return MappingProxyType({Permutation(x): p for x, p in table.items()})
 
 
-def _check_work(w: Permutation):
-    """Refuse w with more than factorial(MAX_KL_TABLE) = 720 elements in [e, w],
-    the largest interval a kl_table holds. The subword walk (each letter s of a
-    reduced word adds I s to I) stops as soon as the count I passes the limit."""
+def _check_work(w: Permutation, start=None):
+    """Refuse a subword walk along w's reduced word (each letter s adds I s to I)
+    that passes factorial(MAX_KL_TABLE) = 720 elements, the largest interval a
+    kl_table holds; the walk stops as soon as it does. From I = {e} it ends at
+    [e, w]; from the support of a, it bounds the work of a T_w in ``t_mul``."""
     if w.n <= MAX_KL_TABLE:   # all of S_n has at most 720 elements
         return
-    below, limit = {identity(w.n).word}, math.factorial(MAX_KL_TABLE)
+    below = {identity(w.n).word} if start is None else set(start)
+    limit = math.factorial(MAX_KL_TABLE)
     for i in w.reduced_word():
         below |= {_swap(x, i) for x in below}
         if len(below) > limit:
-            raise ComputationError("the Bruhat interval [e, %s] has more than %d "
-                                   "elements, the limit for one KL element" % (w, limit))
+            raise ComputationError(("the Bruhat interval [e, %s] has more than %d elements, "
+                                    "the limit for one KL element" if start is None else
+                                    "a product by T_%s reaches more than %d elements, "
+                                    "the limit for one Hecke product") % (w, limit))
 
 
 def kl_bott_samelson(word, n: int) -> KLResult:

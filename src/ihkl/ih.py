@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .complexes import (Chain, SimplicialComplex, StratifiedComplex, _fit_perversity,
-                        _prepare, boundary_columns, chain_basis, chain_dims, cone,
+                        _oracle_model, _prepare, boundary_columns, chain_basis, chain_dims, cone,
                         faces_with_signs, homology_dims, simplex, suspend, vkey)
 from .errors import ComputationError, InternalConsistencyError
 from .linalg import RationalMatrix, rank_kernel
@@ -45,7 +45,7 @@ def allowable_simplices(s: StratifiedComplex, p: Perversity | None, i: int,
     compact supports use ``compact_model``, and one barycentric
     subdivision is applied when the filtration subcomplexes are not full.
     """
-    s, _, allowed = _prepare(s, p, supports)
+    s, _, allowed = _oracle_model(s, p, supports)
     return [x for x in chain_basis(s, i) if allowed is None or allowed(x, i)]
 
 
@@ -88,7 +88,7 @@ def allowable_complex(s: StratifiedComplex, p: Perversity | None,
     The tests check ``dims()`` against the rank shortcut; with ``p=None``
     every chain is allowable and it is the oracle for ``homology_dims``.
     """
-    s, p, allowed = _prepare(s, p, supports)
+    s, p, allowed = _oracle_model(s, p, supports)
     n = s.dimension
     out = AllowableComplex(s, p, supports)
     prev_basis, prev_inside, prev_free, prev_cols = [], set(), [], []
@@ -142,15 +142,9 @@ def _combine(pairs) -> dict:
 
 
 def _product_is_zero(a: RationalMatrix, b: RationalMatrix) -> bool:
+    """Row by row: row i of ab is the sum of a_ik times row k of b."""
     brows = b.row_dicts()
-    for arow in a.row_dicts():
-        out = {}
-        for k, v in arow.items():
-            for j, w in brows[k].items():
-                out[j] = out.get(j, 0) + v * w
-        if any(out.values()):
-            return False
-    return True
+    return not any(_combine((brows[k], v) for k, v in arow.items()) for arow in a.row_dicts())
 
 
 # ---------------------------------------------------------------------------
@@ -171,11 +165,9 @@ class ComparisonReport:
 
     def render_text(self):
         lines = ["%s: %s" % (self.title, "PASS" if self.passed else "FAIL")]
-        for label, l, r in self.rows:
-            mark = "ok" if l == r else "MISMATCH"
-            lines.append("  %-24s %-8s %s vs %s" % (label, mark, l, r))
-        lines.extend("  note: %s" % m for m in self.notes)
-        return "\n".join(lines)
+        lines += ["  %-24s %-8s %s vs %s" % (label, "ok" if l == r else "MISMATCH", l, r)
+                  for label, l, r in self.rows]
+        return "\n".join(lines + ["  note: %s" % m for m in self.notes])
 
     def to_json(self):
         return {
@@ -244,7 +236,7 @@ def local_stalk_table(s: StratifiedComplex, x, p: Perversity) -> dict:
         raise ComputationError("%r is not a vertex of the complex" % (x,))
     if (x,) in s.ends:
         raise ComputationError("%r lies in the ends; it has no stalk in X" % (x,))
-    model, p, _ = _prepare(s, p, "borel_moore")
+    model, p, _ = _oracle_model(s, p, "borel_moore")
     if p is None and n >= 2:
         raise ComputationError("a perversity is required in dimension >= 2")
     if model.ambient is not s.ambient:  # subdivided: x is now the barycenter (x,)
@@ -257,8 +249,7 @@ def local_stalk_table(s: StratifiedComplex, x, p: Perversity) -> dict:
     link_ih = ih_dims(linkst, p)
     k = next((j for j in range(n, 1, -1) if (x,) in s.F(j)), None)
     jmax = 0 if k is None else p(k)  # a smooth point: the link's top IH only
-    table = {-n + j: link_ih.get(n - 1 - j, 0) for j in range(jmax + 1)}
-    return {deg: d for deg, d in table.items() if d}
+    return {-n + j: link_ih[n - 1 - j] for j in range(jmax + 1) if link_ih.get(n - 1 - j)}
 
 
 def normalize_isolated(s: StratifiedComplex) -> StratifiedComplex:

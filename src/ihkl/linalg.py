@@ -102,20 +102,10 @@ def rank_kernel(m: RationalMatrix):
     return rank, kernel
 
 
-def _axpy(target: dict, source: dict, factor: Fraction):
-    """target += factor * source, in place, dropping zeros."""
+def _axpy(target: dict, source: dict, factor):
+    """target += factor * source, in place, dropping zeros; factor != 0."""
     for c, v in source.items():
-        nv = target.get(c, Fraction(0)) + factor * v
-        if nv:
-            target[c] = nv
-        else:
-            target.pop(c, None)
-
-
-def _subtract(target: dict, source: dict, factor: int):
-    """target -= factor * source, in place, dropping zeros (integer columns)."""
-    for c, v in source.items():
-        nv = target.get(c, 0) - factor * v
+        nv = target.get(c, 0) + factor * v
         if nv:
             target[c] = nv
         else:
@@ -152,11 +142,11 @@ def column_pivots(columns) -> list:
                 break
             a, b = other[r], d[r]
             if b % a == 0:
-                _subtract(d, other, b // a)
+                _axpy(d, other, -(b // a))
             else:
                 g = gcd(a, b)
                 d = {c: a // g * v for c, v in d.items()}
-                _subtract(d, other, b // g)
+                _axpy(d, other, -(b // g))
                 g = gcd(*d.values())
                 if g > 1:
                     d = {c: v // g for c, v in d.items()}

@@ -11,7 +11,9 @@ from dataclasses import dataclass
 
 from .errors import ComputationError
 
-STANDARD_KINDS = ("zero", "lower_middle", "upper_middle", "top")
+_STANDARD = {"zero": lambda k: 0, "lower_middle": lambda k: (k - 2) // 2,
+             "upper_middle": lambda k: (k - 1) // 2, "top": lambda k: k - 2}  # k -> p(k)
+STANDARD_KINDS = tuple(_STANDARD)
 
 
 class PerversityError(ComputationError):
@@ -73,18 +75,9 @@ def make_standard(kind: str, n: int) -> Perversity:
     """One of the named perversity families in dimension n."""
     if n < 2:
         raise PerversityError("invalid dimension %d: need n >= 2" % n)
-    ks = range(2, n + 1)
-    if kind == "zero":
-        vals = tuple(0 for _ in ks)
-    elif kind == "lower_middle":
-        vals = tuple((k - 2) // 2 for k in ks)
-    elif kind == "upper_middle":
-        vals = tuple((k - 1) // 2 for k in ks)
-    elif kind == "top":
-        vals = tuple(k - 2 for k in ks)
-    else:
+    if kind not in _STANDARD:
         raise PerversityError("unknown standard perversity %r" % kind)
-    return Perversity(vals)
+    return Perversity(tuple(map(_STANDARD[kind], range(2, n + 1))))
 
 
 def custom(values) -> Perversity:

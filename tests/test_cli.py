@@ -446,6 +446,17 @@ def test_single_elements_past_the_interval_bound_are_refused_at_once(capsys, arg
         "the limit for one KL element\n" % w
 
 
+@pytest.mark.parametrize("n", [10, 100])
+def test_a_product_of_two_long_t_terms_is_refused_at_once(capsys, n):
+    w0 = "T:[%s]" % ",".join(str(v) for v in range(n, 0, -1))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "hecke-mul", "--rank", str(n), "--left", w0, "--right", w0)
+    assert time.perf_counter() - start < 1
+    assert code == 1 and out == ""
+    assert err == "error: a product by T_%s reaches more than 720 elements, " \
+        "the limit for one Hecke product\n" % w0[2:]
+
+
 def test_help_still_exits_zero(capsys):
     code, out, _ = run(capsys, "--help")
     assert code == 0

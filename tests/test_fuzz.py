@@ -7,8 +7,11 @@ The files are small JSON values and complex documents (no list longer
 than 6 items, so no example builds a large complex), bundled and drawn
 documents with one key dropped or replaced or an unknown vertex added,
 and raw bytes. The argument vectors take ranks that are refused or at
-most 4 (flagcheck: at most 3), so every one that runs is a cheap call.
-The draws are pinned with ``@seed`` (see conftest.py).
+most 4 (flagcheck: at most 3), so every one that runs is a cheap call,
+save ``hecke-mul``, which also draws ranks 5 to ``MAX_RANK`` with terms on
+random elements of that rank and on its longest element: the work bound
+in ``hecke`` refuses the long ones at once. The draws are pinned with
+``@seed`` (see conftest.py).
 """
 
 import contextlib
@@ -22,7 +25,7 @@ from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from ihkl import builders
-from ihkl.cli import main
+from ihkl.cli import MAX_RANK, main
 
 KEYS = ("dimension", "vertices", "simplices", "ends", "filtration")
 VERTICES = (0, 1, 2, "a", "b", "c")
@@ -108,6 +111,17 @@ PAIRS = st.builds("{},{}".format, ELEMENTS, ELEMENTS) | ELEMENTS
 KINDS = st.sampled_from(("T", "Cp")) | st.sampled_from(("X", ""))
 TERMS = st.builds("{}:{}".format, KINDS, ELEMENTS)
 HECKE = TERMS | st.lists(TERMS, max_size=3).map("+".join)
+
+
+def ranked_hecke(n):
+    """Terms on random elements of S_n and on its longest element, and the
+    fixed and malformed expressions."""
+    words = st.permutations(range(1, n + 1)) | st.just(range(n, 0, -1))
+    terms = st.builds("{}:[{}]".format, st.sampled_from(("T", "Cp")),
+                      words.map(lambda w: ",".join(map(str, w))))
+    return terms | st.lists(terms, min_size=2, max_size=3).map("+".join) | HECKE
+
+
 KL_OPTIONS = st.sampled_from(([], ["--algorithm", "bs"], ["--algorithm", "recursion"])) | st.builds(
     lambda flag, text: [flag, text], st.sampled_from(("--element", "--interval")), PAIRS)
 ARGVS = st.one_of(
@@ -115,6 +129,9 @@ ARGVS = st.one_of(
     st.builds(lambda n, pair: ["bruhat", "--rank", n, "--leq", pair], RANKS, PAIRS),
     st.builds(lambda n, left, right: ["hecke-mul", "--rank", n, "--left", left, "--right", right],
               RANKS, HECKE, HECKE),
+    st.integers(5, MAX_RANK).flatmap(lambda n: st.builds(
+        lambda left, right: ["hecke-mul", "--rank", str(n), "--left", left, "--right", right],
+        ranked_hecke(n), ranked_hecke(n))),
     st.builds(lambda n, q: ["flagcheck", "--n", n, "--q", q],
               st.sampled_from(("-1", "0", "1", "2", "3", "x") + BIG),
               st.sampled_from(("-1", "0", "1", "2", "3", "5", "8", "x", "100000000000031"))))

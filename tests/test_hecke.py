@@ -1,5 +1,6 @@
 """Hecke algebra over Z[v, v^-1], canonical basis, KL polynomials."""
 
+import inspect
 import random
 import re
 import time
@@ -329,3 +330,50 @@ def test_single_element_work_is_bounded_by_the_largest_table_interval():
             with pytest.raises(ComputationError, match="more than 720 elements"):
                 call()
     assert time.perf_counter() - start < 1
+
+
+def planted(monkeypatch, name, old, new):
+    """Put hecke.<name> back with ``old`` replaced by ``new`` in its source,
+    its recursive calls and lru_cache included, for the rest of the test."""
+    source = inspect.getsource(getattr(hecke, name))
+    assert source.count(old) == 1, (name, old)
+    scope = dict(vars(hecke))
+    exec(compile(source.replace(old, new), hecke.__file__, "exec"), scope)
+    monkeypatch.setattr(hecke, name, scope[name])
+
+
+@pytest.mark.parametrize("algorithm, name, old, new", [
+    # T_s in place of T_s + 1 in the Bott-Samelson product: the table is {w: 1}
+    ("bott_samelson", "_extract_bott_samelson",
+     "e = _mul_right_simple(e, i) + e", "e = _mul_right_simple(e, i)"),
+    # [e, w] built as [e, v]s alone: the table keeps w and no element below it
+    ("recursion", "_kl_polys",
+     "[*pv, *(_swap(y, i) for y in pv)]", "[*(_swap(y, i) for y in pv)]"),
+], ids=["bott-samelson-t-s", "recursion-e-v-s-alone"])
+def test_a_table_without_lower_elements_fails_at_run_time(monkeypatch, algorithm, name, old, new):
+    """Both faults keep P_{w,w} = 1 and the degree bound; P_{e,w} is what they lose."""
+    hecke._bott_samelson.cache_clear()
+    planted(monkeypatch, name, old, new)
+    try:
+        for w in (Permutation((2, 1, 3)), Permutation((3, 4, 1, 2))):
+            with pytest.raises(InternalConsistencyError, match=re.escape("no P_{e,w}")):
+                cprime(w, algorithm)
+    finally:
+        hecke._bott_samelson.cache_clear()
+
+
+def test_a_product_past_the_work_bound_is_refused_before_any_product():
+    """The walk of T_w from the support of the left factor holds the support of
+    every partial product; past 720 elements t_mul refuses at once."""
+    for n in (10, 100):
+        w0 = T(longest_element(n))
+        start = time.perf_counter()
+        with pytest.raises(ComputationError, match="a product by T_.* reaches more than 720"):
+            t_mul(w0, w0)
+        assert time.perf_counter() - start < 1
+    # within the bound, and anywhere in S_n for n <= 6, the product is made
+    s1 = T(simple(1, 8))
+    assert t_mul(s1, s1) == s1.scale(LaurentPoly({2: 1, 0: -1})) + HeckeElement.unit(8).scale(
+        LaurentPoly({2: 1}))
+    w6 = T(longest_element(6))
+    assert len(t_mul(w6, w6).terms) == 720

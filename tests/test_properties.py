@@ -369,3 +369,41 @@ def test_vkey_agrees_with_equality_whichever_is_asked_first():
     for first, second in (((True,), (1,)), ((1,), (True,))):
         vkey.cache_clear()
         assert vkey(first) == vkey(second) == ("t", (("i", 1),))
+
+
+def subcomplexes(s):
+    return (s.ambient, s.ends, *(s.F(k) for k in range(2, s.dimension + 1)))
+
+
+def labelled_copy(s):
+    """s rebuilt from its labelled complexes alone, with no int-labelled twin."""
+    return StratifiedComplex(s.ambient, s.dimension, ends=s.ends, filtration=dict(s.filtration))
+
+
+@seed(15)
+@settings(max_examples=40)
+@given(complexes() | mixed_complexes())
+def test_each_int_model_read_back_through_its_labels_is_the_labelled_construction(s):
+    for public in (barycentric_subdivide(s), interior_order_complex(s)):
+        twin, labels = public._memo["twin"]
+        assert [type(v) for v in twin.ambient.vertices] == [int] * len(labels)
+        for c, named in zip(subcomplexes(twin), subcomplexes(public)):
+            for d in range(-1, c.dim + 2):
+                back = [tuple(labels[v] for v in x) for x in c.of_dim(d)]
+                assert back == named.of_dim(d), d
+                assert back == sorted(back, key=lambda x: tuple(map(vkey, x))), d
+
+
+@seed(16)
+@settings(max_examples=30)
+@given(complexes())
+def test_chain_dims_on_the_twin_are_those_of_the_labelled_subdivision(s):
+    sd = barycentric_subdivide(s)
+    twin, copy = sd._memo["twin"][0], labelled_copy(sd)
+    kinds = STANDARD_KINDS if s.dimension >= 2 else ()
+    for p in (None, *(make_standard(kind, s.dimension) for kind in kinds)):
+        for sup in SUPPORTS:
+            want = chain_dims(*_prepare(copy, p, sup)[::2])
+            assert chain_dims(*_prepare(twin, p, sup)[::2]) == want, (p, sup)
+            assert ih_dims(sd, p, sup) == want, (p, sup)
+    check_clearing(twin)
