@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from .complexes import (SimplicialComplex, StratifiedComplex, cone, simplex,
                         suspend)
+from .errors import UsageError
 
 
 def point() -> StratifiedComplex:
@@ -112,8 +113,7 @@ BUILDERS = {
 
 
 def build(name: str) -> StratifiedComplex:
-    try:
-        return BUILDERS[name]()
-    except KeyError:
-        raise ValueError("unknown example %r (known: %s)"
-                         % (name, ", ".join(sorted(BUILDERS))))
+    """The bundled example called name; an unknown name raises UsageError."""
+    if name not in BUILDERS:
+        raise UsageError("unknown example %r (known: %s)" % (name, ", ".join(sorted(BUILDERS))))
+    return BUILDERS[name]()

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import re
 import sys
 from functools import lru_cache
@@ -23,26 +24,11 @@ from .perversity import parse as parse_perversity
 
 def _load(args):
     """The complex named by --input or --example, exactly one of which is given."""
-    if args.input is not None:
-        return load_complex(args.input)
-    try:
-        return builders.build(args.example)
-    except ValueError as e:
-        raise UsageError(str(e))
+    return builders.build(args.example) if args.input is None else load_complex(args.input)
 
 
 def _perversity_for(s, text):
-    try:
-        return parse_perversity(text, max(s.dimension, 2))
-    except ComputationError as e:
-        raise UsageError(str(e))
-
-
-def _parse_element(text, n):
-    try:
-        return parse_element(text, n)
-    except ComputationError as e:
-        raise UsageError(str(e))
+    return parse_perversity(text, max(s.dimension, 2))
 
 
 def _element_pair(text, n, flag):
@@ -50,7 +36,7 @@ def _element_pair(text, n, flag):
     parts = re.split(r",(?![^\[]*\])", text)
     if len(parts) != 2:
         raise UsageError("%s wants U,W" % flag)
-    return tuple(_parse_element(t, n) for t in parts)
+    return tuple(parse_element(t, n) for t in parts)
 
 
 def _emit(args, text, obj, rows=None):
@@ -121,7 +107,7 @@ def run_kl(args):
     algorithm = {"bs": "bott_samelson", "recursion": "recursion",
                  "both": "both"}[args.algorithm]
     if args.element is not None:
-        w = _parse_element(args.element, n)
+        w = parse_element(args.element, n)
         # one element is computed by one route; both reports the Bott-Samelson result
         res = hecke.cprime(w, "recursion" if algorithm == "recursion" else "bott_samelson")
         table = {(u, w): p for u, p in res.kl_polys.items()}
@@ -158,9 +144,6 @@ def run_kl(args):
 
 
 def run_flagcheck(args):
-    flagfq.check_size(args.n, args.q)
-    if not flagfq.is_prime(args.q):
-        raise UsageError("%d is not prime" % args.q)
     rep = flagfq.verify_hecke_specialization(args.n, args.q)
     _emit(args, rep.render_text, rep.to_json)
     return 0 if rep.passed else 1
@@ -181,7 +164,7 @@ def _parse_hecke_expr(text, n):
         if ":" not in part:
             raise UsageError("cannot parse Hecke term %r (want T:W or Cp:W)" % part)
         kind, elt = part.split(":", 1)
-        w = _parse_element(elt, n)
+        w = parse_element(elt, n)
         if kind == "T":
             term = hecke.HeckeElement.t(w)
         elif kind == "Cp":
@@ -206,11 +189,7 @@ def run_hecke_mul(args):
 
 
 def run_example_export(args):
-    try:
-        s = builders.build(args.name)
-    except ValueError as e:
-        raise UsageError(str(e))
-    dump_complex(s, args.output)
+    dump_complex(builders.build(args.name), args.output)
     print("wrote %s" % args.output)
     return 0
 
@@ -234,11 +213,11 @@ MAX_RANK = 100
 
 
 def _rank(text, most=MAX_RANK):
-    """A --rank value, 1 <= n <= most; flagcheck --n passes most=None, no bound."""
-    try:
-        n = int(text)
-    except ValueError:
+    """A --rank value, 1 <= n <= most; flagcheck --n passes most=None, no bound.
+    The pattern is the decimal form int() reads."""
+    if not re.fullmatch(r"[+-]?\d+(_\d+)*", text.strip()):
         raise argparse.ArgumentTypeError("invalid rank %r" % text)
+    n = int(text)
     if n < 1:
         raise argparse.ArgumentTypeError("rank must be at least 1, got %d" % n)
     if most is not None and n > most:
@@ -336,11 +315,19 @@ def build_parser():
 
 
 def main(argv=None) -> int:
+    """Run one command. Every error is raised where the input is read; here
+    each exception class only maps to its exit code and one stderr line."""
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so a closed pipe shows here, not at shutdown
+        return code
     except SystemExit as e:  # --help
         return int(e.code or 0)
+    except BrokenPipeError:  # the reader went away: stop writing, say nothing
+        # the remaining output goes to devnull, so the flush at shutdown cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except UsageError as e:
         print("usage error: %s" % e, file=sys.stderr)
         return 2

@@ -17,7 +17,7 @@ import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import ComputationError
+from .errors import ComputationError, UsageError
 
 MAX_ENUMERATE = 8   # all_elements refuses S_n past this rank (8! = 40,320)
 
@@ -192,21 +192,22 @@ def reduced_words(w: Permutation):
 
 
 def parse_element(text: str, n: int) -> Permutation:
-    """Parse "3412" / "[3,4,1,2]" one-line forms or "s1*s2*s1" words."""
+    """Parse "3412" / "[3,4,1,2]" one-line forms or "s1*s2*s1" words; text
+    that names no element of S_n raises UsageError."""
     text = text.strip()
     if text.startswith("s") or "*" in text:
         letters = []
         for part in text.split("*"):
             part = part.strip()
             if not part.startswith("s"):
-                raise ComputationError("cannot parse generator %r" % part)
+                raise UsageError("cannot parse generator %r" % part)
             try:
                 letters.append(int(part[1:]))
             except ValueError:
-                raise ComputationError("cannot parse generator %r" % part)
+                raise UsageError("cannot parse generator %r" % part)
         for i in letters:
             if not 1 <= i < n:
-                raise ComputationError("generator s%d out of range for S_%d" % (i, n))
+                raise UsageError("generator s%d out of range for S_%d" % (i, n))
         return from_word(letters, n)
     if text in ("e", "id"):
         return identity(n)
@@ -216,7 +217,9 @@ def parse_element(text: str, n: int) -> Permutation:
         else:
             vals = [int(c) for c in text]
     except ValueError:
-        raise ComputationError("cannot parse element %r" % text)
+        raise UsageError("cannot parse element %r" % text)
     if len(vals) != n:
-        raise ComputationError("one-line notation %r has wrong rank for S_%d" % (text, n))
+        raise UsageError("one-line notation %r has wrong rank for S_%d" % (text, n))
+    if sorted(vals) != list(range(1, n + 1)):
+        raise UsageError("%r is not a permutation of 1..%d" % (tuple(vals), n))
     return Permutation(tuple(vals))

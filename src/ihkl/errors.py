@@ -1,6 +1,9 @@
 """Exception taxonomy shared by all modules.
 
-The CLI maps these onto exit codes: usage errors -> 2, computation /
+Bad input is named where it is read: ``complexes.load_complex``,
+``coxeter.parse_element``, ``perversity.parse``, ``builders.build`` and
+the flag oracle's primality check raise UsageError. ``cli.main`` only
+maps the classes onto exit codes: usage errors -> 2, computation /
 validation errors -> 1, internal-consistency errors -> 3.
 """
 

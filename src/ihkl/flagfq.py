@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .coxeter import Permutation, all_elements, identity
-from .errors import ComputationError
+from .errors import ComputationError, UsageError
 
 # Relative positions one call may compute: [n]_q! (one per flag) to sort the
 # flags into cells, 2 * n! * [n]_q! for the structure constants; (4, 2)'s sweep.
@@ -56,9 +56,10 @@ def check_size(n, q):
 
 
 def _check_bounds(n, q):
+    """check_size, then primality: a q that is not prime raises UsageError."""
     check_size(n, q)
     if not is_prime(q):
-        raise ComputationError("%d is not prime" % q)
+        raise UsageError("%d is not prime" % q)
 
 
 def rref(rows, q):

@@ -9,8 +9,8 @@ classical recursion (Kazhdan & Lusztig 1979, (2.2.c)) computes P_{u,w}
 with no Hecke product and writes C'_w from it. Each route keeps one memo
 (``_bott_samelson``, ``_kl_polys``) and ends in ``_check_kl`` on its table
 of P_{u,w}; a single element with more than 720 elements below it, and a
-product whose subword walk passes 720 elements, are refused first
-(``_check_work``). The involution iota is a test oracle.
+product whose walks pass ``MAX_PRODUCT_WORK`` elements, are refused first
+(``_check_work``, ``t_mul``). The involution iota is a test oracle.
 Everything is keyed by one-line tuples (``Permutation.word``); a
 ``Permutation`` appears only at the public boundary
 (``HeckeElement.terms``, ``KLResult``).
@@ -18,6 +18,7 @@ Everything is keyed by one-line tuples (``Permutation.word``); a
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
@@ -28,6 +29,9 @@ from .coxeter import (Permutation, _first_descent, _inversions, _swap, all_eleme
 from .errors import ComputationError, InternalConsistencyError
 
 MAX_KL_TABLE = 6   # kl_table refuses S_n past this rank (98,407 Bruhat pairs at n = 6)
+# The most work one t_mul may do, counted as the walked support sizes: T at
+# w0 of S_6 walked from all of S_6 takes 720 elements through 15 letters.
+MAX_PRODUCT_WORK = math.factorial(MAX_KL_TABLE) * math.comb(MAX_KL_TABLE, 2)   # 10,800
 
 
 class LaurentPoly:
@@ -256,15 +260,19 @@ def _mul_right_simple(a: HeckeElement, i: int) -> HeckeElement:
 
 
 def t_mul(a: HeckeElement, b: HeckeElement) -> HeckeElement:
-    """The algebra product, expanding b along reduced words. The walk of each
-    term of b from the support of a, which holds every partial product's
-    support, is bounded first (``_check_work``)."""
+    """The algebra product, expanding b along reduced words. Its work is
+    counted first: each term T_x of b walks the subwords of x's reduced word
+    from the support of a, a set that holds every partial product's support,
+    and the set's sizes, summed over every letter of every term, may not
+    pass MAX_PRODUCT_WORK; the count stops as soon as they do."""
     if a.n != b.n:
         raise ComputationError("rank mismatch")
-    for x in b._coeffs:
-        _check_work(Permutation(x), a._coeffs)
-    return _combine(a.n, ((reduce(_mul_right_simple, Permutation(x).reduced_word(), a), c)
-                          for x, c in b._coeffs.items()))
+    words = [(Permutation(x).reduced_word(), c) for x, c in b._coeffs.items()]
+    walks = itertools.chain.from_iterable(_walk(word, a._coeffs) for word, _ in words)
+    if any(work > MAX_PRODUCT_WORK for work in itertools.accumulate(walks)):
+        raise ComputationError("the product walks more than %d elements, the limit for "
+                               "one Hecke product" % MAX_PRODUCT_WORK)
+    return _combine(a.n, ((reduce(_mul_right_simple, word, a), c) for word, c in words))
 
 
 @lru_cache(maxsize=None)
@@ -324,22 +332,25 @@ def _check_kl(w: Permutation, table: dict) -> MappingProxyType:
     return MappingProxyType({Permutation(x): p for x, p in table.items()})
 
 
-def _check_work(w: Permutation, start=None):
-    """Refuse a subword walk along w's reduced word (each letter s adds I s to I)
-    that passes factorial(MAX_KL_TABLE) = 720 elements, the largest interval a
-    kl_table holds; the walk stops as soon as it does. From I = {e} it ends at
-    [e, w]; from the support of a, it bounds the work of a T_w in ``t_mul``."""
-    if w.n <= MAX_KL_TABLE:   # all of S_n has at most 720 elements
-        return
-    below = {identity(w.n).word} if start is None else set(start)
-    limit = math.factorial(MAX_KL_TABLE)
-    for i in w.reduced_word():
+def _walk(word, start):
+    """The sizes of I along a subword walk: I starts as the set start, and
+    each letter s of word adds I s to I."""
+    below = set(start)
+    for i in word:
         below |= {_swap(x, i) for x in below}
-        if len(below) > limit:
-            raise ComputationError(("the Bruhat interval [e, %s] has more than %d elements, "
-                                    "the limit for one KL element" if start is None else
-                                    "a product by T_%s reaches more than %d elements, "
-                                    "the limit for one Hecke product") % (w, limit))
+        yield len(below)
+
+
+def _check_work(w: Permutation):
+    """Refuse w when [e, w] passes factorial(MAX_KL_TABLE) = 720 elements, the
+    largest interval a kl_table holds. The walk along w's reduced word from
+    {e} ends at [e, w] and stops as soon as it passes 720; in S_n with
+    n <= 6 no interval can, so nothing is walked."""
+    limit = math.factorial(MAX_KL_TABLE)
+    if w.n > MAX_KL_TABLE and any(size > limit for size in
+                                  _walk(w.reduced_word(), [identity(w.n).word])):
+        raise ComputationError("the Bruhat interval [e, %s] has more than %d elements, "
+                               "the limit for one KL element" % (w, limit))
 
 
 def kl_bott_samelson(word, n: int) -> KLResult:

@@ -256,8 +256,10 @@ def normalize_isolated(s: StratifiedComplex) -> StratifiedComplex:
     """Split isolated singular vertices into one copy per link component.
 
     Incident simplices reattach to the copy carrying their link
-    component. The copies stay in F(2) as (now normal) markers. Below
-    dimension 2 there is no singular stratum, and s is returned as it is.
+    component, and the bare vertex becomes all of its copies, so each
+    copy stays in every stratum the vertex was in, as a (now normal)
+    marker. Below dimension 2 there is no singular stratum, and s is
+    returned as it is.
     """
     if s.dimension < 2:
         return s
@@ -271,34 +273,21 @@ def normalize_isolated(s: StratifiedComplex) -> StratifiedComplex:
         if len(comps) > 1:
             split[v] = comps
 
-    def mapped(x):
-        out = []
-        for v in x:
-            if v in split:
-                rest = [u for u in x if u != v]
-                if not rest:
-                    return None  # bare vertex; its copies come from cofaces
-                comp = next(i for i, c in enumerate(split[v]) if rest[0] in c)
-                out.append((v, comp))
-            else:
-                out.append(v)
-        return simplex(out)
+    def images(x):
+        """The simplices x maps to: a bare split vertex to all of its copies."""
+        if len(x) == 1 and x[0] in split:
+            return [((x[0], i),) for i in range(len(split[x[0]]))]
 
-    def map_sub(sub: SimplicialComplex, extra=()):
-        simps = list(extra)
-        for x in sub.simplices:
-            m = mapped(x)
-            if m is not None:
-                simps.append(m)
-        return SimplicialComplex(simps)
+        def copy(v):
+            u = next(u for u in x if u != v)
+            return v, next(i for i, c in enumerate(split[v]) if u in c)
+        return [simplex([copy(v) if v in split else v for v in x])]
 
-    copies = [((v, i),) for v in split for i in range(len(split[v]))]
-    amb = map_sub(s.ambient, extra=copies)
-    filt = {2: SimplicialComplex(copies + [(v,) for v in sing.vertices if v not in split],
-                                 closed=True)}
-    for k in range(3, s.dimension + 1):
-        filt[k] = map_sub(s.F(k))
-    return StratifiedComplex(amb, s.dimension, ends=map_sub(s.ends), filtration=filt)
+    def mapped(sub: SimplicialComplex):
+        return SimplicialComplex([y for x in sub.simplices for y in images(x)])
+
+    return StratifiedComplex(mapped(s.ambient), s.dimension, ends=mapped(s.ends),
+                             filtration={k: mapped(s.F(k)) for k in range(2, s.dimension + 1)})
 
 
 def duality_report(s: StratifiedComplex, p: Perversity, q: Perversity) -> ComparisonReport:

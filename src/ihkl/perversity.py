@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ComputationError
+from .errors import ComputationError, UsageError
 
 _STANDARD = {"zero": lambda k: 0, "lower_middle": lambda k: (k - 2) // 2,
              "upper_middle": lambda k: (k - 1) // 2, "top": lambda k: k - 2}  # k -> p(k)
@@ -98,7 +98,9 @@ def parse(text: str, n: int) -> Perversity:
     """Parse the CLI string form of a perversity.
 
     Accepted: "zero", "middle" (= lower middle), "upper-middle", "top",
-    and "custom:0,0,1,1" listing values for k = 2..n.
+    and "custom:0,0,1,1" listing values for k = 2..n. Any other text, and
+    a custom list that breaks the perversity rules or has the wrong
+    length, raises UsageError.
     """
     names = {
         "zero": "zero",
@@ -113,10 +115,12 @@ def parse(text: str, n: int) -> Perversity:
         try:
             pv = custom(x for x in text[len("custom:"):].split(",") if x != "")
         except ValueError:
-            raise PerversityError("cannot parse perversity %r" % text) from None
+            raise UsageError("cannot parse perversity %r" % text) from None
+        except PerversityError as e:
+            raise UsageError(str(e)) from None
         if pv.dimension != n:
-            raise PerversityError(
+            raise UsageError(
                 "custom perversity has dimension %d, expected %d" % (pv.dimension, n)
             )
         return pv
-    raise PerversityError("cannot parse perversity %r" % text)
+    raise UsageError("cannot parse perversity %r" % text)

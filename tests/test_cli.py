@@ -1,7 +1,10 @@
 """Command line interface: outputs, formats, exit codes, file IO."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -453,8 +456,36 @@ def test_a_product_of_two_long_t_terms_is_refused_at_once(capsys, n):
     code, out, err = run(capsys, "hecke-mul", "--rank", str(n), "--left", w0, "--right", w0)
     assert time.perf_counter() - start < 1
     assert code == 1 and out == ""
-    assert err == "error: a product by T_%s reaches more than 720 elements, " \
-        "the limit for one Hecke product\n" % w0[2:]
+    assert err == "error: the product walks more than 10800 elements, " \
+        "the limit for one Hecke product\n"
+
+
+def test_a_product_of_two_long_canonical_elements_is_refused(capsys):
+    # 720 terms times 720 terms in S_6: the work count stops the product
+    code, out, err = run(capsys, "hecke-mul", "--rank", "6", "--left", "Cp:654321",
+                         "--right", "Cp:654321")
+    assert code == 1 and out == ""
+    assert err == "error: the product walks more than 10800 elements, " \
+        "the limit for one Hecke product\n"
+
+
+def test_a_closed_stdout_pipe_ends_in_exit_1_and_no_message(tmp_path):
+    # the JSON table of S_5 is about 130 KB, well past a 64 KB pipe buffer
+    env = dict(os.environ, PYTHONPATH=str(Path(ihkl.__file__).parent.parent))
+    proc = subprocess.Popen([sys.executable, "-m", "ihkl.cli", "kl", "--rank", "5",
+                             "--format", "json"], cwd=tmp_path, env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 1
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+    # a path that cannot be read is still a usage error
+    missing = subprocess.run([sys.executable, "-m", "ihkl.cli", "validate", "--input",
+                              "missing.json"], cwd=tmp_path, env=env, capture_output=True,
+                             text=True)
+    assert missing.returncode == 2 and missing.stderr.startswith("usage error: ")
+    assert missing.stderr.count("\n") == 1
 
 
 def test_help_still_exits_zero(capsys):

@@ -275,5 +275,5 @@ def test_builders_registry():
         "point", "circle", "two-circles", "sphere", "torus", "cylinder",
         "cone-circle", "cone-two-circles", "cone-torus", "pinched-cylinder",
         "susp-pinched-cylinder", "susp-cone-circle", "susp2-cone-circle"])
-    with pytest.raises(ValueError):
+    with pytest.raises(UsageError):
         builders.build("no-such-example")

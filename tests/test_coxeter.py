@@ -8,7 +8,7 @@ import pytest
 from ihkl.coxeter import (MAX_ENUMERATE, Permutation, all_elements, bruhat_interval,
                           bruhat_leq, bruhat_leq_subword, from_word, identity,
                           longest_element, parse_element, reduced_words, simple)
-from ihkl.errors import ComputationError
+from ihkl.errors import ComputationError, UsageError
 
 
 def inversions_oracle(w):
@@ -130,9 +130,9 @@ def test_parse_element_forms():
     assert parse_element("[3,4,1,2]", 4).word == (3, 4, 1, 2)
     assert parse_element("s1*s2*s1", 3).word == (3, 2, 1)
     assert parse_element("e", 4) == identity(4)
-    with pytest.raises(ComputationError):
+    with pytest.raises(UsageError):
         parse_element("3413", 4)
-    with pytest.raises(ComputationError):
+    with pytest.raises(UsageError):
         parse_element("s9", 3)
-    with pytest.raises(ComputationError):
+    with pytest.raises(UsageError):
         parse_element("12", 3)

@@ -7,7 +7,7 @@ import pytest
 
 from ihkl.coxeter import (Permutation, all_elements, identity,
                           longest_element, simple)
-from ihkl.errors import ComputationError
+from ihkl.errors import ComputationError, UsageError
 from ihkl.flagfq import (WFunction, convolve, enumerate_flags, permuted_flag,
                          relative_position, rref, schubert_cell_sizes,
                          standard_flag, verify_hecke_specialization)
@@ -148,7 +148,7 @@ def test_bounds_enforced():
         schubert_cell_sizes(5, 3)
     with pytest.raises(ComputationError):
         enumerate_flags(3, 11)
-    with pytest.raises(ComputationError):
+    with pytest.raises(UsageError):
         enumerate_flags(3, 4)  # not prime
 
 

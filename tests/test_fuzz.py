@@ -9,8 +9,8 @@ documents with one key dropped or replaced or an unknown vertex added,
 and raw bytes. The argument vectors take ranks that are refused or at
 most 4 (flagcheck: at most 3), so every one that runs is a cheap call,
 save ``hecke-mul``, which also draws ranks 5 to ``MAX_RANK`` with terms on
-random elements of that rank and on its longest element: the work bound
-in ``hecke`` refuses the long ones at once. The draws are pinned with
+random elements of that rank and on its longest element: the work bounds
+in ``hecke`` refuse the long ones at once. The draws are pinned with
 ``@seed`` (see conftest.py).
 """
 
@@ -143,6 +143,8 @@ W0_50 = "*".join("s%d" % i for k in range(1, 50) for i in range(k, 0, -1))
 @settings(max_examples=200)
 @example(["kl", "--rank", "100000000000000000000", "--element", "e"], [])  # a C index overflow
 @example(["bruhat", "--rank", "50", "--leq", "s1," + W0_50], [])  # 1,225 lifting steps
+@example(["hecke-mul", "--rank", "6", "--left", "Cp:654321", "--right", "Cp:654321"],
+         [])  # 720 by 720 terms: refused by the product's work bound
 @given(ARGVS, FORMATS)
 def test_every_argument_vector_ends_in_one_line_at_most(argv, fmt):
     check_one_line_at_most(argv + fmt)

@@ -362,15 +362,22 @@ def test_a_table_without_lower_elements_fails_at_run_time(monkeypatch, algorithm
         hecke._bott_samelson.cache_clear()
 
 
+REFUSED_PRODUCT = "the product walks more than 10800 elements, the limit for one Hecke product"
+
+
 def test_a_product_past_the_work_bound_is_refused_before_any_product():
     """The walk of T_w from the support of the left factor holds the support of
-    every partial product; past 720 elements t_mul refuses at once."""
-    for n in (10, 100):
-        w0 = T(longest_element(n))
+    every partial product; past MAX_PRODUCT_WORK walked elements in all,
+    summed over the terms of the right factor, t_mul refuses at once."""
+    assert hecke.MAX_PRODUCT_WORK == 10800
+    cp6 = cprime(longest_element(6)).cprime   # 720 terms; 3,888,000 elements to walk
+    for a, b in [(T(longest_element(n)),) * 2 for n in (10, 100)] + [(cp6, cp6)]:
         start = time.perf_counter()
-        with pytest.raises(ComputationError, match="a product by T_.* reaches more than 720"):
-            t_mul(w0, w0)
+        with pytest.raises(ComputationError, match=re.escape(REFUSED_PRODUCT)):
+            t_mul(a, b)
         assert time.perf_counter() - start < 1
+    # T at w0 of S_6 walked from all of S_6 is the most work let through
+    assert len(t_mul(cp6, T(longest_element(6))).terms) == 720
     # within the bound, and anywhere in S_n for n <= 6, the product is made
     s1 = T(simple(1, 8))
     assert t_mul(s1, s1) == s1.scale(LaurentPoly({2: 1, 0: -1})) + HeckeElement.unit(8).scale(

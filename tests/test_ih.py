@@ -6,7 +6,7 @@ import pytest
 
 from ihkl import builders, complexes
 from ihkl.complexes import (SUPPORTS, SimplicialComplex, StratifiedComplex,
-                            barycentric_subdivide, compact_model,
+                            barycentric_subdivide, compact_model, cone,
                             homology_dims, suspend)
 from ihkl.errors import ComputationError, UsageError, ValidationError
 from ihkl.ih import (allowable_complex, allowable_simplices,
@@ -231,6 +231,33 @@ def test_normalize_pinched_cylinder():
     # intersection homology is untouched in both support modes
     for sup in ("borel_moore", "compact"):
         assert ih_dims(norm, ZERO2, sup) == ih_dims(pc, ZERO2, sup)
+
+
+def two_copies(base):
+    """The disjoint union of two copies of a compact manifold, told apart by tag."""
+    simps = [tuple((tag, v) for v in x) for tag in ("a", "b")
+             for x in base.ambient.of_dim(base.dimension)]
+    return StratifiedComplex(SimplicialComplex(simps), base.dimension)
+
+
+@pytest.mark.parametrize("name", ["sphere", "torus", "circle"])
+def test_normalization_keeps_ih_and_every_copy_keeps_its_stratum(name):
+    # the cone over two spheres or two tori (n = 3) or two circles (n = 2):
+    # the apex splits into two copies, each the apex of the cone over one copy
+    base = builders.build(name)
+    s = cone(two_copies(base))
+    norm = normalize_isolated(s)
+    n = s.dimension
+    copies = sorted(norm.F(2).vertices)
+    assert copies == [("apex", 0), ("apex", 1)]
+    assert all((c,) in norm.F(n) for c in copies)
+    for kind in STANDARD_KINDS:
+        p = make_standard(kind, n)
+        for sup in SUPPORTS:
+            assert ih_dims(norm, p, sup) == ih_dims(s, p, sup), (kind, sup)
+        apex = local_stalk_table(cone(base), "apex", p)
+        for c in copies:
+            assert local_stalk_table(norm, c, p) == apex, (kind, c)
 
 
 def test_normalize_noop_on_normal_input():

@@ -2,6 +2,7 @@
 
 import pytest
 
+from ihkl.errors import UsageError
 from ihkl.perversity import (Perversity, PerversityError, custom,
                              is_complementary, make_standard, parse)
 
@@ -74,7 +75,9 @@ def test_parse_forms():
     assert parse("upper-middle", 4).values == make_standard("upper_middle", 4).values
     assert parse("top", 4).values == (0, 1, 2)
     assert parse("custom:0,1,1", 4).values == (0, 1, 1)
-    with pytest.raises(PerversityError):
+    with pytest.raises(UsageError):
         parse("custom:0,1", 4)
-    with pytest.raises(PerversityError):
+    with pytest.raises(UsageError):
         parse("nonsense", 4)
+    with pytest.raises(UsageError, match="p\\(2\\) must be 0"):
+        parse("custom:1,0", 3)
