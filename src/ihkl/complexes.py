@@ -43,9 +43,16 @@ def vkey(v):
     return ("s", str(v))
 
 
+def _plain(ids) -> bool:
+    """Whether tuples of these ids sort as their vkey tuples: all str, or all int."""
+    types = set(map(type, ids))
+    return types <= {str} or types <= {int}
+
+
 def simplex(vertices) -> tuple:
     """Normalize an iterable of vertex ids into a sorted simplex tuple."""
-    t = tuple(sorted(vertices, key=vkey))
+    t = tuple(vertices)
+    t = tuple(sorted(t, key=None if _plain(t) else vkey))
     for a, b in zip(t, t[1:]):
         if a == b:
             raise ComputationError("degenerate simplex %r" % (vertices,))
@@ -58,23 +65,27 @@ def faces_with_signs(s: tuple):
         yield (s[:j] + s[j + 1:], -1 if j % 2 else 1)
 
 
+def _close(simplices, out: set) -> set:
+    """Add every face of ``simplices`` to the face-closed set ``out``, largest
+    first: one already in ``out`` is skipped, as its faces are there."""
+    for s in sorted(simplices, key=len, reverse=True):
+        if s not in out:
+            out.update(*(itertools.combinations(s, m) for m in range(1, len(s) + 1)))
+    return out
+
+
 class SimplicialComplex:
     """A finite set of simplices closed under taking faces."""
 
     def __init__(self, simplices, closed=False):
-        simps = set(map(tuple, simplices))
-        if not closed:
-            simps.update([f for s in simps for m in range(1, len(s))
-                          for f in itertools.combinations(s, m)])
+        simps = set(map(tuple, simplices)) if closed else _close(map(tuple, simplices), set())
         self._simplices = frozenset(simps)
         by_dim = {}
         for s in simps:
             by_dim.setdefault(len(s) - 1, []).append(s)
-        # the vertices sorted by vkey once; rank tuples compare as the vkey tuples
-        # do, and so do tuples of ints, which are their own ranks
+        # plain tuple order where it is the vkey order, else ranks in vkey order
         vs = set().union(*simps)
-        rank = None if all(type(v) is int for v in vs) else {
-            v: r for r, v in enumerate(sorted(vs, key=vkey))}
+        rank = None if _plain(vs) else {v: r for r, v in enumerate(sorted(vs, key=vkey))}
         key = None if rank is None else lambda s: tuple(map(rank.__getitem__, s))
         self._by_dim = {d: sorted(v, key=key) for d, v in by_dim.items()}
 
@@ -126,8 +137,8 @@ class SimplicialComplex:
         return self._subcomplex(self._simplices.intersection(simplices))
 
     def _subcomplex(self, keep) -> "SimplicialComplex":
-        """The subcomplex on ``keep``, face-closed simplices of self. A
-        subset keeps self's order in each dimension, so nothing is re-sorted."""
+        """The subcomplex on ``keep``, face-closed simplices of self, in self's order
+        (no re-sort). ``keep`` must lie in self, or the caller's check catches it."""
         sub = object.__new__(SimplicialComplex)
         sub._simplices = frozenset(keep)
         sub._by_dim = {}
@@ -246,17 +257,19 @@ class Chain:
 
 def chain_basis(s: StratifiedComplex, i: int):
     """The i-simplices of K not in L, in canonical order."""
-    return [x for x in s.ambient.of_dim(i) if x not in s.ends]
+    return list(itertools.filterfalse(s.ends.simplices.__contains__, s.ambient.of_dim(i)))
 
 
 def boundary_columns(basis_i, basis_prev):
     """Columns of the boundary matrix from basis_i to basis_prev."""
-    index = {x: r for r, x in enumerate(basis_prev)}
+    row = {x: r for r, x in enumerate(basis_prev)}.get
+    cuts = [(slice(j), slice(j + 1, None), -1 if j % 2 else 1)  # x without x[j]
+            for j in range(len(basis_i[0]) if basis_i else 0)]
     cols = []
     for x in basis_i:
         col = {}
-        for f, sign in faces_with_signs(x):
-            r = index.get(f)
+        for head, tail, sign in cuts:
+            r = row(x[head] + x[tail])
             if r is not None:
                 col[r] = sign
         cols.append(col)
@@ -328,7 +341,7 @@ def _allowability(s: StratifiedComplex, p: Perversity | None):
 
     def allowed(x, i):
         for k, vs, pk in steps:
-            cnt = sum(1 for v in x if v in vs)
+            cnt = sum(map(vs.__contains__, x))
             if cnt and cnt - 1 > i - k + pk:
                 return False
         return True
@@ -354,7 +367,7 @@ def _order_complex(s: StratifiedComplex, simplices):
     ends and each F(k) carry over as the chains whose members all lie in them,
     which for a subcomplex means the chains whose largest member does.
     """
-    labels = sorted(simplices, key=vkey)
+    labels = sorted(simplices, key=None if _plain(s.ambient.vertices) else vkey)
     rank = {x: r for r, x in enumerate(labels)}
     chains = {}  # largest member -> the chains ending there, on ranks
     for x in sorted(labels, key=len):  # faces before cofaces
@@ -518,30 +531,24 @@ def cone(base: StratifiedComplex) -> StratifiedComplex:
         raise ComputationError("apex vertex %r already present" % (apex,))
     k = base.dimension + 1
 
-    def coned(sub: SimplicialComplex) -> SimplicialComplex:
-        simps = [(apex,)]
-        for x in sub.simplices:
-            simps.append(x)
-            simps.append(simplex(x + (apex,)))
-        return SimplicialComplex(simps, closed=True)
+    def coned(sub: SimplicialComplex) -> set:
+        return {(apex,), *sub.simplices, *(simplex(x + (apex,)) for x in sub.simplices)}
 
-    amb = coned(base.ambient)
-    filt = {j: coned(base.F(j)) for j in range(2, k)}
-    filt[k] = SimplicialComplex([(apex,)], closed=True)
+    amb = SimplicialComplex(coned(base.ambient), closed=True)
+    filt = {j: amb._subcomplex(coned(base.F(j))) for j in range(2, k)}
+    filt[k] = amb._subcomplex([(apex,)])
     return StratifiedComplex(amb, k, ends=base.ambient, filtration=filt)
 
 
-def _prism(sub: SimplicialComplex) -> SimplicialComplex:
-    """Staircase (path-monotone) triangulation of |sub| x [0, 1]."""
+def _prism(sub: SimplicialComplex) -> set:
+    """The simplices of the staircase (path-monotone) triangulation of |sub| x [0, 1]."""
     simps = []
     for x in sub.simplices:
         bottom = tuple((v, 0) for v in x)
         top = tuple((v, 1) for v in x)
-        simps.append(bottom)
-        simps.append(top)
-        for j in range(len(x)):
+        for j in range(len(x)):  # the last has the bottom cap as a face, the first the top
             simps.append(simplex(bottom[: j + 1] + top[j:]))
-    return SimplicialComplex(simps)
+    return _close(simps, set())
 
 
 def suspend(s: StratifiedComplex) -> StratifiedComplex:
@@ -551,12 +558,11 @@ def suspend(s: StratifiedComplex) -> StratifiedComplex:
     prism caps plus the prism over the old ends; each filtration step is
     the prism over the old one.
     """
-    amb = _prism(s.ambient)
+    amb = SimplicialComplex(_prism(s.ambient), closed=True)
     caps = [tuple((v, 0) for v in x) for x in s.ambient.simplices]
     caps += [tuple((v, 1) for v in x) for x in s.ambient.simplices]
-    ends = SimplicialComplex(
-        list(_prism(s.ends).simplices) + caps, closed=True)
-    filt = {k: _prism(s.F(k)) for k in range(2, s.dimension + 1)}
+    ends = amb._subcomplex(_prism(s.ends).union(caps))
+    filt = {k: amb._subcomplex(_prism(s.F(k))) for k in range(2, s.dimension + 1)}
     return StratifiedComplex(amb, s.dimension + 1, ends=ends, filtration=filt)
 
 
@@ -641,7 +647,7 @@ def require_structure(s: StratifiedComplex):
 
 _JSON_KEYS = {"dimension", "vertices", "simplices", "ends", "filtration"}
 
-# Closing a listed simplex with k vertices under faces builds 2^k - 1
+# Closing a listed simplex with k vertices under faces builds up to 2^k - 1
 # simplices, once for each complex it enters; a file whose listed simplices
 # would build more in all is refused before any complex is built. The
 # largest bundled file builds 5,914.
@@ -663,7 +669,9 @@ def _simplex_list(value, what):
     """A JSON list of lists of vertex ids, as simplex tuples."""
     if not isinstance(value, list) or not all(isinstance(x, list) for x in value):
         raise UsageError("%s must be a list of lists of vertex ids" % what)
-    return [simplex(_vertex_ids(x, what)) for x in value]
+    if set(map(type, itertools.chain.from_iterable(value))) <= {str, int}:
+        return list(map(simplex, value))
+    return [simplex(_vertex_ids(x, what)) for x in value]  # names the first other id
 
 
 def complex_from_dict(data: dict) -> StratifiedComplex:
@@ -717,11 +725,11 @@ def complex_from_dict(data: dict) -> StratifiedComplex:
         raise UsageError("the listed simplices have %d faces in all, more than %d"
                          % (faces, MAX_FACES))
     amb = SimplicialComplex(top)
-    filtration, deeper = {}, []  # deeper: the lists at keys k..n, closed into F(k)
+    filtration, closure = {}, set()  # closure: the lists at keys k..n, closed
     for k in range(n, 1, -1):
-        deeper += listed.get(k, ())
-        filtration[k] = SimplicialComplex(deeper)
-    return StratifiedComplex(amb, n, ends=SimplicialComplex(ends), filtration=filtration)
+        filtration[k] = amb._subcomplex(_close(listed.get(k, ()), closure))
+    return StratifiedComplex(amb, n, ends=amb._subcomplex(_close(ends, set())),
+                             filtration=filtration)
 
 
 def load_complex(path) -> StratifiedComplex:

@@ -43,6 +43,13 @@ class LaurentPoly:
         self.coeffs = {int(e): c for e, c0 in (coeffs or {}).items()
                        for c in (int(c0),) if c}
 
+    @classmethod
+    def _of(cls, coeffs):
+        """The polynomial on ``coeffs``, int exponents to non-zero ints, as it is."""
+        out = cls.__new__(cls)
+        out.coeffs = coeffs
+        return out
+
     def __bool__(self):
         return bool(self.coeffs)
 
@@ -60,32 +67,32 @@ class LaurentPoly:
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
             out[e] = out.get(e, 0) + c
-        return LaurentPoly(out)  # which drops the zeros
+        return LaurentPoly._of({e: c for e, c in out.items() if c})
 
     def __neg__(self):
-        return LaurentPoly({e: -c for e, c in self.coeffs.items()})
+        return LaurentPoly._of({e: -c for e, c in self.coeffs.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return LaurentPoly({e: c * other for e, c in self.coeffs.items()})
+            return LaurentPoly._of({e: c * other for e, c in self.coeffs.items()} if other else {})
         out = {}
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
                 out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
-        return LaurentPoly(out)
+        return LaurentPoly._of({e: c for e, c in out.items() if c})
 
     __rmul__ = __mul__
 
     def shift(self, k):
         """Multiply by v^k."""
-        return LaurentPoly({e + k: c for e, c in self.coeffs.items()})
+        return LaurentPoly._of({e + k: c for e, c in self.coeffs.items()})
 
     def bar(self):
         """Substitute v -> v^{-1}."""
-        return LaurentPoly({-e: c for e, c in self.coeffs.items()})
+        return LaurentPoly._of({-e: c for e, c in self.coeffs.items()})
 
     def is_palindromic(self):
         return self.coeffs == {-e: c for e, c in self.coeffs.items()}

@@ -326,6 +326,25 @@ def test_filtration_lists_count_once_per_step_they_enter(tmp_path, capsys):
     assert "2097136 faces" in err
 
 
+@pytest.mark.parametrize("listed, message", [
+    ({"ends": [["a", "d"]]}, "ends is not a subcomplex of the ambient complex"),
+    ({"ends": [["b", "c"], ["a", "b", "d"]]}, "ends is not a subcomplex of the ambient complex"),
+    ({"filtration": {"2": [["a", "d"]]}}, "filtration F(2) is not a subcomplex"),
+    ({"filtration": {"3": [["a", "d"]]}}, "filtration F(2) is not a subcomplex"),
+    ({"filtration": {"3": [["b"]], "2": [["a", "d"]]}}, "filtration F(2) is not a subcomplex"),
+], ids=["ends-edge", "ends-triangle", "f2", "f3-enters-f2", "f2-below-f3"])
+def test_a_listed_simplex_missing_from_simplices_is_refused(tmp_path, capsys, listed, message):
+    # the ends and each F(k) are cut from the closed ambient: a simplex on
+    # known vertices that the ambient lacks must still fail the subcomplex check
+    target = tmp_path / "stray.json"
+    target.write_text(json.dumps(dict({
+        "dimension": 3, "vertices": ["a", "b", "c", "d", "e"],
+        "simplices": [["a", "b", "c", "e"], ["b", "c", "d", "e"]]}, **listed)))
+    for command in ("ih", "validate"):
+        code, out, err = run(capsys, command, "--input", str(target))
+        assert (code, out, err) == (1, "", "error: %s\n" % message), command
+
+
 @pytest.mark.parametrize("argv", [
     ["kl", "--rank", "x"],
     ["frobnicate"],

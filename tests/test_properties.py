@@ -11,8 +11,12 @@ its checks read straight off their definitions, on the drawn complexes
 and on broken copies of them. The canonical order, read off integer
 vertex ranks, is checked against the nested vkey tuples it replaced on
 complexes whose vertex ids mix strings, integers and nested tuples, raw,
-subdivided and off their ends. Every test pins its draws with ``@seed``
-(see conftest.py).
+subdivided and off their ends. The JSON load, which closes each complex
+from its largest listed simplices and cuts the ends and strata from the
+ambient, is checked against the full closure sorted by vkey, on built
+complexes listed in shuffled, repeated or maximal-only form; and plain
+tuple order against the vkey order for all-string and all-integer ids.
+Every test pins its draws with ``@seed`` (see conftest.py).
 """
 
 import itertools
@@ -23,14 +27,14 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from ihkl import builders
-from ihkl.complexes import (SUPPORTS, SimplicialComplex, StratifiedComplex,
+from ihkl.complexes import (SUPPORTS, SimplicialComplex, StratifiedComplex, _plain,
                             _prepare, _structure_report, barycentric_subdivide,
-                            boundary_columns, chain_basis, chain_dims, cone,
-                            faces_with_signs, homology_dims,
+                            boundary_columns, chain_basis, chain_dims, complex_from_dict,
+                            complex_to_dict, cone, faces_with_signs, homology_dims,
                             interior_order_complex, simplex, suspend, vkey)
 from ihkl.ih import (allowable_complex, allowable_simplices,
                      cone_formula_check, duality_report, ih_dims,
-                     suspension_check)
+                     normalize_isolated, suspension_check)
 from ihkl.linalg import RationalMatrix, column_pivots, rank_kernel, sparse_rank
 from ihkl.perversity import STANDARD_KINDS, Perversity, make_standard
 
@@ -407,3 +411,99 @@ def test_chain_dims_on_the_twin_are_those_of_the_labelled_subdivision(s):
             assert chain_dims(*_prepare(twin, p, sup)[::2]) == want, (p, sup)
             assert ih_dims(sd, p, sup) == want, (p, sup)
     check_clearing(twin)
+
+
+def reference_load(data):
+    """``complex_from_dict`` as it was built before: each listed simplex sorted
+    by vkey, every proper face added by ``itertools.combinations``, and each
+    complex sorted by vkey tuples on its own, F(k) from the lists at keys >= k."""
+    def closed(lists):
+        simps = {tuple(sorted(x, key=vkey)) for x in lists}
+        simps.update([f for x in simps for m in range(1, len(x))
+                      for f in itertools.combinations(x, m)])
+        return simps
+
+    def in_order(simps):
+        return simps, {d: sorted((x for x in simps if len(x) == d + 1),
+                                 key=lambda x: tuple(map(vkey, x)))
+                       for d in range(-1, max(map(len, simps), default=0) + 1)}
+
+    n, filt = data["dimension"], data.get("filtration", {})
+    return [in_order(closed(data["simplices"])), in_order(closed(data.get("ends", [])))] + [
+        in_order(closed([x for key, xs in filt.items() if int(key) >= k for x in xs]))
+        for k in range(2, n + 1)]
+
+
+def maximal(lists):
+    sets = [set(x) for x in lists]
+    return [x for x, a in zip(lists, sets) if not any(a < b for b in sets)]
+
+
+@st.composite
+def listed_complexes(draw):
+    """The JSON form of a built complex, its vertices renamed to strings, to
+    ints or to both, each list shuffled, with repeats or only its maximal
+    simplices, and F(k) listed whole or only off F(k + 1)."""
+    s = draw(BASES | st.sampled_from((builders.cylinder, builders.cone_circle,
+                                      builders.cone_torus, builders.pinched_cylinder)).map(
+        lambda build: build()))
+    for op in draw(st.lists(st.sampled_from((cone, suspend, normalize_isolated)),
+                            max_size=2)):
+        if s.dimension >= 3 or (op is cone and len(s.ends)) or (
+                op is normalize_isolated and s.F(2).dim > 0):
+            break
+        s = op(s)
+    data = complex_to_dict(s)
+    ids = draw(st.sampled_from(("str", "int", "mixed")))
+    names = {v: v if ids == "str" or ids == "mixed" and j % 2 else j - 7
+             for j, v in enumerate(data["vertices"])}
+    rng = draw(st.randoms(use_true_random=False))
+
+    def relisted(lists):
+        lists = [[names[v] for v in x] for x in lists]
+        if draw(st.booleans()):
+            lists = maximal(lists)
+        lists += rng.sample(lists, min(len(lists), draw(st.integers(0, 3))))
+        rng.shuffle(lists)
+        for x in lists:
+            rng.shuffle(x)
+        return lists
+
+    filt = data["filtration"]
+    if draw(st.booleans()):  # each F(k) list without what a deeper one lists
+        filt = {k: [x for x in xs if not any(x in filt[j] for j in filt if int(j) > int(k))]
+                for k, xs in filt.items()}
+    return dict(data, vertices=list(names.values()), simplices=relisted(data["simplices"]),
+                ends=relisted(data["ends"]),
+                filtration={k: relisted(xs) for k, xs in filt.items()})
+
+
+@seed(17)
+@given(listed_complexes())
+def test_the_load_gives_the_complexes_the_full_closure_and_sort_gave(data):
+    s = complex_from_dict(data)
+    for c, (simps, by_dim) in zip(subcomplexes(s), reference_load(data), strict=True):
+        assert c.simplices == simps
+        assert {d: c.of_dim(d) for d in by_dim} == by_dim
+
+
+@seed(18)
+@given(st.lists(st.text(max_size=3), unique=True) | st.lists(st.integers(), unique=True))
+def test_plain_order_is_taken_only_where_it_is_the_vkey_order(ids):
+    assert _plain(ids)
+    assert sorted(ids) == sorted(ids, key=vkey)
+    faces = [tuple(ids[j:k]) for j in range(len(ids)) for k in range(j, len(ids) + 1)]
+    assert sorted(faces) == sorted(faces, key=vkey)
+    assert simplex(ids) == tuple(sorted(ids, key=vkey))
+
+
+@pytest.mark.parametrize("ids, order", [
+    ([2, "a", 1, "B"], (1, 2, "B", "a")),
+    ([("b",), "a", 3, (1, 0)], (3, "a", (1, 0), ("b",))),
+    ([(True,), (0, 5), 2], (2, (0, 5), (True,))),
+    ([True, "x"], (True, "x")),
+])
+def test_mixed_nested_and_boolean_ids_keep_the_vkey_order(ids, order):
+    assert not _plain(ids)
+    assert simplex(ids) == order
+    assert_in_vkey_order(SimplicialComplex([simplex(ids)]))
