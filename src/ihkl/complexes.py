@@ -327,15 +327,18 @@ def _fit_perversity(p: Perversity | None, n: int) -> Perversity | None:
     return None if p is None or n < 2 else p.restrict(n)
 
 
+def _effective(s: StratifiedComplex, p: Perversity | None):
+    """All ``_allowability`` reads of p: (k, p(k)) where F(k) is non-empty."""
+    return None if p is None else tuple((k, p(k)) for k, fk in s.filtration.items() if fk)
+
+
 def _allowability(s: StratifiedComplex, p: Perversity | None):
     """The test (simplex, degree) -> allowable for p; None when all are.
 
     With full filtration subcomplexes a closed i-simplex meets F(k) in
     the face spanned by its vertices in F(k), of dimension cnt - 1.
     """
-    steps = [] if p is None else [
-        (k, s.F(k).vertices, p(k)) for k in range(2, s.dimension + 1)
-        if len(s.F(k))]
+    steps = [(k, s.F(k).vertices, pk) for k, pk in _effective(s, p) or ()]
     if not steps:
         return None
 
@@ -496,12 +499,22 @@ def _oracle_model(s: StratifiedComplex, p: Perversity | None, supports: str):
     return model, p, _allowability(model, p)
 
 
+def _dims(s: StratifiedComplex, p: Perversity | None, supports: str) -> dict:
+    """``chain_dims`` on ``_prepare``'s model, behind ``ih_dims`` and ``homology_dims``:
+    kept in the model's memo per ``_effective`` perversity, a fresh dict each call."""
+    model, p, allowed = _prepare(s, p, supports)
+    memo, key = model._memo.setdefault("dims", {}), _effective(model, p)
+    if key not in memo:
+        memo[key] = chain_dims(model, allowed)
+    return dict(memo[key])
+
+
 def homology_dims(s: StratifiedComplex, supports: str) -> dict:
     """Rational homology dimensions by degree: IH with no allowability
     condition, ``ih.ih_dims(s, None, supports)``. ``borel_moore`` is the
     homology of C(K)/C(L), ``compact`` that of ``compact_model`` of (K, L)
     with the filtration dropped."""
-    return chain_dims(_prepare(s, None, supports)[0])
+    return _dims(s, None, supports)
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +535,7 @@ def cone(base: StratifiedComplex) -> StratifiedComplex:
 
     The apex is a new vertex joined to every simplex of the base; the
     ends are a copy of the base, so the represented space is the open
-    cone. The apex alone forms the deepest filtration step.
+    cone. The apex alone is the deepest filtration step, in dimension >= 2.
     """
     if len(base.ends) != 0:
         raise ComputationError("cone requires a compact base (empty ends)")
@@ -535,8 +548,8 @@ def cone(base: StratifiedComplex) -> StratifiedComplex:
         return {(apex,), *sub.simplices, *(simplex(x + (apex,)) for x in sub.simplices)}
 
     amb = SimplicialComplex(coned(base.ambient), closed=True)
-    filt = {j: amb._subcomplex(coned(base.F(j))) for j in range(2, k)}
-    filt[k] = amb._subcomplex([(apex,)])
+    filt = {j: amb._subcomplex(coned(base.F(j)) if j < k else [(apex,)])
+            for j in range(2, k + 1)}
     return StratifiedComplex(amb, k, ends=base.ambient, filtration=filt)
 
 
@@ -595,25 +608,25 @@ class ValidationReport:
 def _structure_report(s: StratifiedComplex) -> ValidationReport:
     """Purity, pseudomanifold, filtration and no_codim_1: what homology needs.
 
-    ``faces`` counts each face of each n-simplex once per n-simplex: K is pure
-    iff it has no other simplex, and an (n-1)-simplex's count is the number
-    of its cofaces."""
-    rep = ValidationReport()
-    n = s.dimension
-    K = s.ambient
-    faces = Counter(itertools.chain.from_iterable(
-        itertools.combinations(t, m) for t in K.of_dim(n) for m in range(1, n + 2)))
-    rep.add("purity", len(faces) == len(K),
-            "%d simplices not contained in an %d-simplex" % (len(K) - len(faces), n))
+    Linear in the simplices: K is pure iff dim K <= n and each d-simplex,
+    d < n, has a coface one up; only an impure K is closed from its n-simplices."""
+    rep, n, K = ValidationReport(), s.dimension, s.ambient
 
-    bad = [x for x in K.of_dim(n - 1) if faces[x] != 2 and x not in s.ends]
+    def facets(d):  # the (d-1)-faces of the d-simplices, once per d-simplex
+        return itertools.chain.from_iterable(itertools.combinations(t, d) for t in K.of_dim(d))
+
+    cofaces = Counter(facets(n)) if n else Counter()
+    pure = K.dim <= n and len(cofaces) == len(K.of_dim(n - 1)) and all(
+        len(set(facets(d))) == len(K.of_dim(d - 1)) for d in range(1, n))
+    rep.add("purity", pure, "" if pure else "%d simplices not contained in an %d-simplex"
+            % (len(K) - len(SimplicialComplex(K.of_dim(n))), n))
+
+    bad = [x for x in K.of_dim(n - 1) if cofaces[x] != 2 and x not in s.ends]
     rep.add("pseudomanifold", not bad,
             "%d interior (n-1)-simplices without exactly two cofaces" % len(bad))
 
-    msgs = []
-    for k in range(2, n + 1):
-        if s.F(k).dim > n - k:
-            msgs.append("dim F(%d) = %d > %d" % (k, s.F(k).dim, n - k))
+    msgs = ["dim F(%d) = %d > %d" % (k, s.F(k).dim, n - k)
+            for k in range(2, n + 1) if s.F(k).dim > n - k]
     rep.add("filtration", not msgs, "; ".join(msgs))
 
     rep.add("no_codim_1", not s.F(2).of_dim(n - 1), "F(2) has (n-1)-simplices")
@@ -666,12 +679,16 @@ def _vertex_ids(value, what):
 
 
 def _simplex_list(value, what):
-    """A JSON list of lists of vertex ids, as simplex tuples."""
+    """A JSON list of lists of distinct vertex ids, as simplex tuples."""
     if not isinstance(value, list) or not all(isinstance(x, list) for x in value):
         raise UsageError("%s must be a list of lists of vertex ids" % what)
-    if set(map(type, itertools.chain.from_iterable(value))) <= {str, int}:
-        return list(map(simplex, value))
-    return [simplex(_vertex_ids(x, what)) for x in value]  # names the first other id
+    try:
+        if set(map(type, itertools.chain.from_iterable(value))) <= {str, int}:
+            return list(map(simplex, value))
+        return [simplex(_vertex_ids(x, what)) for x in value]  # names the first other id
+    except ComputationError:  # a repeated vertex
+        x = next(x for x in value if len(set(x)) < len(x))
+        raise UsageError("%s: simplex %s repeats a vertex" % (what, json.dumps(x)))
 
 
 def complex_from_dict(data: dict) -> StratifiedComplex:

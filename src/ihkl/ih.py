@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .complexes import (Chain, SimplicialComplex, StratifiedComplex, _fit_perversity,
-                        _oracle_model, _prepare, boundary_columns, chain_basis, chain_dims, cone,
-                        faces_with_signs, homology_dims, simplex, suspend, vkey)
+from .complexes import (Chain, SimplicialComplex, StratifiedComplex, _dims, _fit_perversity,
+                        _oracle_model, boundary_columns, chain_basis, cone, faces_with_signs,
+                        homology_dims, simplex, suspend, vkey)
 from .errors import ComputationError, InternalConsistencyError
 from .linalg import RationalMatrix, rank_kernel
 from .perversity import Perversity, is_complementary, make_standard
@@ -32,8 +32,7 @@ def ih_dims(s: StratifiedComplex, p: Perversity | None,
     one barycentric subdivision is applied when the filtration
     subcomplexes are not full.
     """
-    s, _, allowed = _prepare(s, p, supports)
-    return chain_dims(s, allowed)
+    return _dims(s, p, supports)
 
 
 def allowable_simplices(s: StratifiedComplex, p: Perversity | None, i: int,
@@ -124,9 +123,7 @@ def allowable_complex(s: StratifiedComplex, p: Perversity | None,
 
     for i in range(2, n + 1):
         a, b = out.boundary.get(i - 1), out.boundary.get(i)
-        if a is None or b is None:
-            continue
-        if not _product_is_zero(a, b):
+        if a is not None and b is not None and not _product_is_zero(a, b):
             raise InternalConsistencyError("composite boundary is non-zero")
     return out
 

@@ -345,6 +345,23 @@ def test_a_listed_simplex_missing_from_simplices_is_refused(tmp_path, capsys, li
         assert (code, out, err) == (1, "", "error: %s\n" % message), command
 
 
+@pytest.mark.parametrize("where", ["simplices", "ends", "filtration"])
+def test_a_simplex_with_a_repeated_vertex_is_one_usage_error(tmp_path, capsys, where):
+    data = {"dimension": 2, "vertices": ["a", "b", "c"], "simplices": [["a", "b", "c"]]}
+    bad = [["a", "a", "b"]]
+    if where == "filtration":
+        data["filtration"] = {"2": bad}
+    else:
+        data[where] = data.get(where, []) + bad
+    target = tmp_path / "repeated.json"
+    target.write_text(json.dumps(data))
+    for command in ("ih", "validate"):
+        code, out, err = run(capsys, command, "--input", str(target))
+        assert (code, out) == (2, ""), command
+        assert re.fullmatch(r'usage error: %s.*: simplex \["a", "a", "b"\] repeats a vertex\n'
+                            % where, err), err
+
+
 @pytest.mark.parametrize("argv", [
     ["kl", "--rank", "x"],
     ["frobnicate"],

@@ -9,7 +9,7 @@ from ihkl.complexes import (SUPPORTS, SimplicialComplex, StratifiedComplex,
                             barycentric_subdivide, complex_from_dict,
                             complex_to_dict, cone, homology_dims, simplex,
                             suspend, validate)
-from ihkl.errors import ComputationError, UsageError
+from ihkl.errors import ComputationError, UsageError, ValidationError
 from ihkl.ih import ih_dims
 from ihkl.perversity import STANDARD_KINDS, make_standard
 
@@ -97,6 +97,22 @@ def test_cone_structure():
     # coning kills the circle: one relative 2-cycle survives
     assert homology_dims(c, "borel_moore") == {0: 0, 1: 0, 2: 1}
     assert homology_dims(c, "compact") == {0: 1, 1: 0, 2: 0}
+
+
+def test_cone_of_a_point_builds_and_is_refused_by_the_gate():
+    # a half-open interval: the apex is a boundary point, with one coface
+    c = cone(builders.point())
+    assert c.dimension == 1 and dict(c.filtration) == {}
+    for sup in ("borel_moore", "compact"):
+        with pytest.raises(ValidationError, match="pseudomanifold"):
+            homology_dims(c, sup)
+
+
+def test_cone_of_two_points_is_the_line():
+    s0 = StratifiedComplex(SimplicialComplex([("a",), ("b",)]), 0)
+    c = cone(s0)
+    assert homology_dims(c, "borel_moore") == {0: 0, 1: 1}
+    assert homology_dims(c, "compact") == {0: 1, 1: 0}
 
 
 def test_cone_requires_compact_base():

@@ -2,6 +2,9 @@
 structural checks (cone formula, suspension shift, stalks, duality,
 extremal perversities, normalization)."""
 
+from collections import Counter
+from itertools import chain, combinations
+
 import pytest
 
 from ihkl import builders, complexes
@@ -104,6 +107,106 @@ def test_a_complex_is_gated_every_call_and_keeps_one_model_per_mode(monkeypatch)
     assert gated == [s] * (len(SUPPORTS) * (len(ps) + 3))
     # a strata-full complex is its own Borel-Moore model under a perversity
     assert allowable_complex(s, ps[0]).context is s
+
+
+def count_rank_loops(monkeypatch):
+    loops = []
+    chain_dims = complexes.chain_dims
+    monkeypatch.setattr(complexes, "chain_dims",
+                        lambda *args: loops.append(args) or chain_dims(*args))
+    return loops
+
+
+def whole_table(s):
+    """Homology and IH for every standard perversity, in both supports."""
+    ps = [make_standard(kind, s.dimension) for kind in STANDARD_KINDS]
+    return [(homology_dims(s, sup), [ih_dims(s, p, sup) for p in ps]) for sup in SUPPORTS]
+
+
+def test_one_rank_loop_per_model_and_effective_perversity(monkeypatch):
+    # F(2) = F(3) = the apex: the four perversities read only p(3), 0 or 1;
+    # per supports that is one loop for homology and two for IH
+    s = barycentric_subdivide(builders.cone_torus())
+    loops = count_rank_loops(monkeypatch)
+    first = whole_table(s)
+    assert len(loops) == 6
+    assert whole_table(s) == first and len(loops) == 6
+    # each supports mode first on a fresh complex: a memo shared across the
+    # modes would hand the first table the other mode's answers
+    for sup, (hom, ihs) in zip(SUPPORTS, first):
+        fresh = barycentric_subdivide(builders.cone_torus())
+        assert homology_dims(fresh, sup) == hom
+        assert [ih_dims(fresh, make_standard(kind, 3), sup)
+                for kind in STANDARD_KINDS] == ihs, sup
+
+
+def test_a_perversity_read_only_at_an_empty_stratum_shares_the_loop(monkeypatch):
+    # R x the pinched cylinder: F(2) is R x the pinch, F(3) is empty, so
+    # (0, 1) differs from the zero perversity only where nothing is read
+    s = builders.build("susp-pinched-cylinder")
+    assert len(s.F(2)) and not len(s.F(3))
+    loops = count_rank_loops(monkeypatch)
+    for sup in SUPPORTS:
+        want = ih_dims(s, make_standard("zero", 3), sup)
+        before = len(loops)
+        assert ih_dims(s, custom([0, 1]), sup) == want, sup
+        assert len(loops) == before, sup
+
+
+def test_a_returned_table_is_the_callers_own():
+    s = builders.cone_torus()
+    for sup in SUPPORTS:
+        for call in (lambda: homology_dims(s, sup), lambda: ih_dims(s, None, sup),
+                     lambda: ih_dims(s, MID3, sup)):
+            want = dict(call())
+            got = call()
+            got[0] = -1
+            got[99] = 1
+            assert call() == want, sup
+
+
+def reference_structure_report(s):
+    """The gate as it was: one count of every face of every n-simplex."""
+    rep = complexes.ValidationReport()
+    n, K = s.dimension, s.ambient
+    faces = Counter(chain.from_iterable(
+        combinations(t, m) for t in K.of_dim(n) for m in range(1, n + 2)))
+    rep.add("purity", len(faces) == len(K),
+            "%d simplices not contained in an %d-simplex" % (len(K) - len(faces), n))
+    bad = [x for x in K.of_dim(n - 1) if faces[x] != 2 and x not in s.ends]
+    rep.add("pseudomanifold", not bad,
+            "%d interior (n-1)-simplices without exactly two cofaces" % len(bad))
+    msgs = ["dim F(%d) = %d > %d" % (k, s.F(k).dim, n - k)
+            for k in range(2, n + 1) if s.F(k).dim > n - k]
+    rep.add("filtration", not msgs, "; ".join(msgs))
+    rep.add("no_codim_1", not s.F(2).of_dim(n - 1), "F(2) has (n-1)-simplices")
+    return rep
+
+
+def gate_inputs():
+    for name in builders.BUILDERS:
+        s = builders.build(name)
+        yield name, s
+        if name != "susp2-cone-circle":  # 30,309 simplices once subdivided
+            yield name + " subdivided", barycentric_subdivide(s)
+    yield "book", BOOK
+    yield "dangling edge", StratifiedComplex(
+        SimplicialComplex([*builders.sphere().ambient.simplices, ("x+", "out")]), 2)
+    yield "stray vertex", StratifiedComplex(
+        SimplicialComplex([*builders.sphere().ambient.simplices, ("out",)]), 2)
+    yield "tetrahedron as dimension 2", StratifiedComplex(
+        SimplicialComplex([("a", "b", "c", "d")]), 2)
+    yield "point", builders.point()
+    yield "two points", StratifiedComplex(SimplicialComplex([("a",), ("b",)]), 0)
+
+
+def test_the_gate_reports_what_the_face_count_reported():
+    failed = set()
+    for name, s in gate_inputs():
+        rep = complexes._structure_report(s)
+        assert rep.to_json() == reference_structure_report(s).to_json(), name
+        failed.update(name for check, (passed, _) in rep.checks.items() if not passed)
+    assert failed == {"book", "dangling edge", "stray vertex", "tetrahedron as dimension 2"}
 
 
 def test_homology_gates_the_filtration_before_dropping_it():
