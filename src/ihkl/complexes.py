@@ -87,7 +87,7 @@ class SimplicialComplex:
         vs = set().union(*simps)
         rank = None if _plain(vs) else {v: r for r, v in enumerate(sorted(vs, key=vkey))}
         key = None if rank is None else lambda s: tuple(map(rank.__getitem__, s))
-        self._by_dim = {d: sorted(v, key=key) for d, v in by_dim.items()}
+        self._by_dim = {d: tuple(sorted(v, key=key)) for d, v in by_dim.items()}
 
     @classmethod
     def empty(cls):
@@ -98,7 +98,8 @@ class SimplicialComplex:
         return self._simplices
 
     def of_dim(self, d):
-        return self._by_dim.get(d, [])
+        """The d-simplices in canonical order, as the complex's own tuple."""
+        return self._by_dim.get(d, ())
 
     @property
     def dim(self):
@@ -143,7 +144,7 @@ class SimplicialComplex:
         sub._simplices = frozenset(keep)
         sub._by_dim = {}
         for d, xs in self._by_dim.items():
-            kept = [x for x in xs if x in sub._simplices]
+            kept = tuple(filter(sub._simplices.__contains__, xs))
             if kept:
                 sub._by_dim[d] = kept
         return sub
@@ -359,7 +360,7 @@ def interior_order_complex(s: StratifiedComplex) -> StratifiedComplex:
     empty. This is the standard deformation retract of |K| - |L| and
     needs no fullness hypothesis on L.
     """
-    return _labelled(*_order_complex(s, s.ambient.simplices - s.ends.simplices))
+    return _twinned(*_order_complex(s, s.ambient.simplices - s.ends.simplices))
 
 
 def _order_complex(s: StratifiedComplex, simplices):
@@ -399,7 +400,7 @@ def _labelled(m: StratifiedComplex, labels) -> StratifiedComplex:
 
     def renamed(sub):
         out = object.__new__(SimplicialComplex)
-        out._by_dim = {d: [named[x] for x in xs] for d, xs in sub._by_dim.items()}
+        out._by_dim = {d: tuple(map(named.__getitem__, xs)) for d, xs in sub._by_dim.items()}
         out._simplices = frozenset(itertools.chain.from_iterable(out._by_dim.values()))
         return out
 
@@ -407,6 +408,15 @@ def _labelled(m: StratifiedComplex, labels) -> StratifiedComplex:
                             filtration={k: renamed(m.F(k)) for k in m.filtration})
     out._memo["twin"] = (m, labels)
     return out
+
+
+def _twinned(m: StratifiedComplex, labels) -> StratifiedComplex:
+    """``_labelled`` for a construction handed out, with the gate verdict of its
+    twin kept now: the construction pays for it, not whichever query comes
+    first. ``_oracle_model``'s copies are of models, which stay ungated."""
+    if labels is not None:
+        m._memo["gate"] = _failed_checks(m)
+    return _labelled(m, labels)
 
 
 def compact_model(s: StratifiedComplex) -> StratifiedComplex:
@@ -420,7 +430,7 @@ def compact_model(s: StratifiedComplex) -> StratifiedComplex:
     vertices are the simplices off the ends), for which the conditions
     always hold.
     """
-    return _labelled(*_compact_model(s))
+    return _twinned(*_compact_model(s))
 
 
 def _compact_model(s: StratifiedComplex):
@@ -464,8 +474,8 @@ def _prepare(s: StratifiedComplex, p: Perversity | None, supports: str):
     has one, and every order complex made here is int-labelled.
     s keeps the model for each (supports, p is None), which those two
     decide, with the table naming its vertices in the ids of s (None: they
-    are). The gate, the fitted p and the allowability test are made per
-    call: a kept gate would put its cost on whichever query comes first.
+    are). The gate runs every call and reads the verdict kept on the gated
+    complex; the fitted p and the allowability test are made per call.
     """
     if supports not in SUPPORTS:
         raise UsageError("unknown supports mode %r" % (supports,))
@@ -527,7 +537,7 @@ def barycentric_subdivide(s: StratifiedComplex) -> StratifiedComplex:
     new vertex set is the old simplex set. After one application every
     filtration subcomplex and the ends are full subcomplexes.
     """
-    return _labelled(*_order_complex(s, s.ambient.simplices))
+    return _twinned(*_order_complex(s, s.ambient.simplices))
 
 
 def cone(base: StratifiedComplex) -> StratifiedComplex:
@@ -646,11 +656,20 @@ def validate(s: StratifiedComplex) -> ValidationReport:
     return rep
 
 
+def _failed_checks(s: StratifiedComplex) -> tuple:
+    return tuple("%s (%s)" % (name, msg)
+                 for name, (passed, msg) in _structure_report(s).checks.items() if not passed)
+
+
 def require_structure(s: StratifiedComplex):
-    """The checks homology needs; ValidationError names each one failed."""
-    failed = ["%s (%s)" % (name, msg)
-              for name, (passed, msg) in _structure_report(s).checks.items()
-              if not passed]
+    """The checks homology needs; ValidationError names each one failed.
+
+    s is immutable, so the failed checks are computed once and kept in its
+    memo, empty when s passes (``_twinned`` fills them in for a twin); a
+    complex that fails is refused on every call, with the same message."""
+    failed = s._memo.get("gate")
+    if failed is None:
+        failed = s._memo["gate"] = _failed_checks(s)
     if failed:
         raise ValidationError("complex failed validation: " + "; ".join(failed))
 

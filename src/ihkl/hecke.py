@@ -35,81 +35,86 @@ MAX_PRODUCT_WORK = math.factorial(MAX_KL_TABLE) * math.comb(MAX_KL_TABLE, 2)   #
 
 
 class LaurentPoly:
-    """Sparse integer Laurent polynomial; the variable is v by default."""
+    """Sparse integer Laurent polynomial; the variable is v by default.
 
-    __slots__ = ("coeffs",)
+    Immutable, as the memoised KL tables hand the same polynomials to every
+    caller: the exponent -> coefficient dict is set once, and ``coeffs`` is
+    a read-only view of it.
+    """
+
+    __slots__ = ("_c",)
 
     def __init__(self, coeffs=None):
-        self.coeffs = {int(e): c for e, c0 in (coeffs or {}).items()
-                       for c in (int(c0),) if c}
+        _set_c(self, {int(e): c for e, c0 in (coeffs or {}).items()
+                      for c in (int(c0),) if c})
 
-    @classmethod
-    def _of(cls, coeffs):
-        """The polynomial on ``coeffs``, int exponents to non-zero ints, as it is."""
-        out = cls.__new__(cls)
-        out.coeffs = coeffs
-        return out
+    def __setattr__(self, name, value):
+        raise AttributeError("a LaurentPoly is immutable")
+
+    @property
+    def coeffs(self):
+        return MappingProxyType(self._c)
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self._c)
 
     def __eq__(self, other):
         if isinstance(other, int):
             other = LaurentPoly({0: other})
-        return isinstance(other, LaurentPoly) and self.coeffs == other.coeffs
+        return isinstance(other, LaurentPoly) and self._c == other._c
 
     def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
+        return hash(frozenset(self._c.items()))
 
     def __add__(self, other):
         if isinstance(other, int):
             other = LaurentPoly({0: other})
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
+        out = dict(self._c)
+        for e, c in other._c.items():
             out[e] = out.get(e, 0) + c
-        return LaurentPoly._of({e: c for e, c in out.items() if c})
+        return _poly({e: c for e, c in out.items() if c})
 
     def __neg__(self):
-        return LaurentPoly._of({e: -c for e, c in self.coeffs.items()})
+        return _poly({e: -c for e, c in self._c.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return LaurentPoly._of({e: c * other for e, c in self.coeffs.items()} if other else {})
+            return _poly({e: c * other for e, c in self._c.items()} if other else {})
         out = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
+        for e1, c1 in self._c.items():
+            for e2, c2 in other._c.items():
                 out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
-        return LaurentPoly._of({e: c for e, c in out.items() if c})
+        return _poly({e: c for e, c in out.items() if c})
 
     __rmul__ = __mul__
 
     def shift(self, k):
         """Multiply by v^k."""
-        return LaurentPoly._of({e + k: c for e, c in self.coeffs.items()})
+        return _poly({e + k: c for e, c in self._c.items()})
 
     def bar(self):
         """Substitute v -> v^{-1}."""
-        return LaurentPoly._of({-e: c for e, c in self.coeffs.items()})
+        return _poly({-e: c for e, c in self._c.items()})
 
     def is_palindromic(self):
-        return self.coeffs == {-e: c for e, c in self.coeffs.items()}
+        return self._c == {-e: c for e, c in self._c.items()}
 
     def coefficient(self, e):
-        return self.coeffs.get(e, 0)
+        return self._c.get(e, 0)
 
     def max_degree(self):
-        return max(self.coeffs) if self.coeffs else None
+        return max(self._c) if self._c else None
 
     def min_degree(self):
-        return min(self.coeffs) if self.coeffs else None
+        return min(self._c) if self._c else None
 
     def subs_q(self, q):
         """Evaluate at v^2 = q; only even exponents may be present."""
         total = 0
-        for e, c in self.coeffs.items():
+        for e, c in self._c.items():
             if e % 2:
                 raise ComputationError(
                     "odd exponent %d: element does not lie in Z[v^2]" % e)
@@ -119,7 +124,7 @@ class LaurentPoly:
     def to_q(self):
         """Rewrite an element of Z[v^2] as a polynomial in q = v^2."""
         out = {}
-        for e, c in self.coeffs.items():
+        for e, c in self._c.items():
             if e % 2 or e < 0:
                 raise ComputationError(
                     "exponent %d: element does not lie in Z[q]" % e)
@@ -127,11 +132,11 @@ class LaurentPoly:
         return LaurentPoly(out)
 
     def format(self, var="v"):
-        if not self.coeffs:
+        if not self._c:
             return "0"
         parts = []
-        for e in sorted(self.coeffs):
-            c = self.coeffs[e]
+        for e in sorted(self._c):
+            c = self._c[e]
             if e == 0:
                 term = str(c)
             else:
@@ -151,7 +156,17 @@ class LaurentPoly:
     __str__ = format
 
     def __repr__(self):
-        return "LaurentPoly(%r)" % (self.coeffs,)
+        return "LaurentPoly(%r)" % (self._c,)
+
+
+_set_c = LaurentPoly._c.__set__  # the one write, past __setattr__
+
+
+def _poly(coeffs):
+    """The polynomial on ``coeffs``, int exponents to non-zero ints, as it is."""
+    out = object.__new__(LaurentPoly)
+    _set_c(out, coeffs)
+    return out
 
 
 class HeckeElement:
@@ -217,7 +232,7 @@ class HeckeElement:
             c, w = self._coeffs[x], Permutation(x)
             if c == 1:
                 parts.append("T:%s" % w)
-            elif len(c.coeffs) == 1:
+            elif len(c._c) == 1:
                 parts.append("%s*T:%s" % (c.format(), w))
             else:
                 parts.append("(%s)*T:%s" % (c.format(), w))
@@ -398,7 +413,7 @@ def _extract_bott_samelson(w: Permutation, word: tuple) -> KLResult:
     for lu, x in sorted(((_inversions(x), x) for x in e._coeffs if x != w.word),
                         reverse=True):
         g = e._coeffs[x].shift(lu)
-        p_u = LaurentPoly({s * d: c for d, c in g.coeffs.items() if d >= 0
+        p_u = LaurentPoly({s * d: c for d, c in g._c.items() if d >= 0
                            for s in (1, -1)})
         if p_u:
             corrections[Permutation(x)] = p_u
@@ -416,7 +431,7 @@ def kl_recursion(w: Permutation) -> KLResult:
     recursion: its T_u coefficient is v^{-l(w)} P_{u,w}(v^2)."""
     _check_work(w)
     table, lw = _kl_polys(w.word), w.length()
-    e = HeckeElement._of(w.n, {y: LaurentPoly({2 * j - lw: c for j, c in p.coeffs.items()})
+    e = HeckeElement._of(w.n, {y: LaurentPoly({2 * j - lw: c for j, c in p._c.items()})
                                for y, p in table.items()})
     return KLResult(w, e, _check_kl(w, table), MappingProxyType({}))
 
@@ -501,6 +516,6 @@ def ic_stalk_dims(u: Permutation, w: Permutation) -> StalkTable:
         out.comparable = False
         return out
     p = cprime(w).kl_polys[u]
-    for j, c in p.coeffs.items():
+    for j, c in p._c.items():
         out[-w.length() + 2 * j] = c
     return out

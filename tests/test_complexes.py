@@ -140,6 +140,21 @@ def test_a_stratified_complex_is_immutable():
     assert s.F(2) == builders.pinched_cylinder().F(2)
 
 
+@pytest.mark.parametrize("subdivided", [False, True], ids=["raw", "subdivided"])
+def test_a_complex_hands_out_its_simplices_read_only(subdivided):
+    # the gate's verdict is kept, so a write through of_dim would pass it for good
+    s = builders.build("cone-torus")
+    if subdivided:
+        s = barycentric_subdivide(s)
+    f, want = s.ambient.f_vector(), ih_dims(s, None)
+    for c in (s.ambient, s.ends, *s.filtration.values()):
+        for d in range(-1, c.dim + 2):
+            assert type(c.of_dim(d)) is tuple, d
+    with pytest.raises(AttributeError):
+        s.ambient.of_dim(2).clear()
+    assert s.ambient.f_vector() == f and ih_dims(s, None) == want
+
+
 def _fresh(s):
     return StratifiedComplex(s.ambient, s.dimension, ends=s.ends,
                              filtration=dict(s.filtration))

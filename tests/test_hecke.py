@@ -286,6 +286,28 @@ def test_kl_results_are_read_only_so_the_memo_stays_right():
     assert ic_stalk_dims(identity(4), w) == {-2: 1, -4: 1}
 
 
+def test_a_laurent_poly_is_immutable_so_the_kl_memos_stay_right():
+    w, e = Permutation((3, 4, 1, 2)), identity(4)
+
+    def snapshot():
+        return ([{u: dict(p.coeffs) for u, p in cprime(w, alg).kl_polys.items()}
+                 for alg in ("bott_samelson", "recursion")],
+                {k: dict(p.coeffs) for k, p in kl_table(4).items()})
+
+    before = snapshot()
+    for p in (cprime(w).kl_polys[e], cprime(w, "recursion").kl_polys[e],
+              kl_table(4)[(e, w)]):
+        with pytest.raises(TypeError):
+            p.coeffs[1] = 7
+        with pytest.raises(AttributeError):
+            p.coeffs.clear()
+        for name in ("coeffs", "_c"):
+            with pytest.raises(AttributeError):
+                setattr(p, name, {1: 7})
+    assert snapshot() == before
+    assert ic_stalk_dims(e, w) == {-2: 1, -4: 1}
+
+
 def test_check_kl_wants_p_w_w_and_the_degree_bound():
     w = Permutation((3, 4, 1, 2))
     good = {u.word: p for u, p in cprime(w).kl_polys.items()}

@@ -2,15 +2,17 @@
 structural checks (cone formula, suspension shift, stalks, duality,
 extremal perversities, normalization)."""
 
+import json
 from collections import Counter
+from importlib import resources
 from itertools import chain, combinations
 
 import pytest
 
 from ihkl import builders, complexes
 from ihkl.complexes import (SUPPORTS, SimplicialComplex, StratifiedComplex,
-                            barycentric_subdivide, compact_model, cone,
-                            homology_dims, suspend)
+                            barycentric_subdivide, compact_model, complex_from_dict,
+                            cone, homology_dims, suspend, validate)
 from ihkl.errors import ComputationError, UsageError, ValidationError
 from ihkl.ih import (allowable_complex, allowable_simplices,
                      cone_formula_check, duality_report, extremal_comparison,
@@ -60,7 +62,7 @@ def test_allowable_simplices_compact_lie_on_the_compact_model():
     c = builders.cone_circle()
     model = compact_model(c)
     assert allowable_complex(c, ZERO2, "compact").context.ambient == model.ambient
-    assert allowable_simplices(c, ZERO2, 2, "compact") == model.ambient.of_dim(2)
+    assert allowable_simplices(c, ZERO2, 2, "compact") == list(model.ambient.of_dim(2))
     verts = allowable_simplices(c, ZERO2, 0, "compact")
     assert verts == [v for v in model.ambient.of_dim(0) if v != (("apex",),)]
 
@@ -138,6 +140,71 @@ def test_one_rank_loop_per_model_and_effective_perversity(monkeypatch):
         assert homology_dims(fresh, sup) == hom
         assert [ih_dims(fresh, make_standard(kind, 3), sup)
                 for kind in STANDARD_KINDS] == ihs, sup
+
+
+def count_gate_runs(monkeypatch):
+    runs = []
+    report = complexes._structure_report
+    monkeypatch.setattr(complexes, "_structure_report",
+                        lambda s: runs.append(s) or report(s))
+    return runs
+
+
+def test_a_subdivision_is_gated_once_when_it_is_made(monkeypatch):
+    runs = count_gate_runs(monkeypatch)
+    s = barycentric_subdivide(builders.cone_torus())
+    assert runs == [s._memo["twin"][0]]  # the int-labelled twin that _prepare gates
+    first = whole_table(s)
+    assert len(runs) == 1
+    assert whole_table(s) == first and len(runs) == 1
+
+
+def test_a_loaded_complex_is_gated_once_over_a_whole_table(monkeypatch):
+    data = json.loads((resources.files("ihkl") / "data" / "cone-torus.json").read_text())
+    s = complex_from_dict(data)
+    runs = count_gate_runs(monkeypatch)
+    first = whole_table(s)
+    assert runs == [s]
+    assert whole_table(s) == first and runs == [s]
+
+
+def test_a_failing_complex_is_refused_every_call_with_one_message(monkeypatch):
+    book = StratifiedComplex(BOOK.ambient, BOOK.dimension)
+    runs = count_gate_runs(monkeypatch)
+    msgs = []
+    for call in (lambda: ih_dims(book, ZERO2), lambda: homology_dims(book, "compact"),
+                 lambda: allowable_complex(book, None)):
+        with pytest.raises(ValidationError) as err:
+            call()
+        msgs.append(str(err.value))
+    assert msgs == ["complex failed validation: pseudomanifold "
+                    "(7 interior (n-1)-simplices without exactly two cofaces)"] * 3
+    assert runs == [book]
+
+
+def test_a_subdivision_that_fails_is_made_and_refused_at_its_first_query(monkeypatch):
+    runs = count_gate_runs(monkeypatch)
+    sd = barycentric_subdivide(BOOK)
+    assert len(runs) == 1
+    for _ in range(2):
+        with pytest.raises(ValidationError, match="pseudomanifold"):
+            homology_dims(sd, "borel_moore")
+    assert len(runs) == 1
+
+
+def test_validate_reports_afresh_after_queries(monkeypatch):
+    for s, ok in ((barycentric_subdivide(builders.cone_torus()), True),
+                  (StratifiedComplex(BOOK.ambient, BOOK.dimension), False)):
+        try:
+            whole_table(s)
+        except ValidationError:
+            assert not ok
+        runs = count_gate_runs(monkeypatch)
+        rep = validate(s)
+        assert list(rep.checks) == ["purity", "pseudomanifold", "filtration", "no_codim_1",
+                                    "ends_full", "strata_full"]
+        assert rep.ok == ok and rep.checks["pseudomanifold"][0] == ok
+        assert validate(s) is not rep and runs == [s, s]
 
 
 def test_a_perversity_read_only_at_an_empty_stratum_shares_the_loop(monkeypatch):

@@ -326,8 +326,8 @@ def chains_of(members):
 
 def assert_in_vkey_order(c):
     for d in range(-1, c.dim + 2):
-        want = sorted((x for x in c.simplices if len(x) == d + 1),
-                      key=lambda x: tuple(vkey(v) for v in x))
+        want = tuple(sorted((x for x in c.simplices if len(x) == d + 1),
+                            key=lambda x: tuple(vkey(v) for v in x)))
         assert c.of_dim(d) == want, d
 
 
@@ -393,9 +393,9 @@ def test_each_int_model_read_back_through_its_labels_is_the_labelled_constructio
         assert [type(v) for v in twin.ambient.vertices] == [int] * len(labels)
         for c, named in zip(subcomplexes(twin), subcomplexes(public)):
             for d in range(-1, c.dim + 2):
-                back = [tuple(labels[v] for v in x) for x in c.of_dim(d)]
+                back = tuple(tuple(labels[v] for v in x) for x in c.of_dim(d))
                 assert back == named.of_dim(d), d
-                assert back == sorted(back, key=lambda x: tuple(map(vkey, x))), d
+                assert back == tuple(sorted(back, key=lambda x: tuple(map(vkey, x)))), d
 
 
 @seed(16)
@@ -424,8 +424,8 @@ def reference_load(data):
         return simps
 
     def in_order(simps):
-        return simps, {d: sorted((x for x in simps if len(x) == d + 1),
-                                 key=lambda x: tuple(map(vkey, x)))
+        return simps, {d: tuple(sorted((x for x in simps if len(x) == d + 1),
+                                       key=lambda x: tuple(map(vkey, x))))
                        for d in range(-1, max(map(len, simps), default=0) + 1)}
 
     n, filt = data["dimension"], data.get("filtration", {})
