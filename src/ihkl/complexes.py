@@ -32,7 +32,7 @@ def vkey(v):
     """A canonical sort key giving a strict total order on vertex ids.
 
     Vertex identifiers may be strings, integers, or (after subdivision,
-    cones and suspensions) nested tuples of these; the key is injective
+    cones and products) nested tuples of these; the key is injective
     up to ``==`` and consistent across mixed types. A boolean is the
     integer it equals, as it is in every set and dict of simplices.
     """
@@ -563,30 +563,45 @@ def cone(base: StratifiedComplex) -> StratifiedComplex:
     return StratifiedComplex(amb, k, ends=base.ambient, filtration=filt)
 
 
-def _prism(sub: SimplicialComplex) -> set:
-    """The simplices of the staircase (path-monotone) triangulation of |sub| x [0, 1]."""
-    simps = []
-    for x in sub.simplices:
-        bottom = tuple((v, 0) for v in x)
-        top = tuple((v, 1) for v in x)
-        for j in range(len(x)):  # the last has the bottom cap as a face, the first the top
-            simps.append(simplex(bottom[: j + 1] + top[j:]))
-    return _close(simps, set())
+@lru_cache(maxsize=None)
+def _chains(i, j):
+    """The lattice paths from (0, 0) to (i, j) with steps (1, 0), (0, 1) and (1, 1), each
+    as its i and its j steps: the chains of pairs that are onto both factors' indices."""
+    if i == j == 0:
+        return [((0,), (0,))]
+    return [(xs + (i,), ys + (j,)) for di, dj in ((1, 0), (0, 1), (1, 1)) if di <= i and dj <= j
+            for xs, ys in _chains(i - di, j - dj)]
+
+
+def product(s: StratifiedComplex, m: StratifiedComplex) -> StratifiedComplex:
+    """X x M for a factor M with an empty filtration, such as a manifold.
+
+    K x M is the staircase triangulation. Its simplices over a simplex x of K
+    and y of M are the chains of pairs (x[i], y[j]) that meet every vertex of x
+    and of y, so each is built once, and sorted, as vkey compares pairs
+    lexicographically. The ends are L x M and K x L_M; F(k) is F(k) x M, of
+    codimension k in dimension n + dim M."""
+    if any(map(len, m.filtration.values())):
+        raise ComputationError("a product factor must have an empty filtration")
+
+    def cells(a: SimplicialComplex, b: SimplicialComplex) -> list:  # |a| x |b|
+        return [tuple(zip(map(x.__getitem__, xs), map(y.__getitem__, ys)))
+                for x in a.simplices for y in b.simplices
+                for xs, ys in _chains(len(x) - 1, len(y) - 1)]
+
+    amb = SimplicialComplex(cells(s.ambient, m.ambient), closed=True)
+    ends = amb._subcomplex(cells(s.ends, m.ambient) + cells(s.ambient, m.ends))
+    filt = {k: amb._subcomplex(cells(s.F(k), m.ambient)) for k in range(2, s.dimension + 1)}
+    return StratifiedComplex(amb, s.dimension + m.dimension, ends=ends, filtration=filt)
+
+
+_INTERVAL = StratifiedComplex(SimplicialComplex([(0, 1)]), 1, ends=SimplicialComplex([(0,), (1,)]))
 
 
 def suspend(s: StratifiedComplex) -> StratifiedComplex:
-    """The prism model of R x X.
-
-    K becomes the staircase triangulation of K x I; the ends collect both
-    prism caps plus the prism over the old ends; each filtration step is
-    the prism over the old one.
-    """
-    amb = SimplicialComplex(_prism(s.ambient), closed=True)
-    caps = [tuple((v, 0) for v in x) for x in s.ambient.simplices]
-    caps += [tuple((v, 1) for v in x) for x in s.ambient.simplices]
-    ends = amb._subcomplex(_prism(s.ends).union(caps))
-    filt = {k: amb._subcomplex(_prism(s.F(k))) for k in range(2, s.dimension + 1)}
-    return StratifiedComplex(amb, s.dimension + 1, ends=ends, filtration=filt)
+    """The model of R x X: ``product(s, I)``, with I the edge (0, 1) and both
+    endpoints its ends, so the ends are both caps and the prism over L."""
+    return product(s, _INTERVAL)
 
 
 # ---------------------------------------------------------------------------

@@ -132,26 +132,17 @@ class LaurentPoly:
         return LaurentPoly(out)
 
     def format(self, var="v"):
-        if not self._c:
-            return "0"
-        parts = []
+        """Terms by rising exponent, such as ``-v^-2+3+2*v``; "0" for zero."""
+        terms = []
         for e in sorted(self._c):
-            c = self._c[e]
+            c, head = self._c[e], var if e == 1 else "%s^%d" % (var, e)
             if e == 0:
-                term = str(c)
+                terms.append(str(c))
+            elif c in (1, -1):
+                terms.append(head if c == 1 else "-" + head)
             else:
-                head = var if e == 1 else "%s^%d" % (var, e)
-                if c == 1:
-                    term = head
-                elif c == -1:
-                    term = "-" + head
-                else:
-                    term = "%d*%s" % (c, head)
-            parts.append(term)
-        out = parts[0]
-        for term in parts[1:]:
-            out += term if term.startswith("-") else "+" + term
-        return out
+                terms.append("%d*%s" % (c, head))
+        return "+".join(terms).replace("+-", "-") or "0"
 
     __str__ = format
 
@@ -172,30 +163,31 @@ def _poly(coeffs):
 class HeckeElement:
     """Finite Z[v, v^{-1}]-combination of T-basis elements of rank n.
 
-    The coefficients live in ``_coeffs``, keyed by one-line tuples;
+    Immutable, as the memos hand the same C'_w to every caller: the
+    coefficients live in ``_coeffs``, keyed by one-line tuples, and
     ``terms`` is a read-only view of them keyed by ``Permutation``.
     """
 
     __slots__ = ("n", "_coeffs")
 
     def __init__(self, n, terms=None):
-        self.n = n
         clean = {}
         for w, c in (terms or {}).items():
-            if not isinstance(c, LaurentPoly):
-                c = LaurentPoly({0: c})
             if w.n != n:
                 raise ComputationError("term %s has wrong rank" % w)
-            if c:
-                clean[w.word] = c
-        self._coeffs = clean
+            clean[w.word] = c if isinstance(c, LaurentPoly) else LaurentPoly({0: c})
+        _set_n(self, n)
+        _set_coeffs(self, {x: c for x, c in clean.items() if c})
+
+    def __setattr__(self, name, value):
+        raise AttributeError("a HeckeElement is immutable")
 
     @classmethod
     def _of(cls, n, coeffs):
         """The element with tuple-keyed LaurentPoly coefficients; zeros dropped."""
         out = cls.__new__(cls)
-        out.n = n
-        out._coeffs = {x: c for x, c in coeffs.items() if c}
+        _set_n(out, n)
+        _set_coeffs(out, {x: c for x, c in coeffs.items() if c})
         return out
 
     @classmethod
@@ -244,6 +236,7 @@ class HeckeElement:
         return "HeckeElement(%d, %s)" % (self.n, self.format())
 
 
+_set_n, _set_coeffs = HeckeElement.n.__set__, HeckeElement._coeffs.__set__  # past __setattr__
 ONE = LaurentPoly({0: 1})
 ZERO = LaurentPoly()
 V2M1 = LaurentPoly({2: 1, 0: -1})      # v^2 - 1

@@ -201,7 +201,7 @@ def cone_formula_check(link: StratifiedComplex, p: Perversity) -> ComparisonRepo
 
 
 def suspension_check(s: StratifiedComplex, p: Perversity) -> ComparisonReport:
-    """IH of R x X should be IH of X shifted up one degree."""
+    """IH of R x X, Kunneth for ``product(s, I)``, should be IH of X shifted up one degree."""
     n = s.dimension
     if p.dimension < n + 1:
         raise ComputationError("need a perversity of dimension >= %d" % (n + 1))
@@ -219,9 +219,10 @@ def local_stalk_table(s: StratifiedComplex, x, p: Perversity) -> dict:
 
     Entries sit in degrees -n + j for 0 <= j <= p(k) where k is the
     codimension of the stratum of x; the entry at -n + j is the link's
-    IH in degree (n - 1) - j. The link of x is the join of S^(n-k-1)
+    reduced IH in degree (n - 1) - j. The link of x is the join of S^(n-k-1)
     with its normal link, so this is the normal link's IH in degree
-    (k - 1) - j. Only non-zero entries are returned.
+    (k - 1) - j. Reduced IH, one less in degree 0 and 1 in degree -1 for
+    an empty link, differs only for n <= 1. Only non-zero entries are returned.
 
     The input is gated like ``ih_dims``. The stalk is a local invariant,
     so when the filtration subcomplexes are not full it is read at the
@@ -244,6 +245,7 @@ def local_stalk_table(s: StratifiedComplex, x, p: Perversity) -> dict:
         s.ambient.link(x), n - 1,
         filtration={k: s.F(k).link(x) for k in range(2, n) if (x,) in s.F(k)})
     link_ih = ih_dims(linkst, p)
+    link_ih[0], link_ih[-1] = link_ih.get(0, 0) - 1, int(n == 0)  # reduced
     k = next((j for j in range(n, 1, -1) if (x,) in s.F(j)), None)
     jmax = 0 if k is None else p(k)  # a smooth point: the link's top IH only
     return {-n + j: link_ih[n - 1 - j] for j in range(jmax + 1) if link_ih.get(n - 1 - j)}

@@ -7,7 +7,7 @@ import pytest
 from ihkl import builders
 from ihkl.complexes import (SUPPORTS, SimplicialComplex, StratifiedComplex,
                             barycentric_subdivide, complex_from_dict,
-                            complex_to_dict, cone, homology_dims, simplex,
+                            complex_to_dict, cone, homology_dims, product, simplex,
                             suspend, validate)
 from ihkl.errors import ComputationError, UsageError, ValidationError
 from ihkl.ih import ih_dims
@@ -126,6 +126,33 @@ def test_suspend_shifts_borel_moore_homology():
     assert dims == {0: 0, 1: 1, 2: 2, 3: 1}
     # ordinary homology is untouched by the factor of R
     assert homology_dims(s, "compact") == {0: 1, 1: 2, 2: 1, 3: 0}
+
+
+def test_a_product_with_a_square_has_each_part_of_its_ends_and_strata():
+    # two triangles abc, bcd with the edge ab as their end
+    square = StratifiedComplex(SimplicialComplex([("a", "b", "c"), ("b", "c", "d")]), 2,
+                               ends=SimplicialComplex([("a", "b")]))
+    pc = builders.pinched_cylinder()
+    s = product(pc, square)
+    assert s.dimension == 4
+    # each pair of a d-simplex and an e-simplex, both projections onto, gives
+    # (k-1)! / ((d-j)! (e-j)! j!) k-vertex chains, j = d + e - k + 1 diagonal steps:
+    # 6 x 2 pairs of triangles give 6 4-simplices each
+    assert s.ambient.f_vector() == (28, 143, 278, 234, 72)
+    ring = pc.ambient.vertices - {"p0"}
+    assert s.ends.vertices == ({(v, w) for v in ring for w in "abcd"}
+                               | {(v, w) for v in pc.ambient.vertices for w in "ab"})
+    assert s.F(2).vertices == {("p0", w) for w in "abcd"}
+    assert [s.F(k).dim for k in range(2, 5)] == [2, -1, -1]
+    assert all(s.F(k).is_full_in(s.ambient) for k in range(2, 5))
+
+
+def test_a_product_factor_with_strata_is_refused():
+    with pytest.raises(ComputationError, match="empty filtration"):
+        product(builders.circle(), builders.cone_circle())
+    # an empty F(k) is no stratum
+    flat = StratifiedComplex(builders.sphere().ambient, 2, filtration={2: SimplicialComplex([])})
+    assert product(builders.circle(), flat).dimension == 3
 
 
 def test_a_stratified_complex_is_immutable():

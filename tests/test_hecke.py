@@ -308,6 +308,19 @@ def test_a_laurent_poly_is_immutable_so_the_kl_memos_stay_right():
     assert ic_stalk_dims(e, w) == {-2: 1, -4: 1}
 
 
+def test_a_hecke_element_is_immutable_so_the_memoised_cprime_still_adds():
+    w = Permutation((3, 4, 1, 2))
+    for e in (cprime(w).cprime, cprime(w, "recursion").cprime, HeckeElement.t(w),
+              HeckeElement(4, {w: 2})):
+        for name, value in (("n", 3), ("_coeffs", {}), ("other", 1)):
+            with pytest.raises(AttributeError):
+                setattr(e, name, value)
+        assert e.n == 4
+    total = cprime(w).cprime + HeckeElement.t(w)
+    assert total.terms[w] == LaurentPoly({0: 1, -4: 1})
+    assert total - HeckeElement.t(w) == cprime(w).cprime
+
+
 def test_check_kl_wants_p_w_w_and_the_degree_bound():
     w = Permutation((3, 4, 1, 2))
     good = {u.word: p for u, p in cprime(w).kl_polys.items()}

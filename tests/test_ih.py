@@ -12,7 +12,7 @@ import pytest
 from ihkl import builders, complexes
 from ihkl.complexes import (SUPPORTS, SimplicialComplex, StratifiedComplex,
                             barycentric_subdivide, compact_model, complex_from_dict,
-                            cone, homology_dims, suspend, validate)
+                            cone, homology_dims, product, suspend, validate)
 from ihkl.errors import ComputationError, UsageError, ValidationError
 from ihkl.ih import (allowable_complex, allowable_simplices,
                      cone_formula_check, duality_report, extremal_comparison,
@@ -370,6 +370,28 @@ def test_local_stalk_tables():
     # a smooth vertex sees only the fundamental class of its link
     assert local_stalk_table(builders.torus(), "t0", ZERO2) == {-2: 1}
     assert local_stalk_table(builders.pinched_cylinder(), "p0", ZERO2) == {-2: 2}
+
+
+def test_local_stalk_tables_in_dimension_one_and_zero():
+    # the cone formula reads the link's reduced homology: a point of a curve
+    # has two points as its link and the constant stalk, and so does a point
+    assert local_stalk_table(builders.circle(), "c0", None) == {-1: 1}
+    assert local_stalk_table(builders.circle(5), "c3", ZERO2) == {-1: 1}
+    assert local_stalk_table(builders.two_circles(), "b1", None) == {-1: 1}
+    assert local_stalk_table(builders.point(), "p", None) == {0: 1}
+
+
+@pytest.mark.parametrize("name, vertex, kind", [
+    ("point", "p", "zero"), ("circle", "c0", "zero"), ("sphere", "x+", "zero"),
+    ("torus", "t0", "zero"), ("cone-circle", "apex", "zero"),
+    ("pinched-cylinder", "p0", "zero"), ("cone-torus", "apex", "lower_middle"),
+    ("cone-torus", "apex", "top")])
+def test_a_product_with_a_circle_shifts_the_stalk_down_one_degree(name, vertex, kind):
+    s = builders.build(name)
+    p = make_standard(kind, max(s.dimension + 1, 2))
+    want = {d - 1: c for d, c in local_stalk_table(s, vertex, p).items()}
+    assert want
+    assert local_stalk_table(product(s, builders.circle()), (vertex, "c0"), p) == want
 
 
 def test_local_stalk_tables_next_to_a_stratum():
