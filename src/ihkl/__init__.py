@@ -22,7 +22,8 @@ from .ih import (allowable_complex, allowable_simplices, cone_formula_check,
                  local_stalk_table, normalize_isolated, suspension_check)
 from .coxeter import Permutation, all_elements, bruhat_interval, bruhat_leq
 from .hecke import (HeckeElement, LaurentPoly, ic_stalk_dims, iota,
-                    kl_bott_samelson, kl_recursion, kl_table, t_inverse, t_mul)
+                    kl_bott_samelson, kl_interval, kl_recursion, kl_table, t_inverse,
+                    t_mul)
 from .flagfq import (convolve, enumerate_flags, relative_position,
                      schubert_cell_sizes, verify_hecke_specialization)
 from . import builders
@@ -37,7 +38,8 @@ __all__ = [
     "normalize_isolated", "suspension_check",
     "Permutation", "all_elements", "bruhat_interval", "bruhat_leq",
     "HeckeElement", "LaurentPoly", "ic_stalk_dims", "iota",
-    "kl_bott_samelson", "kl_recursion", "kl_table", "t_inverse", "t_mul",
+    "kl_bott_samelson", "kl_interval", "kl_recursion", "kl_table", "t_inverse",
+    "t_mul",
     "convolve", "enumerate_flags", "relative_position",
     "schubert_cell_sizes", "verify_hecke_specialization",
     "builders",

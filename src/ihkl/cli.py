@@ -103,9 +103,7 @@ def run_validate(args):
 
 
 def run_kl(args):
-    n = args.rank
-    algorithm = {"bs": "bott_samelson", "recursion": "recursion",
-                 "both": "both"}[args.algorithm]
+    n, algorithm = args.rank, "bott_samelson" if args.algorithm == "bs" else args.algorithm
     if args.element is not None:
         w = parse_element(args.element, n)
         # one element is computed by one route; both reports the Bott-Samelson result
@@ -116,14 +114,8 @@ def run_kl(args):
             return {"w": str(w), "cprime": res.cprime.format()}
         tail = ["C' = %(cprime)s"]
     else:
-        if args.interval is not None:
-            u0, w0 = _element_pair(args.interval, n, "--interval")
-            if not bruhat_leq(u0, w0):
-                raise ComputationError("%s is not below %s in Bruhat order" % (u0, w0))
-        table = hecke.kl_table(n, algorithm)
-        if args.interval is not None:
-            table = {(u, w): p for (u, w), p in table.items()
-                     if bruhat_leq(u0, u) and bruhat_leq(w, w0)}
+        table = (hecke.kl_table(n, algorithm) if args.interval is None else
+                 hecke.kl_interval(*_element_pair(args.interval, n, "--interval"), algorithm))
 
         def head():
             return {"rank": n, "algorithm": algorithm, "pairs": len(table)}
@@ -277,8 +269,9 @@ def build_parser():
 
     sp = sub.add_parser("kl", help="Kazhdan-Lusztig polynomials")
     sp.add_argument("--rank", type=_rank, required=True)
-    sp.add_argument("--element")
-    sp.add_argument("--interval")
+    which = sp.add_mutually_exclusive_group()
+    which.add_argument("--element")
+    which.add_argument("--interval")
     sp.add_argument("--algorithm", default="both",
                     choices=("bs", "recursion", "both"))
     _add_format(sp, "csv")

@@ -2,8 +2,9 @@
 
 The T-basis satisfies T_s^2 = (v^2 - 1) T_s + v^2 T_1 and T_u T_w =
 T_{uw} when lengths add. Kazhdan-Lusztig polynomials come from two
-independent routes, cross-checked by ``kl_table``: Bott-Samelson
-extraction multiplies out v^{-l(w)} (T_{s_1} + 1) ... (T_{s_k} + 1),
+independent routes, compared pair by pair on a Bruhat interval [u, w] by
+``kl_interval`` (``kl_table`` is [e, w0]): Bott-Samelson extraction
+multiplies out v^{-l(w)} (T_{s_1} + 1) ... (T_{s_k} + 1),
 removes the lower canonical terms and reads P_{u,w} off in q; the
 classical recursion (Kazhdan & Lusztig 1979, (2.2.c)) computes P_{u,w}
 with no Hecke product and writes C'_w from it. Each route keeps one memo
@@ -25,10 +26,10 @@ from functools import lru_cache, reduce
 from types import MappingProxyType
 
 from .coxeter import (Permutation, _first_descent, _inversions, _swap, all_elements,
-                      bruhat_leq, from_word, identity)
+                      bruhat_leq, from_word, identity, longest_element)
 from .errors import ComputationError, InternalConsistencyError
 
-MAX_KL_TABLE = 6   # kl_table refuses S_n past this rank (98,407 Bruhat pairs at n = 6)
+MAX_KL_TABLE = 6   # KL tables refuse S_n past this rank (98,407 Bruhat pairs at n = 6)
 # The most work one t_mul may do, counted as the walked support sizes: T at
 # w0 of S_6 walked from all of S_6 takes 720 elements through 15 letters.
 MAX_PRODUCT_WORK = math.factorial(MAX_KL_TABLE) * math.comb(MAX_KL_TABLE, 2)   # 10,800
@@ -468,27 +469,36 @@ def cprime(w: Permutation, algorithm: str = "bott_samelson") -> KLResult:
     raise ComputationError("unknown algorithm %r" % algorithm)
 
 
-def kl_table(n: int, algorithm: str = "both"):
-    """All P_{u,w} for u <= w in S_n, as polynomials in q; n <= MAX_KL_TABLE.
-
-    In both mode the Bott-Samelson and recursion tables are computed
-    independently and compared entry by entry; any discrepancy is a hard
-    error listing the offending pairs.
-    """
+def _check_rank(n: int):
+    """Refuse a KL table of S_n past MAX_KL_TABLE."""
     if n > MAX_KL_TABLE:
-        raise ComputationError("KL tables are limited to n <= %d, got n = %d"
-                               % (MAX_KL_TABLE, n))
-    algos = ("bott_samelson", "recursion") if algorithm == "both" else (algorithm,)
-    tables = [{(u, w): p for w in all_elements(n)
-               for u, p in cprime(w, alg).kl_polys.items()} for alg in algos]
-    if len(tables) == 2:
-        bad = [k for k in set(tables[0]) | set(tables[1])
-               if tables[0].get(k) != tables[1].get(k)]
-        if bad:
-            raise InternalConsistencyError(
-                "KL algorithm disagreement at: %s"
-                % ", ".join("(%s,%s)" % k for k in sorted(
-                    bad, key=lambda k: (k[1].word, k[0].word))))
+        raise ComputationError("KL tables are limited to n <= %d, got n = %d" % (MAX_KL_TABLE, n))
+
+
+def kl_table(n: int, algorithm: str = "both"):
+    """``kl_interval`` on [e, w0]: every P_{u,w} with u <= w in S_n; n <= MAX_KL_TABLE."""
+    _check_rank(n)
+    return kl_interval(identity(n), longest_element(n), algorithm)
+
+
+def kl_interval(u: Permutation, w: Permutation, algorithm: str = "both"):
+    """P_{x,y}(q) for every pair u <= x <= y <= w, keyed by (x, y); n <= MAX_KL_TABLE.
+    Each route's memo at y holds every x <= y, of which the x in [u, w] are kept;
+    in both mode the two routes must agree on exactly these pairs."""
+    if not bruhat_leq(u, w):
+        raise ComputationError("%s is not below %s in Bruhat order" % (u, w))
+    _check_rank(w.n)
+    routes = {"bott_samelson": lambda y: _bott_samelson(y.word).kl_polys,
+              "recursion": lambda y: _check_kl(y, _kl_polys(y.word))}
+    if algorithm not in (*routes, "both"):
+        raise ComputationError("unknown algorithm %r" % algorithm)
+    ys = {y.word: y for y in all_elements(w.n) if bruhat_leq(u, y) and bruhat_leq(y, w)}
+    tables = [{(x, y): p for y in ys.values() for x, p in routes[alg](y).items() if x.word in ys}
+              for alg in (routes if algorithm == "both" else (algorithm,))]
+    bad = len(tables) == 2 and {k for k, _ in tables[0].items() ^ tables[1].items()}
+    if bad:
+        raise InternalConsistencyError("KL algorithm disagreement at: %s" % ", ".join(
+            "(%s,%s)" % k for k in sorted(bad, key=lambda k: (k[1].word, k[0].word))))
     return tables[0]
 
 
@@ -505,10 +515,7 @@ def ic_stalk_dims(u: Permutation, w: Permutation) -> StalkTable:
     offsets vanish.
     """
     out = StalkTable()
-    if not bruhat_leq(u, w):
-        out.comparable = False
-        return out
-    p = cprime(w).kl_polys[u]
-    for j, c in p._c.items():
-        out[-w.length() + 2 * j] = c
+    out.comparable = bruhat_leq(u, w)
+    if out.comparable:
+        out.update({-w.length() + 2 * j: c for j, c in cprime(w).kl_polys[u]._c.items()})
     return out

@@ -438,6 +438,23 @@ def test_kl_table_past_the_table_bound_is_refused_before_any_work(capsys, rank):
         hecke.MAX_KL_TABLE, rank)
 
 
+def test_kl_interval_computes_its_own_elements_only(capsys):
+    """A refused interval builds nothing, and [e, 213546], 4 elements, leaves
+    each route's memo holding at most those 4."""
+    memos = (hecke._kl_polys, hecke._bott_samelson)
+    for memo in memos:
+        memo.cache_clear()
+    for rank, interval, message in [
+            ("3", "321,123", "321 is not below 123 in Bruhat order"),
+            ("7", "1234567,7654321", "KL tables are limited to n <= 6, got n = 7")]:
+        got = run(capsys, "kl", "--rank", rank, "--interval", interval)
+        assert got == (1, "", "error: %s\n" % message)
+    assert [memo.cache_info().currsize for memo in memos] == [0, 0]
+    code, out, _ = run(capsys, "kl", "--rank", "6", "--interval", "123456,213546")
+    assert code == 0 and out.splitlines()[-1] == "AGREE (9 pairs)"
+    assert all(memo.cache_info().currsize <= 4 for memo in memos)
+
+
 HECKE_MUL_RANK10 = " + ".join([
     "v^-1*T:[4,2,3,1,5,6,7,8,9,10]", "v^-1*T:[2,4,3,1,5,6,7,8,9,10]",
     "v^-1*T:[3,2,4,1,5,6,7,8,9,10]", "v^-1*T:[2,3,4,1,5,6,7,8,9,10]",
@@ -589,7 +606,10 @@ def test_a_directory_as_a_file_path_is_one_usage_error(tmp_path, capsys, argv):
     (["kl", "--rank", "3", "--element", ""], "one-line notation '' has wrong rank"),
     (["kl", "--rank", "3", "--interval", ""], "--interval wants U,W"),
     (["flagcheck", "--n", "0", "--q", "2"], "argument --n: rank must be at least 1"),
-], ids=["input-and-example", "no-source", "empty-element", "empty-interval", "flagcheck-n-0"])
+    (["kl", "--rank", "3", "--element", "213", "--interval", "123,321"],
+     "argument --interval: not allowed with argument --element"),
+], ids=["input-and-example", "no-source", "empty-element", "empty-interval", "flagcheck-n-0",
+        "element-and-interval"])
 def test_inputs_once_ignored_or_misread_are_usage_errors(tmp_path, capsys, argv, message):
     code, out, err = run(capsys, *(a.format(dir=tmp_path) for a in argv))
     assert code == 2 and out == ""

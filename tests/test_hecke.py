@@ -1,6 +1,7 @@
 """Hecke algebra over Z[v, v^-1], canonical basis, KL polynomials."""
 
 import inspect
+import itertools
 import random
 import re
 import time
@@ -15,8 +16,8 @@ from ihkl.coxeter import (Permutation, all_elements, bruhat_leq, from_word,
                           identity, longest_element, reduced_words, simple)
 from ihkl.errors import ComputationError, InternalConsistencyError
 from ihkl.hecke import (HeckeElement, LaurentPoly, cprime, ic_stalk_dims,
-                        iota, kl_bott_samelson, kl_recursion, kl_table,
-                        t_inverse, t_mul)
+                        iota, kl_bott_samelson, kl_interval, kl_recursion,
+                        kl_table, t_inverse, t_mul)
 
 
 def T(w):
@@ -166,6 +167,38 @@ def test_kl_table_s4_values():
         ((1, 2, 3, 4), (3, 4, 1, 2)), ((1, 2, 3, 4), (4, 2, 3, 1)),
         ((1, 2, 4, 3), (4, 2, 3, 1)), ((1, 3, 2, 4), (3, 4, 1, 2)),
         ((2, 1, 3, 4), (4, 2, 3, 1)), ((2, 1, 4, 3), (4, 2, 3, 1))]
+
+
+@pytest.mark.parametrize("algorithm", ["bott_samelson", "recursion", "both"])
+def test_an_interval_is_the_whole_table_cut_to_it(algorithm):
+    """kl_interval(u, w) is the whole S_4 table kept to u <= x <= y <= w, for
+    every u <= w: the path that built the table and then cut it."""
+    table = kl_table(4, algorithm)
+    for u, w in itertools.product(all_elements(4), repeat=2):
+        if bruhat_leq(u, w):
+            want = {(x, y): p for (x, y), p in table.items()
+                    if bruhat_leq(u, x) and bruhat_leq(y, w)}
+            assert kl_interval(u, w, algorithm) == want, (u, w)
+
+
+def test_both_mode_compares_the_routes_on_the_interval_pairs_alone(monkeypatch):
+    """A recursion table with P_{e,3412} = 1 in place of 1 + q still passes the
+    route's own check; both mode names that pair wherever the interval holds it,
+    and an interval without it is left alone."""
+    real, e, w = hecke._kl_polys, identity(4), Permutation((3, 4, 1, 2))
+
+    def wrong(x):
+        return {**real(x), e.word: hecke.ONE} if x == w.word else real(x)
+
+    kl_table(4, "recursion")   # every S_4 table memoised, so none is made from the wrong one
+    monkeypatch.setattr(hecke, "_kl_polys", wrong)
+    assert kl_interval(e, w, "recursion")[(e, w)] == 1
+    for top in (w, longest_element(4)):
+        with pytest.raises(InternalConsistencyError,
+                           match=re.escape("KL algorithm disagreement at: (1234,3412)")):
+            kl_interval(e, top, "both")
+    u = Permutation((1, 3, 2, 4))
+    assert kl_interval(u, w, "both")[(u, w)] == LaurentPoly({0: 1, 1: 1})
 
 
 def test_bott_samelson_word_independence():
