@@ -337,13 +337,17 @@ def _allowability(s: StratifiedComplex, p: Perversity | None):
     """The test (simplex, degree) -> allowable for p; None when all are.
 
     With full filtration subcomplexes a closed i-simplex meets F(k) in
-    the face spanned by its vertices in F(k), of dimension cnt - 1.
+    the face spanned by its vertices in F(k), of dimension cnt - 1. A simplex
+    off the first non-empty F(k), which holds all the nested others, passes at once.
     """
     steps = [(k, s.F(k).vertices, pk) for k, pk in _effective(s, p) or ()]
     if not steps:
         return None
+    strata = steps[0][1]
 
     def allowed(x, i):
+        if strata.isdisjoint(x):
+            return True
         for k, vs, pk in steps:
             cnt = sum(map(vs.__contains__, x))
             if cnt and cnt - 1 > i - k + pk:
@@ -373,14 +377,19 @@ def _order_complex(s: StratifiedComplex, simplices):
     """
     labels = sorted(simplices, key=None if _plain(s.ambient.vertices) else vkey)
     rank = {x: r for r, x in enumerate(labels)}
-    chains = {}  # largest member -> the chains ending there, on ranks
+    chains, by_dim = {}, {}  # largest member -> the chains ending there, on ranks
     for x in sorted(labels, key=len):  # faces before cofaces
         r = rank[x]
-        chains[x] = [(r,)] + [tuple(sorted(ch + (r,)))
-                              for m in range(1, len(x))
-                              for f in itertools.combinations(x, m) if f in rank
-                              for ch in chains[f]]
-    amb = SimplicialComplex(itertools.chain.from_iterable(chains.values()), closed=True)
+        chains[x] = cs = [(r,)] + [tuple(sorted(ch + (r,)))
+                                   for m in range(1, len(x))
+                                   for f in itertools.combinations(x, m) if f in rank
+                                   for ch in chains[f]]
+        for ch in cs:
+            by_dim.setdefault(len(ch) - 1, []).append(ch)
+    amb = object.__new__(SimplicialComplex)  # on int ranks plain order is the vkey order
+    amb._by_dim = {d: tuple(sorted(xs)) for d, xs in by_dim.items()}
+    # made from a dict, a frozenset is sized to fit; grown one item at a time, up to twice that
+    amb._simplices = frozenset(dict.fromkeys(itertools.chain.from_iterable(by_dim.values())))
 
     def carried(sub):
         return amb._subcomplex(ch for x, cs in chains.items() if x in sub for ch in cs)
@@ -415,7 +424,7 @@ def _twinned(m: StratifiedComplex, labels) -> StratifiedComplex:
     twin kept now: the construction pays for it, not whichever query comes
     first. ``_oracle_model``'s copies are of models, which stay ungated."""
     if labels is not None:
-        m._memo["gate"] = _failed_checks(m)
+        _verdict(m)
     return _labelled(m, labels)
 
 
@@ -465,17 +474,22 @@ SUPPORTS = ("borel_moore", "compact")
 
 
 def _prepare(s: StratifiedComplex, p: Perversity | None, supports: str):
-    """The model, fitted p and allowability test behind every homology and
-    IH entry point: checks the supports mode, gates s, drops the filtration
-    when no perversity reads it, takes ``compact_model`` in compact
-    supports, and subdivides once when p reads strata that are not full.
+    """``_model``'s model and fitted p, and the model's allowability test."""
+    model, p = _model(s, p, supports)
+    return model, p, _allowability(model, p)
 
-    All of it runs on the int-labelled twin that ``_labelled`` keeps, when s
-    has one, and every order complex made here is int-labelled.
-    s keeps the model for each (supports, p is None), which those two
-    decide, with the table naming its vertices in the ids of s (None: they
-    are). The gate runs every call and reads the verdict kept on the gated
-    complex; the fitted p and the allowability test are made per call.
+
+def _model(s: StratifiedComplex, p: Perversity | None, supports: str):
+    """The model and fitted p behind every homology and IH entry point:
+    checks the supports mode, gates s, drops the filtration when no
+    perversity reads it, takes ``compact_model`` in compact supports, and
+    subdivides once when p reads strata that are not full.
+
+    All of it runs on the int-labelled twin that ``_labelled`` keeps, when s has
+    one, and every order complex made here is int-labelled. s keeps the model for
+    each (supports, p is None), which those two decide, with the table naming its
+    vertices in the ids of s (None: they are). The gate runs every call and reads
+    the verdict kept on the gated complex; the fitted p is made per call.
     """
     if supports not in SUPPORTS:
         raise UsageError("unknown supports mode %r" % (supports,))
@@ -493,14 +507,13 @@ def _prepare(s: StratifiedComplex, p: Perversity | None, supports: str):
         if labels is not None and names is not None:  # twin simplices in the ids of s
             labels = [tuple(map(names.__getitem__, x)) for x in labels]
         s._memo[key] = None if m is s else (m, names if labels is None else labels)
-    model = (s._memo[key] or (s,))[0]
-    return model, p, _allowability(model, p)
+    return (s._memo[key] or (s,))[0], p
 
 
 def _oracle_model(s: StratifiedComplex, p: Perversity | None, supports: str):
     """``_prepare``'s model named in the ids of s (kept once made; the twin is
     s itself), its fitted p and its own allowability test, for the oracles."""
-    p = _prepare(s, p, supports)[1]
+    p = _model(s, p, supports)[1]
     key = ("labelled", supports, p is None)
     if key not in s._memo:
         m, names = s._memo[key[1:]] or (s, None)
@@ -510,12 +523,12 @@ def _oracle_model(s: StratifiedComplex, p: Perversity | None, supports: str):
 
 
 def _dims(s: StratifiedComplex, p: Perversity | None, supports: str) -> dict:
-    """``chain_dims`` on ``_prepare``'s model, behind ``ih_dims`` and ``homology_dims``:
+    """``chain_dims`` on ``_model``'s model, behind ``ih_dims`` and ``homology_dims``:
     kept in the model's memo per ``_effective`` perversity, a fresh dict each call."""
-    model, p, allowed = _prepare(s, p, supports)
+    model, p = _model(s, p, supports)
     memo, key = model._memo.setdefault("dims", {}), _effective(model, p)
     if key not in memo:
-        memo[key] = chain_dims(model, allowed)
+        memo[key] = chain_dims(model, _allowability(model, p))
     return dict(memo[key])
 
 
@@ -536,8 +549,15 @@ def barycentric_subdivide(s: StratifiedComplex) -> StratifiedComplex:
     Barycenters are identified with the simplices they subdivide, so the
     new vertex set is the old simplex set. After one application every
     filtration subcomplex and the ends are full subcomplexes.
+
+    The twin takes the verdict of s if s passes: sd K is pure if K is, an (n-1)-chain
+    off sd L lacks one dimension and has two cofaces (if the top, as many as its
+    last member, off L, has), and dim sd F(k) = dim F(k). Else it is gated itself.
     """
-    return _twinned(*_order_complex(s, s.ambient.simplices))
+    m, labels = _order_complex(s, s.ambient.simplices)
+    if not _verdict(s._memo.get("twin", (s,))[0]):
+        m._memo["gate"] = ()
+    return _twinned(m, labels)
 
 
 def cone(base: StratifiedComplex) -> StratifiedComplex:
@@ -676,17 +696,18 @@ def _failed_checks(s: StratifiedComplex) -> tuple:
                  for name, (passed, msg) in _structure_report(s).checks.items() if not passed)
 
 
-def require_structure(s: StratifiedComplex):
-    """The checks homology needs; ValidationError names each one failed.
+def _verdict(s: StratifiedComplex) -> tuple:
+    """``_failed_checks`` of s, kept in its memo once computed: s is immutable."""
+    if "gate" not in s._memo:
+        s._memo["gate"] = _failed_checks(s)
+    return s._memo["gate"]
 
-    s is immutable, so the failed checks are computed once and kept in its
-    memo, empty when s passes (``_twinned`` fills them in for a twin); a
-    complex that fails is refused on every call, with the same message."""
-    failed = s._memo.get("gate")
-    if failed is None:
-        failed = s._memo["gate"] = _failed_checks(s)
-    if failed:
-        raise ValidationError("complex failed validation: " + "; ".join(failed))
+
+def require_structure(s: StratifiedComplex):
+    """The checks homology needs; ValidationError names each one failed, on every
+    call, from ``_verdict`` (which ``_twinned`` fills in for a twin)."""
+    if _verdict(s):
+        raise ValidationError("complex failed validation: " + "; ".join(_verdict(s)))
 
 
 # ---------------------------------------------------------------------------
@@ -713,16 +734,21 @@ def _vertex_ids(value, what):
 
 
 def _simplex_list(value, what):
-    """A JSON list of lists of distinct vertex ids, as simplex tuples."""
+    """A JSON list of non-empty lists of distinct vertex ids, as simplex tuples: one
+    type check of all ids, one sort of each list (by vkey if ids mix int and str),
+    one count of repeats; a bad list is walked in order, naming its first bad one."""
     if not isinstance(value, list) or not all(isinstance(x, list) for x in value):
         raise UsageError("%s must be a list of lists of vertex ids" % what)
-    try:
-        if set(map(type, itertools.chain.from_iterable(value))) <= {str, int}:
-            return list(map(simplex, value))
-        return [simplex(_vertex_ids(x, what)) for x in value]  # names the first other id
-    except ComputationError:  # a repeated vertex
-        x = next(x for x in value if len(set(x)) < len(x))
-        raise UsageError("%s: simplex %s repeats a vertex" % (what, json.dumps(x)))
+    types = set(map(type, itertools.chain.from_iterable(value)))
+    if not types <= {str, int} or [] in value or sum(map(len, value)) != sum(
+            map(len, map(set, value))):
+        for x in value:
+            if len(set(_vertex_ids(x, what))) < len(x) or not x:
+                raise UsageError("%s: simplex %s %s" % (
+                    what, json.dumps(x), "repeats a vertex" if x else "has no vertices"))
+    if types <= {str} or types <= {int}:
+        return list(map(tuple, map(sorted, value)))
+    return [tuple(sorted(x, key=vkey)) for x in value]
 
 
 def complex_from_dict(data: dict) -> StratifiedComplex:
@@ -748,7 +774,7 @@ def complex_from_dict(data: dict) -> StratifiedComplex:
                          % json.dumps(n))
     vs = set(_vertex_ids(data["vertices"], "vertices"))
     top = _simplex_list(data["simplices"], "simplices")
-    top_dim = max((len(x) - 1 for x in top), default=-1)
+    top_dim = max(map(len, top), default=0) - 1
     if n > top_dim:
         raise UsageError("dimension %d exceeds the largest simplex dimension %d"
                          % (n, top_dim))
@@ -762,13 +788,12 @@ def complex_from_dict(data: dict) -> StratifiedComplex:
             k = int(key)
         except ValueError:
             raise UsageError("filtration key %r is not a codimension" % key)
-        if not 2 <= k <= n:
+        if key != str(k) or not 2 <= k <= n:  # "02", " 2" and "+2" are not keys
             raise UsageError("filtration key %r is not a codimension in 2..%d" % (key, n))
         listed.setdefault(k, []).extend(_simplex_list(arr, "filtration %s" % key))
-    for x in itertools.chain(top, ends, *listed.values()):
-        for v in x:
-            if v not in vs:
-                raise UsageError("simplex %r uses unknown vertex %r" % (x, v))
+    for x in itertools.filterfalse(vs.issuperset, itertools.chain(top, ends, *listed.values())):
+        raise UsageError("simplex %r uses unknown vertex %r"
+                         % (x, next(v for v in x if v not in vs)))
     # a list at key j is closed into F(2), ..., F(j)
     faces = sum((1 << len(x)) - 1 for x in itertools.chain(top, ends))
     faces += sum((j - 1) * ((1 << len(x)) - 1) for j, arr in listed.items() for x in arr)

@@ -362,6 +362,41 @@ def test_a_simplex_with_a_repeated_vertex_is_one_usage_error(tmp_path, capsys, w
                             % where, err), err
 
 
+@pytest.mark.parametrize("where", ["simplices", "ends", "filtration"])
+def test_an_empty_simplex_is_one_usage_error(tmp_path, capsys, where):
+    # an empty list was once dropped without a word
+    data = {"dimension": 2, "vertices": ["a", "b", "c"], "simplices": [["a", "b", "c"]]}
+    if where == "filtration":
+        data["filtration"] = {"2": [["a"], []]}
+    else:
+        data[where] = data.get(where, []) + [[]]
+    target = tmp_path / "empty.json"
+    target.write_text(json.dumps(data))
+    for command in ("ih", "validate"):
+        code, out, err = run(capsys, command, "--input", str(target))
+        assert (code, out) == (2, ""), command
+        assert re.fullmatch(r"usage error: %s.*: simplex \[\] has no vertices\n" % where, err), err
+
+
+@pytest.mark.parametrize("filtration, key", [
+    ({"02": [["a"]]}, "02"),
+    ({" 2": [["a"]]}, " 2"),
+    ({"+2": [["a"]]}, "+2"),
+    ({"2": [["a"]], " 2": [["b"]]}, " 2"),
+    ({"x": [["a"]]}, "x"),
+], ids=["leading-zero", "space", "plus", "two-spellings", "not-a-number"])
+def test_a_filtration_key_is_the_plain_decimal_codimension(tmp_path, capsys, filtration, key):
+    # "02", " 2" and "+2" all once read as 2, and two spellings merged into one F(2)
+    target = tmp_path / "key.json"
+    target.write_text(json.dumps({"dimension": 2, "vertices": ["a", "b", "c"],
+                                  "simplices": [["a", "b", "c"]], "filtration": filtration}))
+    message = ("is not a codimension" if key == "x" else "is not a codimension in 2..2")
+    for command in ("ih", "validate"):
+        code, out, err = run(capsys, command, "--input", str(target))
+        assert (code, out, err) == (
+            2, "", "usage error: filtration key %r %s\n" % (key, message)), command
+
+
 @pytest.mark.parametrize("argv", [
     ["kl", "--rank", "x"],
     ["frobnicate"],

@@ -10,9 +10,9 @@ from itertools import chain, combinations
 import pytest
 
 from ihkl import builders, complexes
-from ihkl.complexes import (SUPPORTS, SimplicialComplex, StratifiedComplex,
-                            barycentric_subdivide, compact_model, complex_from_dict,
-                            cone, homology_dims, product, suspend, validate)
+from ihkl.complexes import (SUPPORTS, SimplicialComplex, StratifiedComplex, _oracle_model,
+                            _prepare, barycentric_subdivide, compact_model, complex_from_dict,
+                            cone, homology_dims, product, simplex, suspend, validate)
 from ihkl.errors import ComputationError, UsageError, ValidationError
 from ihkl.ih import (allowable_complex, allowable_simplices,
                      cone_formula_check, duality_report, extremal_comparison,
@@ -75,6 +75,37 @@ def test_allowable_complex_matches_rank_shortcut():
             p = make_standard(kind, n)
             ac = allowable_complex(s, p)
             assert ac.dims() == ih_dims(s, p, "borel_moore"), (name, kind)
+
+
+def cone_over_two_spheres():
+    """The cone over two octahedral spheres glued at x+: F(2) is the edge from
+    the apex to x+ and F(3) the apex, so the first non-empty F(k) is not the last."""
+    sphere = builders.sphere().ambient.simplices
+    glued = [simplex(v if v == "x+" else v + "'" for v in x) for x in sphere]
+    return cone(StratifiedComplex(SimplicialComplex([*sphere, *glued]), 2,
+                                  filtration={2: SimplicialComplex([("x+",)])}))
+
+
+@pytest.mark.parametrize("subdivided", [False, True], ids=["raw", "subdivided"])
+def test_allowability_counts_the_vertices_of_each_simplex_in_each_stratum(subdivided):
+    # independent of _allowability, which allowable_complex reads too
+    inputs = {name: builders.build(name) for name in builders.BUILDERS}
+    inputs["cone over two spheres"] = two = cone_over_two_spheres()
+    assert two.F(2).vertices > two.F(3).vertices
+    for name, s in inputs.items():
+        if s.dimension < 2:
+            continue
+        s = barycentric_subdivide(s) if subdivided else s
+        ps = [make_standard(kind, s.dimension) for kind in STANDARD_KINDS]
+        for p, sup in ((p, sup) for p in ps + [custom([0, 1, 1, 1])] for sup in SUPPORTS):
+            for model, q, allowed in (_prepare(s, p, sup), _oracle_model(s, p, sup)):
+                strata = [(k, {v for x in model.F(k).simplices for v in x}, q(k))
+                          for k in range(2, model.dimension + 1)]
+                for i in range(model.dimension + 1):
+                    for x in model.ambient.of_dim(i):
+                        counts = [(k, len(vs.intersection(x)), qk) for k, vs, qk in strata]
+                        want = all(c == 0 or c - 1 <= i - k + qk for k, c, qk in counts)
+                        assert (allowed is None or allowed(x, i)) == want, (name, str(p), sup, x)
 
 
 @pytest.mark.parametrize("call", [
@@ -152,11 +183,21 @@ def count_gate_runs(monkeypatch):
 
 def test_a_subdivision_is_gated_once_when_it_is_made(monkeypatch):
     runs = count_gate_runs(monkeypatch)
-    s = barycentric_subdivide(builders.cone_torus())
-    assert runs == [s._memo["twin"][0]]  # the int-labelled twin that _prepare gates
+    source = builders.cone_torus()
+    s = barycentric_subdivide(source)
+    # the source passes, so the twin that _prepare gates takes its verdict
+    assert runs == [source] and s._memo["twin"][0]._memo["gate"] == ()
     first = whole_table(s)
     assert len(runs) == 1
     assert whole_table(s) == first and len(runs) == 1
+
+
+def test_a_subdivision_of_a_subdivision_reads_the_verdict_kept_on_the_twin(monkeypatch):
+    sd = barycentric_subdivide(builders.cone_torus())
+    runs = count_gate_runs(monkeypatch)
+    sd2 = barycentric_subdivide(sd)
+    assert runs == [] and sd2._memo["twin"][0]._memo["gate"] == ()
+    assert whole_table(sd2) == whole_table(sd) and runs == []
 
 
 def test_a_loaded_complex_is_gated_once_over_a_whole_table(monkeypatch):
@@ -183,13 +224,15 @@ def test_a_failing_complex_is_refused_every_call_with_one_message(monkeypatch):
 
 
 def test_a_subdivision_that_fails_is_made_and_refused_at_its_first_query(monkeypatch):
+    book = StratifiedComplex(BOOK.ambient, BOOK.dimension)
     runs = count_gate_runs(monkeypatch)
-    sd = barycentric_subdivide(BOOK)
-    assert len(runs) == 1
+    sd = barycentric_subdivide(book)
+    # the source fails, so the twin is gated itself, for its own message
+    assert runs == [book, sd._memo["twin"][0]]
     for _ in range(2):
         with pytest.raises(ValidationError, match="pseudomanifold"):
             homology_dims(sd, "borel_moore")
-    assert len(runs) == 1
+    assert len(runs) == 2
 
 
 def test_validate_reports_afresh_after_queries(monkeypatch):

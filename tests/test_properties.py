@@ -10,14 +10,17 @@ checked against the Fraction oracle on random sparse integer matrices,
 with a random split of their rows, the clearing in ``chain_dims``
 against a reduction of every column, and the structural gate against
 its checks read straight off their definitions, on the drawn complexes
-and on broken copies of them. The canonical order, read off integer
+and on broken copies of them; a subdivision's twin, which takes a
+passing verdict from its source, against its own gate on the same. The canonical order, read off integer
 vertex ranks, is checked against the nested vkey tuples it replaced on
 complexes whose vertex ids mix strings, integers and nested tuples, raw,
 subdivided and off their ends. The JSON load, which closes each complex
 from its largest listed simplices and cuts the ends and strata from the
 ambient, is checked against the full closure sorted by vkey, on built
-complexes listed in shuffled, repeated or maximal-only form; and plain
-tuple order against the vkey order for all-string and all-integer ids.
+complexes listed in shuffled, repeated or maximal-only form, and against
+the per-entry ``simplex()`` loader it replaced, messages for bad lists
+included; and plain tuple order against the vkey order for all-string
+and all-integer ids.
 Kunneth with a manifold factor, the circle or the cylinder, is checked on
 the drawn complexes, and ``suspend``, the product with an interval,
 against the prism it was built as before, each path sorted by
@@ -26,21 +29,26 @@ Every test pins its draws with ``@seed`` (see conftest.py).
 """
 
 import itertools
+import json
 from collections import Counter
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from ihkl import builders
-from ihkl.complexes import (SUPPORTS, SimplicialComplex, StratifiedComplex, _plain,
-                            _prepare, _structure_report, barycentric_subdivide,
-                            boundary_columns, chain_basis, chain_dims, complex_from_dict,
+from ihkl.complexes import (SUPPORTS, SimplicialComplex, StratifiedComplex, _failed_checks,
+                            _plain, _prepare, _structure_report, _vertex_ids,
+                            barycentric_subdivide, boundary_columns, chain_basis,
+                            chain_dims, complex_from_dict,
                             complex_to_dict, cone, faces_with_signs, homology_dims,
                             interior_order_complex, product, simplex, suspend, vkey)
 from ihkl.ih import (allowable_complex, allowable_simplices,
                      cone_formula_check, duality_report, ih_dims,
                      normalize_isolated, suspension_check)
+from ihkl.errors import ComputationError, UsageError
 from ihkl.linalg import RationalMatrix, column_pivots, rank_kernel, sparse_rank
 from ihkl.perversity import STANDARD_KINDS, Perversity, make_standard
 
@@ -323,6 +331,44 @@ def test_gate_matches_its_definitions_on_drawn_complexes(s, pick):
     check_gate(s, pick)
 
 
+def check_inherited_verdict(s):
+    """The twin of sd s keeps the verdict the slow gate gives it, and that
+    passes exactly when s does: a verdict taken from s is never a failing one."""
+    twin = barycentric_subdivide(s)._memo["twin"][0]
+    failed = _failed_checks(twin)
+    assert twin._memo["gate"] == failed
+    assert (not failed) == (not _failed_checks(s))
+
+
+SPHERE = builders.sphere().ambient
+INHERITANCE_CASES = {
+    "book": StratifiedComplex(
+        SimplicialComplex([("a", "b", "c"), ("a", "b", "d"), ("a", "b", "e")]), 2),
+    "dangling edge": StratifiedComplex(
+        SimplicialComplex([*SPHERE.simplices, ("x+", "out")]), 2),
+    "stray vertex": StratifiedComplex(SimplicialComplex([*SPHERE.simplices, ("out",)]), 2),
+    "tetrahedron as dimension 2": StratifiedComplex(SimplicialComplex([("a", "b", "c", "d")]), 2),
+    "codimension-1 stratum": StratifiedComplex(
+        SPHERE, 2, filtration={2: SimplicialComplex([("x+", "y+")])}),
+    "subdivided cone-torus": barycentric_subdivide(builders.cone_torus()),
+    "subdivided book": barycentric_subdivide(StratifiedComplex(
+        SimplicialComplex([("a", "b", "c"), ("a", "b", "d"), ("a", "b", "e")]), 2)),
+}
+
+
+@pytest.mark.parametrize("name", INHERITANCE_CASES)
+def test_a_subdivision_inherits_only_a_passing_verdict(name):
+    check_inherited_verdict(INHERITANCE_CASES[name])
+
+
+@seed(21)
+@settings(max_examples=40)
+@given(complexes(), st.integers(0, 1000))
+def test_a_drawn_subdivision_inherits_only_a_passing_verdict(s, pick):
+    for c in (s, *broken_copies(s, pick)):
+        check_inherited_verdict(c)
+
+
 LEAVES = st.integers(-3, 3) | st.text("ab1", max_size=2)
 VERTEX_IDS = LEAVES | st.recursive(
     LEAVES, lambda kids: st.tuples(kids) | st.tuples(kids, kids), max_leaves=4)
@@ -516,6 +562,82 @@ def test_the_load_gives_the_complexes_the_full_closure_and_sort_gave(data):
     for c, (simps, by_dim) in zip(subcomplexes(s), reference_load(data), strict=True):
         assert c.simplices == simps
         assert {d: c.of_dim(d) for d in by_dim} == by_dim
+
+
+def per_entry_simplex_list(value, what):
+    """``complexes._simplex_list`` as it was: one ``simplex()`` call per listed simplex."""
+    if not isinstance(value, list) or not all(isinstance(x, list) for x in value):
+        raise UsageError("%s must be a list of lists of vertex ids" % what)
+    try:
+        if set(map(type, itertools.chain.from_iterable(value))) <= {str, int}:
+            return list(map(simplex, value))
+        return [simplex(_vertex_ids(x, what)) for x in value]
+    except ComputationError:  # a repeated vertex
+        x = next(x for x in value if len(set(x)) < len(x))
+        raise UsageError("%s: simplex %s repeats a vertex" % (what, json.dumps(x)))
+
+
+def per_entry_load(data):
+    with mock.patch("ihkl.complexes._simplex_list", per_entry_simplex_list):
+        return complex_from_dict(data)
+
+
+def assert_loads_as_per_entry(data):
+    """The same of_dim tuples, vertex types included, in the ambient, the ends and each F(k)."""
+    got, want = complex_from_dict(data), per_entry_load(data)
+    for a, b in zip(subcomplexes(got), subcomplexes(want), strict=True):
+        assert repr([a.of_dim(d) for d in range(-1, a.dim + 2)]) == repr(
+            [b.of_dim(d) for d in range(-1, b.dim + 2)])
+
+
+DATA = Path(__file__).resolve().parents[1] / "src" / "ihkl" / "data"
+
+
+@pytest.mark.parametrize("name", sorted(builders.BUILDERS))
+def test_each_bundled_file_loads_as_a_simplex_call_per_entry_loaded_it(name):
+    assert_loads_as_per_entry(json.loads((DATA / (name + ".json")).read_text()))
+
+
+@seed(20)
+@given(listed_complexes())
+def test_a_listed_complex_loads_as_a_simplex_call_per_entry_loaded_it(data):
+    assert_loads_as_per_entry(data)
+
+
+TRIANGLE = {"dimension": 2, "vertices": ["a", "b", "c", 1, 2], "simplices": [["a", "b", "c"]]}
+BAD_DOCUMENTS = [dict(TRIANGLE, **change) for change in (
+    {"simplices": [["a", "a", "b"]]},
+    {"ends": [["b", "a", "b"]]},
+    {"filtration": {"2": [["c", "a", "c"]]}},
+    {"simplices": [["a", "b", "c"], [1, "a", 1]]},
+    {"simplices": [["a", "b", "c"], ["a", "a"], ["b", 1.5]]},  # two bad: the first is named
+    {"simplices": [["a", "b", "c"], ["b", 1.5], ["a", "a"]]},
+    {"simplices": [["a", "b", "c"], ["a", True]]},
+    {"simplices": [["a", "b", "c"], ["a", ["b"]]]},
+    {"ends": [["a", None]]},
+    {"filtration": {"2": [[{"v": "a"}]]}},
+    {"simplices": "ab"},
+    {"simplices": ["abc"]},
+    {"simplices": [["a", "b", "c"], ["a", "z"], ["y", "b"]]},
+    {"vertices": [1, True, "c"], "simplices": [[1, True], [True, "c"], ["c", 1]]},
+)] + [json.loads(path.read_text()) for path in sorted(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "bad").glob("*.json"))
+    if path.name != "not-json.json"]
+
+
+@pytest.mark.parametrize("data", BAD_DOCUMENTS, ids=range(len(BAD_DOCUMENTS)))
+def test_a_bad_list_gets_the_message_a_simplex_call_per_entry_gave(data):
+    messages = []
+    for load in (complex_from_dict, per_entry_load):
+        try:
+            load(data)
+        except (UsageError, ComputationError) as e:
+            messages.append((type(e), str(e)))
+        else:
+            messages.append(None)
+    assert messages[0] == messages[1]
+    if data == dict(TRIANGLE, simplices=[["a", "b", "c"], ["a", "a"], ["b", 1.5]]):
+        assert messages[0][1] == 'simplices: simplex ["a", "a"] repeats a vertex'
 
 
 @seed(18)
