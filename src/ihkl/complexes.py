@@ -9,8 +9,10 @@ live on the part of K disjoint from L.
 Simplices are tuples of vertex identifiers, strictly sorted under a fixed
 total order; the alternating-sign boundary of the sorted tuple is the
 orientation convention. All coefficients are exact rationals. An order
-complex (a subdivision) has int vertex ids, the ranks of its barycenters,
-named back through a label table only where it is handed out.
+complex (a subdivision) has int vertex ids, the ranks of its barycenters.
+Names are made only where they are read: a construction is named back through
+its label table, its models live on the int-labelled twin, and only the
+oracles name a model.
 """
 
 from __future__ import annotations
@@ -181,8 +183,8 @@ class StratifiedComplex:
     """Ambient complex K, formal dimension n, ends L, filtration F(2..n).
 
     Immutable once built, so it can keep what every homology and IH
-    entry point derives from it alone: the model for each supports mode
-    with and without a perversity (see ``_prepare``).
+    entry point derives from it alone: its gate verdict and the model for
+    each supports mode with and without a perversity (see ``_model``).
     """
 
     __slots__ = ("ambient", "dimension", "ends", "filtration", "_memo")
@@ -364,7 +366,7 @@ def interior_order_complex(s: StratifiedComplex) -> StratifiedComplex:
     empty. This is the standard deformation retract of |K| - |L| and
     needs no fullness hypothesis on L.
     """
-    return _twinned(*_order_complex(s, s.ambient.simplices - s.ends.simplices))
+    return _labelled(*_order_complex(s, s.ambient.simplices - s.ends.simplices))
 
 
 def _order_complex(s: StratifiedComplex, simplices):
@@ -400,11 +402,13 @@ def _order_complex(s: StratifiedComplex, simplices):
 
 
 def _labelled(m: StratifiedComplex, labels) -> StratifiedComplex:
-    """m with vertex r named labels[r], keeping m as its twin for ``_prepare``
-    (m itself if labels is None). Each dimension keeps m's order, as labels are
-    in vkey order, and the subcomplexes share the ambient's tuples."""
+    """m with vertex r named labels[r], keeping m as its twin for ``_model`` (m itself
+    if labels is None). m's gate verdict is kept now, so a construction pays for it,
+    not whichever query comes first. Each dimension keeps m's order, as labels are in
+    vkey order, and the subcomplexes share the ambient's tuples."""
     if labels is None:
         return m
+    _verdict(m)
     named = {x: tuple(map(labels.__getitem__, x)) for x in m.ambient.simplices}
 
     def renamed(sub):
@@ -419,15 +423,6 @@ def _labelled(m: StratifiedComplex, labels) -> StratifiedComplex:
     return out
 
 
-def _twinned(m: StratifiedComplex, labels) -> StratifiedComplex:
-    """``_labelled`` for a construction handed out, with the gate verdict of its
-    twin kept now: the construction pays for it, not whichever query comes
-    first. ``_oracle_model``'s copies are of models, which stay ungated."""
-    if labels is not None:
-        _verdict(m)
-    return _labelled(m, labels)
-
-
 def compact_model(s: StratifiedComplex) -> StratifiedComplex:
     """A compact-supports model of X with empty ends.
 
@@ -439,7 +434,7 @@ def compact_model(s: StratifiedComplex) -> StratifiedComplex:
     vertices are the simplices off the ends), for which the conditions
     always hold.
     """
-    return _twinned(*_compact_model(s))
+    return _labelled(*_compact_model(s))
 
 
 def _compact_model(s: StratifiedComplex):
@@ -473,10 +468,9 @@ def _interior_retract_ok(s: StratifiedComplex) -> bool:
 SUPPORTS = ("borel_moore", "compact")
 
 
-def _prepare(s: StratifiedComplex, p: Perversity | None, supports: str):
-    """``_model``'s model and fitted p, and the model's allowability test."""
-    model, p = _model(s, p, supports)
-    return model, p, _allowability(model, p)
+def _twin(s: StratifiedComplex) -> StratifiedComplex:
+    """The int-labelled twin that ``_labelled`` keeps beside s, or s itself."""
+    return s._memo.get("twin", (s,))[0]
 
 
 def _model(s: StratifiedComplex, p: Perversity | None, supports: str):
@@ -485,39 +479,39 @@ def _model(s: StratifiedComplex, p: Perversity | None, supports: str):
     perversity reads it, takes ``compact_model`` in compact supports, and
     subdivides once when p reads strata that are not full.
 
-    All of it runs on the int-labelled twin that ``_labelled`` keeps, when s has
-    one, and every order complex made here is int-labelled. s keeps the model for
-    each (supports, p is None), which those two decide, with the table naming its
-    vertices in the ids of s (None: they are). The gate runs every call and reads
-    the verdict kept on the gated complex; the fitted p is made per call.
+    All of it runs on the twin of s. The twin keeps (model, label table in its own
+    ids, or None) for each (supports, p is None), which those two decide, and None
+    for itself, which kept in its own memo would be a reference cycle. The gate runs
+    every call and reads the verdict kept on the twin; the fitted p is made per call.
     """
     if supports not in SUPPORTS:
         raise UsageError("unknown supports mode %r" % (supports,))
-    base, names = s._memo.get("twin", (s, None))
-    require_structure(base)
-    p = _fit_perversity(p, s.dimension)
+    require_structure(s)
+    s, p = _twin(s), _fit_perversity(p, s.dimension)
     key = (supports, p is None)
     if key not in s._memo:
-        m, labels = (base if p is not None else
-                     StratifiedComplex(base.ambient, base.dimension, ends=base.ends)), None
+        m, labels = (s if p is not None else
+                     StratifiedComplex(s.ambient, s.dimension, ends=s.ends)), None
         if supports == "compact":
             m, labels = _compact_model(m)
         if p is not None and not m.strata_full():
             m, labels = _order_complex(m, m.ambient.simplices)
-        if labels is not None and names is not None:  # twin simplices in the ids of s
-            labels = [tuple(map(names.__getitem__, x)) for x in labels]
-        s._memo[key] = None if m is s else (m, names if labels is None else labels)
+        s._memo[key] = None if m is s else (m, labels)
     return (s._memo[key] or (s,))[0], p
 
 
 def _oracle_model(s: StratifiedComplex, p: Perversity | None, supports: str):
-    """``_prepare``'s model named in the ids of s (kept once made; the twin is
-    s itself), its fitted p and its own allowability test, for the oracles."""
+    """``_model``'s model named in the ids of s (kept on s per mode once made; None
+    for s itself), its fitted p and its own allowability test, for the oracles: the
+    one place a model's label table is composed with s's names."""
     p = _model(s, p, supports)[1]
     key = ("labelled", supports, p is None)
     if key not in s._memo:
-        m, names = s._memo[key[1:]] or (s, None)
-        s._memo[key] = None if m is s._memo.get("twin", (s,))[0] else _labelled(m, names)
+        twin, names = s._memo.get("twin", (s, None))
+        m, labels = twin._memo[key[1:]] or (twin, None)
+        if names is not None and labels is not None:
+            labels = [tuple(map(names.__getitem__, x)) for x in labels]
+        s._memo[key] = None if m is twin else _labelled(m, names if labels is None else labels)
     model = s._memo[key] or s
     return model, p, _allowability(model, p)
 
@@ -555,9 +549,9 @@ def barycentric_subdivide(s: StratifiedComplex) -> StratifiedComplex:
     last member, off L, has), and dim sd F(k) = dim F(k). Else it is gated itself.
     """
     m, labels = _order_complex(s, s.ambient.simplices)
-    if not _verdict(s._memo.get("twin", (s,))[0]):
+    if not _verdict(_twin(s)):
         m._memo["gate"] = ()
-    return _twinned(m, labels)
+    return _labelled(m, labels)
 
 
 def cone(base: StratifiedComplex) -> StratifiedComplex:
@@ -705,9 +699,10 @@ def _verdict(s: StratifiedComplex) -> tuple:
 
 def require_structure(s: StratifiedComplex):
     """The checks homology needs; ValidationError names each one failed, on every
-    call, from ``_verdict`` (which ``_twinned`` fills in for a twin)."""
-    if _verdict(s):
-        raise ValidationError("complex failed validation: " + "; ".join(_verdict(s)))
+    call, from the ``_verdict`` of s's twin (which ``_labelled`` fills in)."""
+    failed = _verdict(_twin(s))
+    if failed:
+        raise ValidationError("complex failed validation: " + "; ".join(failed))
 
 
 # ---------------------------------------------------------------------------

@@ -212,8 +212,8 @@ def parse_element(text: str, n: int) -> Permutation:
     if text in ("e", "id"):
         return identity(n)
     try:
-        if text.startswith("["):
-            vals = [int(x) for x in text.strip("[]").split(",")]
+        if text.startswith("[") and text.endswith("]"):
+            vals = [int(x) for x in text[1:-1].split(",")]
         else:
             vals = [int(c) for c in text]
     except ValueError:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from .complexes import (Chain, SimplicialComplex, StratifiedComplex, _dims, _fit_perversity,
                         _oracle_model, boundary_columns, chain_basis, cone, faces_with_signs,
-                        homology_dims, simplex, suspend, vkey)
+                        homology_dims, require_structure, simplex, suspend, vkey)
 from .errors import ComputationError, InternalConsistencyError
 from .linalg import RationalMatrix, rank_kernel
 from .perversity import Perversity, is_complementary, make_standard
@@ -224,23 +224,23 @@ def local_stalk_table(s: StratifiedComplex, x, p: Perversity) -> dict:
     (k - 1) - j. Reduced IH, one less in degree 0 and 1 in degree -1 for
     an empty link, differs only for n <= 1. Only non-zero entries are returned.
 
-    The input is gated like ``ih_dims``. The stalk is a local invariant,
-    so when the filtration subcomplexes are not full it is read at the
-    vertex (x,) of one barycentric subdivision, where the link's strata
-    are full.
+    The input is gated like ``ih_dims``. The stalk is a local invariant, read on
+    the link of x in s itself, with the links of x in the F(k) as its strata: a
+    small sphere about x meets F(k) in lk_{F(k)}(x) whether or not F(k) is full.
+    When those strata are not full, ``ih_dims`` subdivides the link once, and
+    lk_{sd K}((x,)) is sd(lk_K x), so the stalk is the one at (x,) in sd K.
     """
     n = s.dimension
     if (x,) not in s.ambient:
         raise ComputationError("%r is not a vertex of the complex" % (x,))
     if (x,) in s.ends:
         raise ComputationError("%r lies in the ends; it has no stalk in X" % (x,))
-    model, p, _ = _oracle_model(s, p, "borel_moore")
+    require_structure(s)
+    p = _fit_perversity(p, n)
     if p is None and n >= 2:
         raise ComputationError("a perversity is required in dimension >= 2")
-    if model.ambient is not s.ambient:  # subdivided: x is now the barycenter (x,)
-        s, x = model, (x,)
     # F(k) of the link is the link of x in F(k), so a stratum of codimension
-    # k in s stays one in the link; its strata are full because those of s are
+    # k in s stays one in the link
     linkst = StratifiedComplex(
         s.ambient.link(x), n - 1,
         filtration={k: s.F(k).link(x) for k in range(2, n) if (x,) in s.F(k)})

@@ -98,9 +98,10 @@ def parse(text: str, n: int) -> Perversity:
     """Parse the CLI string form of a perversity.
 
     Accepted: "zero", "middle" (= lower middle), "upper-middle", "top",
-    and "custom:0,0,1,1" listing values for k = 2..n. Any other text, and
-    a custom list that breaks the perversity rules or has the wrong
-    length, raises UsageError.
+    and "custom:0,0,1,1" listing values for k = 2..n. Any other text, a
+    custom list with an entry that is not an integer (an empty one
+    included), and one that breaks the perversity rules or has the wrong
+    length, raise UsageError.
     """
     names = {
         "zero": "zero",
@@ -113,7 +114,7 @@ def parse(text: str, n: int) -> Perversity:
         return make_standard(names[text], n)
     if text.startswith("custom:"):
         try:
-            pv = custom(x for x in text[len("custom:"):].split(",") if x != "")
+            pv = custom(text[len("custom:"):].split(","))
         except ValueError:
             raise UsageError("cannot parse perversity %r" % text) from None
         except PerversityError as e:

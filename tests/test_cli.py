@@ -92,6 +92,10 @@ def test_stalks_refuses_a_vertex_text_naming_two_vertices(tmp_path, capsys):
     ["stalks", "--example", "cone-torus", "--vertex", "apex", "--perversity", "custom:0,x"],
     ["duality", "--example", "cone-torus", "--p", "custom:0,1.5", "--q", "zero"],
     ["duality", "--example", "cone-torus", "--p", "zero", "--q", "custom:,0,1e3"],
+    # an empty entry is refused, not dropped to leave custom:0,1
+    ["ih", "--example", "cone-torus", "--perversity", "custom:0,,1"],
+    ["ih", "--example", "cone-torus", "--perversity", "custom:,0,1"],
+    ["ih", "--example", "cone-torus", "--perversity", "custom:0,1,"],
 ])
 def test_non_integer_custom_perversity_is_one_usage_error(capsys, argv):
     code, _, err = run(capsys, *argv)
@@ -407,6 +411,10 @@ def test_a_filtration_key_is_the_plain_decimal_codimension(tmp_path, capsys, fil
     ["hecke-mul", "--rank", "-2", "--left", "T:e", "--right", "T:e"],
     ["kl", "--rank", "3", "--element", "3x1"],
     ["kl", "--rank", "3", "--element", "[3,x,1]"],
+    # one bracket at each end, no more and no fewer
+    ["kl", "--rank", "3", "--element", "[[1,2,3]]"],
+    ["kl", "--rank", "3", "--element", "[1,2,3"],
+    ["bruhat", "--rank", "3", "--leq", "[[1,2,3]],321"],
     ["ih", "--example", "cone-torus", "--subdivide", "3"],
     ["ih", "--example", "circle", "--perversity", "bogus"],
     ["flagcheck", "--n", "3", "--q", "11", "--force"],

@@ -136,3 +136,9 @@ def test_parse_element_forms():
         parse_element("s9", 3)
     with pytest.raises(UsageError):
         parse_element("12", 3)
+
+
+@pytest.mark.parametrize("text", ["[[1,2,3]]", "[1,2,3", "1,2,3]", "[[1,2,3]", "[", "[]"])
+def test_the_bracket_form_takes_exactly_one_bracket_at_each_end(text):
+    with pytest.raises(UsageError, match="cannot parse element"):
+        parse_element(text, 3)

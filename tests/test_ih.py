@@ -10,9 +10,10 @@ from itertools import chain, combinations
 import pytest
 
 from ihkl import builders, complexes
-from ihkl.complexes import (SUPPORTS, SimplicialComplex, StratifiedComplex, _oracle_model,
-                            _prepare, barycentric_subdivide, compact_model, complex_from_dict,
-                            cone, homology_dims, product, simplex, suspend, validate)
+from ihkl.complexes import (SUPPORTS, SimplicialComplex, StratifiedComplex, _allowability,
+                            _model, _oracle_model, _twin, barycentric_subdivide, compact_model,
+                            complex_from_dict, cone, homology_dims, product, simplex, suspend,
+                            validate)
 from ihkl.errors import ComputationError, UsageError, ValidationError
 from ihkl.ih import (allowable_complex, allowable_simplices,
                      cone_formula_check, duality_report, extremal_comparison,
@@ -98,7 +99,8 @@ def test_allowability_counts_the_vertices_of_each_simplex_in_each_stratum(subdiv
         s = barycentric_subdivide(s) if subdivided else s
         ps = [make_standard(kind, s.dimension) for kind in STANDARD_KINDS]
         for p, sup in ((p, sup) for p in ps + [custom([0, 1, 1, 1])] for sup in SUPPORTS):
-            for model, q, allowed in (_prepare(s, p, sup), _oracle_model(s, p, sup)):
+            fast = _model(s, p, sup)
+            for model, q, allowed in ((*fast, _allowability(*fast)), _oracle_model(s, p, sup)):
                 strata = [(k, {v for x in model.F(k).simplices for v in x}, q(k))
                           for k in range(2, model.dimension + 1)]
                 for i in range(model.dimension + 1):
@@ -185,8 +187,8 @@ def test_a_subdivision_is_gated_once_when_it_is_made(monkeypatch):
     runs = count_gate_runs(monkeypatch)
     source = builders.cone_torus()
     s = barycentric_subdivide(source)
-    # the source passes, so the twin that _prepare gates takes its verdict
-    assert runs == [source] and s._memo["twin"][0]._memo["gate"] == ()
+    # the source passes, so the twin that _model gates takes its verdict
+    assert runs == [source] and _twin(s)._memo["gate"] == ()
     first = whole_table(s)
     assert len(runs) == 1
     assert whole_table(s) == first and len(runs) == 1
@@ -196,7 +198,7 @@ def test_a_subdivision_of_a_subdivision_reads_the_verdict_kept_on_the_twin(monke
     sd = barycentric_subdivide(builders.cone_torus())
     runs = count_gate_runs(monkeypatch)
     sd2 = barycentric_subdivide(sd)
-    assert runs == [] and sd2._memo["twin"][0]._memo["gate"] == ()
+    assert runs == [] and _twin(sd2)._memo["gate"] == ()
     assert whole_table(sd2) == whole_table(sd) and runs == []
 
 
@@ -228,7 +230,7 @@ def test_a_subdivision_that_fails_is_made_and_refused_at_its_first_query(monkeyp
     runs = count_gate_runs(monkeypatch)
     sd = barycentric_subdivide(book)
     # the source fails, so the twin is gated itself, for its own message
-    assert runs == [book, sd._memo["twin"][0]]
+    assert runs == [book, _twin(sd)]
     for _ in range(2):
         with pytest.raises(ValidationError, match="pseudomanifold"):
             homology_dims(sd, "borel_moore")
@@ -354,6 +356,8 @@ def test_non_full_strata_are_subdivided_not_refused():
         2: SimplicialComplex([("x+",), ("y+",)], closed=True)})
     assert not s.strata_full()
     assert local_stalk_table(s, "x+", ZERO2) == {-2: 1}
+    # the stalk subdivides only the link: s keeps its verdict and no model
+    assert set(s._memo) == {"gate"}
     for sup in SUPPORTS:
         model = allowable_complex(s, ZERO2, sup).context.ambient
         for i in range(3):
@@ -422,6 +426,8 @@ def test_local_stalk_tables_in_dimension_one_and_zero():
     assert local_stalk_table(builders.circle(5), "c3", ZERO2) == {-1: 1}
     assert local_stalk_table(builders.two_circles(), "b1", None) == {-1: 1}
     assert local_stalk_table(builders.point(), "p", None) == {0: 1}
+    # the same at the barycenter of a vertex of a subdivided curve, not {-1: -1}
+    assert local_stalk_table(barycentric_subdivide(builders.circle()), ("c0",), None) == {-1: 1}
 
 
 @pytest.mark.parametrize("name, vertex, kind", [

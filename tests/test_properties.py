@@ -39,14 +39,14 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from ihkl import builders
-from ihkl.complexes import (SUPPORTS, SimplicialComplex, StratifiedComplex, _failed_checks,
-                            _plain, _prepare, _structure_report, _vertex_ids,
-                            barycentric_subdivide, boundary_columns, chain_basis,
-                            chain_dims, complex_from_dict,
-                            complex_to_dict, cone, faces_with_signs, homology_dims,
-                            interior_order_complex, product, simplex, suspend, vkey)
+from ihkl.complexes import (SUPPORTS, SimplicialComplex, StratifiedComplex, _allowability,
+                            _failed_checks, _model, _plain, _structure_report, _twin,
+                            _vertex_ids, barycentric_subdivide, boundary_columns, chain_basis,
+                            chain_dims, complex_from_dict, complex_to_dict, cone,
+                            faces_with_signs, homology_dims, interior_order_complex, product,
+                            simplex, suspend, vkey)
 from ihkl.ih import (allowable_complex, allowable_simplices,
-                     cone_formula_check, duality_report, ih_dims,
+                     cone_formula_check, duality_report, ih_dims, local_stalk_table,
                      normalize_isolated, suspension_check)
 from ihkl.errors import ComputationError, UsageError
 from ihkl.linalg import RationalMatrix, column_pivots, rank_kernel, sparse_rank
@@ -116,6 +116,48 @@ def test_subdivision_leaves_homology_and_ih_unchanged(s):
         for kind in STANDARD_KINDS:
             p = make_standard(kind, n)
             assert ih_dims(sd, p, sup) == ih_dims(s, p, sup)
+
+
+def check_stalks_survive_subdivision(s):
+    """The stalk at x in s is the stalk at (x,) in sd s, at every vertex off the
+    ends, for the four standard perversities (None below dimension 2)."""
+    sd = barycentric_subdivide(s)
+    ps = [make_standard(kind, s.dimension) for kind in STANDARD_KINDS] \
+        if s.dimension >= 2 else [None]
+    for x in sorted(s.ambient.vertices - s.ends.vertices, key=vkey):
+        for p in ps:
+            assert local_stalk_table(sd, (x,), p) == local_stalk_table(s, x, p), (x, str(p))
+
+
+@pytest.mark.parametrize("name", [n for n in builders.BUILDERS if n != "susp2-cone-circle"])
+def test_a_stalk_survives_subdivision_on_every_builder(name):
+    check_stalks_survive_subdivision(builders.build(name))
+
+
+def with_an_edge_in_every_stratum(s):
+    """s with both ends of an edge off the ends and off F(2) added to every F(k):
+    F(k) then holds the two vertices but not the edge, so it is not full."""
+    a, b = next(x for x in s.ambient.of_dim(1)
+                if not any((v,) in s.ends or (v,) in s.F(2) for v in x))
+    return StratifiedComplex(s.ambient, s.dimension, ends=s.ends, filtration={
+        k: SimplicialComplex([*s.F(k).simplices, (a,), (b,)], closed=True)
+        for k in range(2, s.dimension + 1)})
+
+
+def test_a_stalk_survives_subdivision_where_the_strata_are_not_full():
+    sphere = StratifiedComplex(builders.sphere().ambient, 2, filtration={
+        2: SimplicialComplex([("x+",), ("y+",)], closed=True)})
+    cone_torus = with_an_edge_in_every_stratum(barycentric_subdivide(builders.cone_torus()))
+    for s in (sphere, cone_torus):
+        assert not s.strata_full()
+        check_stalks_survive_subdivision(s)
+
+
+@seed(22)
+@settings(max_examples=20)
+@given(complexes())
+def test_a_stalk_survives_subdivision_on_drawn_complexes(s):
+    check_stalks_survive_subdivision(s)
 
 
 @seed(4)
@@ -241,7 +283,8 @@ def check_clearing(s):
     """
     for p in (None, *perversities(s.dimension)):
         for sup in SUPPORTS:
-            model, _, allow = _prepare(s, p, sup)
+            model, q = _model(s, p, sup)
+            allow = _allowability(model, q)
             want, above = {}, []  # above: the pivots of d_{i+1}
             for i in range(model.dimension, -1, -1):
                 inside = [x for x in chain_basis(model, i) if allow is None or allow(x, i)]
@@ -334,7 +377,7 @@ def test_gate_matches_its_definitions_on_drawn_complexes(s, pick):
 def check_inherited_verdict(s):
     """The twin of sd s keeps the verdict the slow gate gives it, and that
     passes exactly when s does: a verdict taken from s is never a failing one."""
-    twin = barycentric_subdivide(s)._memo["twin"][0]
+    twin = _twin(barycentric_subdivide(s))
     failed = _failed_checks(twin)
     assert twin._memo["gate"] == failed
     assert (not failed) == (not _failed_checks(s))
@@ -480,12 +523,17 @@ def test_each_int_model_read_back_through_its_labels_is_the_labelled_constructio
 @given(complexes())
 def test_chain_dims_on_the_twin_are_those_of_the_labelled_subdivision(s):
     sd = barycentric_subdivide(s)
-    twin, copy = sd._memo["twin"][0], labelled_copy(sd)
+    twin, copy = _twin(sd), labelled_copy(sd)
     kinds = STANDARD_KINDS if s.dimension >= 2 else ()
+
+    def model_dims(s, p, sup):
+        model, q = _model(s, p, sup)
+        return chain_dims(model, _allowability(model, q))
+
     for p in (None, *(make_standard(kind, s.dimension) for kind in kinds)):
         for sup in SUPPORTS:
-            want = chain_dims(*_prepare(copy, p, sup)[::2])
-            assert chain_dims(*_prepare(twin, p, sup)[::2]) == want, (p, sup)
+            want = model_dims(copy, p, sup)
+            assert model_dims(twin, p, sup) == want, (p, sup)
             assert ih_dims(sd, p, sup) == want, (p, sup)
     check_clearing(twin)
 
