@@ -7,14 +7,15 @@ independent routes, compared pair by pair on a Bruhat interval [u, w] by
 multiplies out v^{-l(w)} (T_{s_1} + 1) ... (T_{s_k} + 1),
 removes the lower canonical terms and reads P_{u,w} off in q; the
 classical recursion (Kazhdan & Lusztig 1979, (2.2.c)) computes P_{u,w}
-with no Hecke product and writes C'_w from it. Each route keeps one memo
-(``_bott_samelson``, ``_kl_polys``) and ends in ``_check_kl`` on its table
-of P_{u,w}; a single element with more than 720 elements below it, and a
-product whose walks pass ``MAX_PRODUCT_WORK`` elements, are refused first
-(``_check_work``, ``t_mul``). The involution iota is a test oracle.
-Everything is keyed by one-line tuples (``Permutation.word``); a
-``Permutation`` appears only at the public boundary
-(``HeckeElement.terms``, ``KLResult``).
+with no Hecke product, one value per coset {y, ys}, and writes C'_w from
+it. Each route keeps one checked ``KLResult`` per element (``_bott_samelson``,
+``_recursion``), made once through ``_check_kl``; a single element with more
+than 720 elements below it, and a product whose walks pass
+``MAX_PRODUCT_WORK`` elements, are refused first (``_check_work``,
+``t_mul``). The involution iota is a test oracle. Everything is keyed by
+one-line tuples (``Permutation.word``); a ``Permutation``, one per tuple
+(``_perm``), appears only at the public boundary (``HeckeElement.terms``,
+``KLResult``).
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ MAX_KL_TABLE = 6   # KL tables refuse S_n past this rank (98,407 Bruhat pairs at
 # The most work one t_mul may do, counted as the walked support sizes: T at
 # w0 of S_6 walked from all of S_6 takes 720 elements through 15 letters.
 MAX_PRODUCT_WORK = math.factorial(MAX_KL_TABLE) * math.comb(MAX_KL_TABLE, 2)   # 10,800
+_perm = lru_cache(maxsize=None)(Permutation)   # one Permutation per one-line tuple
 
 
 class LaurentPoly:
@@ -40,14 +42,20 @@ class LaurentPoly:
 
     Immutable, as the memoised KL tables hand the same polynomials to every
     caller: the exponent -> coefficient dict is set once, and ``coeffs`` is
-    a read-only view of it.
+    a read-only view of it. Exponents and coefficients must be integers; an
+    integral value such as Fraction(4, 2) is read as its int.
     """
 
     __slots__ = ("_c",)
 
     def __init__(self, coeffs=None):
-        _set_c(self, {int(e): c for e, c0 in (coeffs or {}).items()
-                      for c in (int(c0),) if c})
+        out = {}
+        for e, c in (coeffs or {}).items():
+            if int(e) != e or int(c) != c:
+                raise ComputationError("LaurentPoly entry %r: %r is not an integer" % (e, c))
+            if c:
+                out[int(e)] = int(c)
+        _set_c(self, out)
 
     def __setattr__(self, name, value):
         raise AttributeError("a LaurentPoly is immutable")
@@ -65,6 +73,8 @@ class LaurentPoly:
         return isinstance(other, LaurentPoly) and self._c == other._c
 
     def __hash__(self):
+        if self._c.keys() <= {0}:   # a constant equals its int, so it hashes as that int
+            return hash(self._c.get(0, 0))
         return hash(frozenset(self._c.items()))
 
     def __add__(self, other):
@@ -75,11 +85,16 @@ class LaurentPoly:
             out[e] = out.get(e, 0) + c
         return _poly({e: c for e, c in out.items() if c})
 
+    __radd__ = __add__
+
     def __neg__(self):
         return _poly({e: -c for e, c in self._c.items()})
 
     def __sub__(self, other):
         return self + (-other)
+
+    def __rsub__(self, other):
+        return -self + other
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -130,7 +145,7 @@ class LaurentPoly:
                 raise ComputationError(
                     "exponent %d: element does not lie in Z[q]" % e)
             out[e // 2] = c
-        return LaurentPoly(out)
+        return _poly(out)
 
     def format(self, var="v"):
         """Terms by rising exponent, such as ``-v^-2+3+2*v``; "0" for zero."""
@@ -345,7 +360,7 @@ def _check_kl(w: Permutation, table: dict) -> MappingProxyType:
         if x != w.word and (p.coefficient(0) != 1 or 2 * p.max_degree() > lw - _inversions(x) - 1):
             raise InternalConsistencyError("P(0) != 1 or degree bound violated at (%s, %s): %s"
                                            % (Permutation(x), w, p.format("q")))
-    return MappingProxyType({Permutation(x): p for x, p in table.items()})
+    return MappingProxyType({_perm(x): p for x, p in table.items()})
 
 
 def _walk(word, start):
@@ -391,7 +406,7 @@ def kl_bott_samelson(word, n: int) -> KLResult:
 @lru_cache(maxsize=None)
 def _bott_samelson(x: tuple) -> KLResult:
     """C'_w over the canonical reduced word of w, keyed by its one-line tuple x."""
-    w = Permutation(x)
+    w = _perm(x)
     return _extract_bott_samelson(w, w.reduced_word())
 
 
@@ -407,10 +422,9 @@ def _extract_bott_samelson(w: Permutation, word: tuple) -> KLResult:
     for lu, x in sorted(((_inversions(x), x) for x in e._coeffs if x != w.word),
                         reverse=True):
         g = e._coeffs[x].shift(lu)
-        p_u = LaurentPoly({s * d: c for d, c in g._c.items() if d >= 0
-                           for s in (1, -1)})
+        p_u = _poly({s * d: c for d, c in g._c.items() if d >= 0 for s in (1, -1)})
         if p_u:
-            corrections[Permutation(x)] = p_u
+            corrections[_perm(x)] = p_u
             e = e - _bott_samelson(x).cprime.scale(p_u)
 
     try:   # P_{u,w}(q) is v^{l(w)} times the coefficient of T_u
@@ -421,12 +435,19 @@ def _extract_bott_samelson(w: Permutation, word: tuple) -> KLResult:
 
 
 def kl_recursion(w: Permutation) -> KLResult:
-    """C'_w written once from the checked polynomials of the descent
-    recursion: its T_u coefficient is v^{-l(w)} P_{u,w}(v^2)."""
+    """C'_w by the descent recursion (``_recursion``); [e, w] may hold at most 720 elements."""
     _check_work(w)
-    table, lw = _kl_polys(w.word), w.length()
-    e = HeckeElement._of(w.n, {y: LaurentPoly({2 * j - lw: c for j, c in p._c.items()})
-                               for y, p in table.items()})
+    return _recursion(w.word)
+
+
+@lru_cache(maxsize=None)
+def _recursion(x: tuple) -> KLResult:
+    """C'_w written once from the checked polynomials of ``_kl_polys``, keyed
+    by w's one-line tuple x: its T_u coefficient is v^{-l(w)} P_{u,w}(v^2),
+    one coefficient per distinct P."""
+    w, table, lw = _perm(x), _kl_polys(x), _inversions(x)
+    shifted = {p: _poly({2 * j - lw: c for j, c in p._c.items()}) for p in table.values()}
+    e = HeckeElement._of(w.n, {y: shifted[p] for y, p in table.items()})
     return KLResult(w, e, _check_kl(w, table), MappingProxyType({}))
 
 
@@ -434,12 +455,12 @@ def kl_recursion(w: Permutation) -> KLResult:
 def _kl_polys(x: tuple) -> dict:
     """P_{y,w} for every y <= w, keyed by one-line tuples; x is w's tuple.
 
-    At the first right descent s of w, with v = ws and c = 1 if ys < y,
-    else 0 (Kazhdan & Lusztig 1979, (2.2.c)):
-    P_{y,w} = q^(1-c) P_{ys,v} + q^c P_{y,v} - sum, over z with zs < z,
-    of mu(z, v) q^((l(w)-l(z))/2) P_{y,z}. [e, w] is [e, v] with [e, v]s.
-    mu(z, v) is the coefficient of q^((l(v)-l(z)-1)/2) in P_{z,v}, so it
-    is nonzero only when l(w) - l(z) is even.
+    At the first right descent s of w, with v = ws, [e, w] is [e, v] with
+    [e, v]s, and P_{y,w} = P_{ys,w} (Kazhdan & Lusztig 1979, §2): each coset
+    {y, ys} gets one value, at its member y with ys < y, by (2.2.c):
+    P_{y,w} = P_{ys,v} + q P_{y,v} - sum, over z with zs < z, of mu(z, v)
+    q^((l(w)-l(z))/2) P_{y,z}. mu(z, v) is the coefficient of
+    q^((l(v)-l(z)-1)/2) in P_{z,v}, so it is nonzero only when l(w) - l(z) is even.
     """
     i = _first_descent(x)
     if i is None:
@@ -449,13 +470,12 @@ def _kl_polys(x: tuple) -> dict:
            for d in (lw - _inversions(z),) if d % 2 == 0
            for m in (p.coefficient(d // 2 - 1),) if m]
     out = {}
-    for y in dict.fromkeys([*pv, *(_swap(y, i) for y in pv)]):
-        c = y[i - 1] > y[i]
-        p = pv.get(_swap(y, i), ZERO).shift(1 - c) + pv.get(y, ZERO).shift(c)
+    for y in (_swap(z, i) for z in pv if z[i - 1] < z[i]):
+        p = pv[_swap(y, i)] + pv.get(y, ZERO).shift(1)
         for pz, m, k in mus:
             if y in pz:
                 p = p - pz[y].shift(k) * m
-        out[y] = p
+        out[y] = out[_swap(y, i)] = p
     return out
 
 
@@ -465,36 +485,27 @@ def cprime(w: Permutation, algorithm: str = "bott_samelson") -> KLResult:
         _check_work(w)
         return _bott_samelson(w.word)
     if algorithm == "recursion":
-        return kl_recursion(w)
+        return kl_recursion(w)   # by its public name, which perfbench's kl trace wraps
     raise ComputationError("unknown algorithm %r" % algorithm)
-
-
-def _check_rank(n: int):
-    """Refuse a KL table of S_n past MAX_KL_TABLE."""
-    if n > MAX_KL_TABLE:
-        raise ComputationError("KL tables are limited to n <= %d, got n = %d" % (MAX_KL_TABLE, n))
 
 
 def kl_table(n: int, algorithm: str = "both"):
     """``kl_interval`` on [e, w0]: every P_{u,w} with u <= w in S_n; n <= MAX_KL_TABLE."""
-    _check_rank(n)
     return kl_interval(identity(n), longest_element(n), algorithm)
 
 
 def kl_interval(u: Permutation, w: Permutation, algorithm: str = "both"):
     """P_{x,y}(q) for every pair u <= x <= y <= w, keyed by (x, y); n <= MAX_KL_TABLE.
-    Each route's memo at y holds every x <= y, of which the x in [u, w] are kept;
-    in both mode the two routes must agree on exactly these pairs."""
+    ``cprime(y, algorithm).kl_polys`` holds every x <= y, of which the x in
+    [u, w] are kept; in both mode the two routes must agree on exactly these pairs."""
+    if w.n > MAX_KL_TABLE:
+        raise ComputationError("KL tables are limited to n <= %d, got n = %d" % (MAX_KL_TABLE, w.n))
     if not bruhat_leq(u, w):
         raise ComputationError("%s is not below %s in Bruhat order" % (u, w))
-    _check_rank(w.n)
-    routes = {"bott_samelson": lambda y: _bott_samelson(y.word).kl_polys,
-              "recursion": lambda y: _check_kl(y, _kl_polys(y.word))}
-    if algorithm not in (*routes, "both"):
-        raise ComputationError("unknown algorithm %r" % algorithm)
     ys = {y.word: y for y in all_elements(w.n) if bruhat_leq(u, y) and bruhat_leq(y, w)}
-    tables = [{(x, y): p for y in ys.values() for x, p in routes[alg](y).items() if x.word in ys}
-              for alg in (routes if algorithm == "both" else (algorithm,))]
+    tables = [{(x, y): p for y in ys.values() for x, p in cprime(y, alg).kl_polys.items()
+               if x.word in ys}
+              for alg in (("bott_samelson", "recursion") if algorithm == "both" else (algorithm,))]
     bad = len(tables) == 2 and {k for k, _ in tables[0].items() ^ tables[1].items()}
     if bad:
         raise InternalConsistencyError("KL algorithm disagreement at: %s" % ", ".join(

@@ -484,7 +484,7 @@ def test_kl_table_past_the_table_bound_is_refused_before_any_work(capsys, rank):
 def test_kl_interval_computes_its_own_elements_only(capsys):
     """A refused interval builds nothing, and [e, 213546], 4 elements, leaves
     each route's memo holding at most those 4."""
-    memos = (hecke._kl_polys, hecke._bott_samelson)
+    memos = (hecke._kl_polys, hecke._recursion, hecke._bott_samelson)
     for memo in memos:
         memo.cache_clear()
     for rank, interval, message in [
@@ -492,7 +492,7 @@ def test_kl_interval_computes_its_own_elements_only(capsys):
             ("7", "1234567,7654321", "KL tables are limited to n <= 6, got n = 7")]:
         got = run(capsys, "kl", "--rank", rank, "--interval", interval)
         assert got == (1, "", "error: %s\n" % message)
-    assert [memo.cache_info().currsize for memo in memos] == [0, 0]
+    assert [memo.cache_info().currsize for memo in memos] == [0, 0, 0]
     code, out, _ = run(capsys, "kl", "--rank", "6", "--interval", "123456,213546")
     assert code == 0 and out.splitlines()[-1] == "AGREE (9 pairs)"
     assert all(memo.cache_info().currsize <= 4 for memo in memos)

@@ -5,6 +5,7 @@ import itertools
 import random
 import re
 import time
+from fractions import Fraction
 from functools import reduce
 
 import pytest
@@ -39,6 +40,30 @@ def test_laurent_formatting():
     assert LaurentPoly({0: 1, 2: 1}).to_q().format("q") == "1+q"
     assert LaurentPoly({0: 1}).format() == "1"
     assert LaurentPoly({1: -2, 3: 1}).format() == "-2*v+v^3"
+
+
+def test_a_laurent_poly_refuses_what_is_not_an_integer():
+    """Arithmetic is exact: a fractional coefficient or exponent is refused,
+    not truncated, and an integral value of another type is read as its int."""
+    for coeffs, entry in [({0: 1.5}, "entry 0: 1.5"), ({0.5: 1}, "entry 0.5: 1"),
+                          ({0: Fraction(3, 2)}, "entry 0: Fraction(3, 2)")]:
+        with pytest.raises(ComputationError, match=re.escape(entry + " is not an integer")):
+            LaurentPoly(coeffs)
+    with pytest.raises(ComputationError, match=re.escape("entry 0: 2.7 is not an integer")):
+        HeckeElement(3, {identity(3): 2.7})
+    assert LaurentPoly({0: Fraction(4, 2), 2.0: 3}) == LaurentPoly({0: 2, 2: 3})
+
+
+def test_a_constant_laurent_poly_is_its_int_on_either_side():
+    """A constant equals its int and hashes as it, so a set or a dict holds one of
+    the two; int arithmetic works from the left as from the right."""
+    for c in (0, 1, -3):
+        p = LaurentPoly({0: c})
+        assert p == c and hash(p) == hash(c) and len({p, c}) == 1
+    p = LaurentPoly({1: 1, 0: 2})
+    assert 1 + p == p + 1 == LaurentPoly({1: 1, 0: 3})
+    assert 1 - p == -(p - 1) == LaurentPoly({1: -1, 0: -1})
+    assert sum([p, p]) == 2 * p == p * 2
 
 
 def test_quadratic_relation():
@@ -181,7 +206,17 @@ def test_an_interval_is_the_whole_table_cut_to_it(algorithm):
             assert kl_interval(u, w, algorithm) == want, (u, w)
 
 
-def test_both_mode_compares_the_routes_on_the_interval_pairs_alone(monkeypatch):
+@pytest.fixture
+def fresh_recursion():
+    """The recursion route's memo of checked results, cleared before and after a
+    test that plants a fault in ``_kl_polys``: no result of the fault outlives it,
+    and none made before it hides it."""
+    hecke._recursion.cache_clear()
+    yield
+    hecke._recursion.cache_clear()
+
+
+def test_both_mode_compares_the_routes_on_the_interval_pairs_alone(monkeypatch, fresh_recursion):
     """A recursion table with P_{e,3412} = 1 in place of 1 + q still passes the
     route's own check; both mode names that pair wherever the interval holds it,
     and an interval without it is left alone."""
@@ -190,7 +225,8 @@ def test_both_mode_compares_the_routes_on_the_interval_pairs_alone(monkeypatch):
     def wrong(x):
         return {**real(x), e.word: hecke.ONE} if x == w.word else real(x)
 
-    kl_table(4, "recursion")   # every S_4 table memoised, so none is made from the wrong one
+    for y in all_elements(4):   # every S_4 table memoised, so none is made from the wrong one
+        real(y.word)
     monkeypatch.setattr(hecke, "_kl_polys", wrong)
     assert kl_interval(e, w, "recursion")[(e, w)] == 1
     for top in (w, longest_element(4)):
@@ -221,9 +257,30 @@ def test_bott_samelson_other_reduced_word_is_not_memoised():
     assert hecke._bott_samelson.cache_info().currsize == before
 
 
+def test_a_warm_recursion_table_runs_no_check(monkeypatch):
+    """The recursion route keeps its checked result per element, as
+    Bott-Samelson does: a second table checks nothing, and the first checks
+    each of the 24 elements of S_4 once."""
+    before, real, checked = kl_table(4, "recursion"), hecke._check_kl, []
+    monkeypatch.setattr(hecke, "_check_kl", lambda w, table: checked.append(w) or real(w, table))
+    assert kl_table(4, "recursion") == before and checked == []
+    hecke._recursion.cache_clear()
+    assert kl_table(4, "recursion") == before
+    assert sorted(checked, key=lambda w: w.word) == sorted(all_elements(4), key=lambda w: w.word)
+
+
+def test_the_recursion_computes_one_polynomial_per_coset():
+    """At the first right descent s of w, y and ys hold the same polynomial
+    object: P_{y,w} = P_{ys,w} is computed once."""
+    for w in all_elements(4):
+        i, table = coxeter._first_descent(w.word), hecke._kl_polys(w.word)
+        for y, p in table.items():
+            assert i is None or table[coxeter._swap(y, i)] is p, (w, y)
+
+
 def test_every_cache_clears_and_recomputes_the_same_table():
     before = kl_table(4, algorithm="both")
-    caches = (hecke._bott_samelson, hecke._kl_polys,
+    caches = (hecke._bott_samelson, hecke._kl_polys, hecke._recursion, hecke._perm,
               hecke._iota_t, complexes.vkey, coxeter.all_elements, coxeter._bruhat_leq,
               flagfq.enumerate_flags, flagfq._cells,
               flagfq._structure_constants)
@@ -367,7 +424,7 @@ def test_check_kl_wants_p_w_w_and_the_degree_bound():
             hecke._check_kl(w, bad)
 
 
-def test_a_recursion_that_drops_e_v_s_fails_at_run_time(monkeypatch):
+def test_a_recursion_that_drops_e_v_s_fails_at_run_time(monkeypatch, fresh_recursion):
     """The planted fault builds [e, w] as [e, v] alone, leaving out [e, v]s,
     and so loses P_{w,w}; the route's check refuses it."""
     real = hecke._kl_polys
@@ -414,11 +471,11 @@ def planted(monkeypatch, name, old, new):
     # T_s in place of T_s + 1 in the Bott-Samelson product: the table is {w: 1}
     ("bott_samelson", "_extract_bott_samelson",
      "e = _mul_right_simple(e, i) + e", "e = _mul_right_simple(e, i)"),
-    # [e, w] built as [e, v]s alone: the table keeps w and no element below it
-    ("recursion", "_kl_polys",
-     "[*pv, *(_swap(y, i) for y in pv)]", "[*(_swap(y, i) for y in pv)]"),
+    # one member of each coset {y, ys} alone: the table keeps w and loses e
+    ("recursion", "_kl_polys", "out[y] = out[_swap(y, i)] = p", "out[y] = p"),
 ], ids=["bott-samelson-t-s", "recursion-e-v-s-alone"])
-def test_a_table_without_lower_elements_fails_at_run_time(monkeypatch, algorithm, name, old, new):
+def test_a_table_without_lower_elements_fails_at_run_time(monkeypatch, fresh_recursion,
+                                                          algorithm, name, old, new):
     """Both faults keep P_{w,w} = 1 and the degree bound; P_{e,w} is what they lose."""
     hecke._bott_samelson.cache_clear()
     planted(monkeypatch, name, old, new)

@@ -5,19 +5,22 @@ along the cell of u, so the tables must satisfy what the geometry says:
 Poincaré duality for intersection homology, the smoothness criteria of
 Lakshmibai-Sandhya (pattern avoidance) and Carrell-Peterson (a
 palindromic Poincaré polynomial of [e, w]), the symmetries of the flag
-variety, KL inversion, and the count of the F_q-points of X_w. None of
+variety, KL inversion, the count of the F_q-points of X_w, and the
+R-polynomials counted over F_q. None of
 these oracles is a KL route: each property reads one route's table on
 its own, so a fault in either route shows here and not only in the
 cross-check of ``kl_table(n, "both")``.
 """
 
 import itertools
+from collections import Counter
+from fractions import Fraction
 from functools import lru_cache
 
 import pytest
 
 from ihkl.coxeter import all_elements, bruhat_interval, identity, longest_element
-from ihkl.flagfq import enumerate_flags, rref
+from ihkl.flagfq import enumerate_flags, permuted_flag, relative_position, rref, standard_flag
 from ihkl.hecke import LaurentPoly, kl_table
 
 ROUTES = ("bott_samelson", "recursion")
@@ -117,3 +120,44 @@ def test_f_q_points_of_each_schubert_variety_match_the_table_interval(n, q, alg)
                  for i in range(1, n) for j in range(1, n)]
         points = sum(all(map(int.__ge__, r, least)) for r in arrays)
         assert points == sum(q ** u.length() for u, v in table if v == w), w
+
+
+@lru_cache(maxsize=None)
+def r_polynomial_values(n, q):
+    """R_{x,y}(q), keyed by (x, y), for x, y in S_n: the number of flags F
+    with pos(E, F) = y and pos(E-, F) = w0 x, E the standard flag and E- the
+    opposite one (Deodhar 1985); zero pairs are left out."""
+    w0 = longest_element(n)
+    e, opposite = standard_flag(n, q), permuted_flag(w0, q)
+    counts = Counter((relative_position(e, f), relative_position(opposite, f))
+                     for f in enumerate_flags(n, q))
+    return {(w0 * z, y): r for (y, z), r in counts.items()}   # z = w0 x, and w0 w0 = e
+
+
+def at(p, q):
+    """P(q) for a polynomial in q, exactly."""
+    return sum(c * Fraction(q) ** e for e, c in p.coeffs.items())
+
+
+@pytest.mark.parametrize("n, q", [(3, 2), (3, 5), (4, 2), (4, 3)])
+@pytest.mark.parametrize("alg", ROUTES)
+def test_r_polynomials_counted_over_f_q_give_back_every_p_value(n, q, alg):
+    """Kazhdan & Lusztig 1979, at q: for x <= w,
+    q^(l(w)-l(x)) P_{x,w}(1/q) = sum over x <= y <= w of R_{x,y}(q) P_{y,w}(q),
+    with R_{x,y}(q) the F_q-points of an open Richardson variety, counted with
+    no Hecke product and no Bruhat code. It is checked at every pair of S_n,
+    with P_{x,w} = 0 where the table has none, so a pair the table loses fails
+    too (R_{x,y} = 0 unless x <= y).
+
+    This is bar-invariance of C'_w, and every integer combination of the C'_z
+    is bar-invariant too: a mu with the wrong sign passes here, and only the
+    degree bound of the routes' own check refuses it. The two together pin P
+    down: by KL uniqueness, C'_w is the one bar-invariant element whose
+    polynomials have P_{w,w} = 1 and the degree bound."""
+    table, r = kl_table(n, alg), r_polynomial_values(n, q)
+    assert all(r[(w, w)] == 1 for w in all_elements(n))
+    for x, w in itertools.product(all_elements(n), repeat=2):
+        p = table.get((x, w), LaurentPoly())
+        lhs = Fraction(q) ** (w.length() - x.length()) * at(p, Fraction(1, q))
+        rhs = sum(r.get((x, y), 0) * at(pyw, q) for (y, top), pyw in table.items() if top == w)
+        assert lhs == rhs, (x, w, p.format("q"))
