@@ -15,7 +15,7 @@ All arithmetic is exact (integers, rationals, Laurent polynomials).
 
 from .perversity import Perversity, custom, is_complementary, make_standard
 from .complexes import (Chain, SimplicialComplex, StratifiedComplex,
-                        barycentric_subdivide, cone, homology_dims,
+                        barycenters, barycentric_subdivide, cone, homology_dims,
                         load_complex, dump_complex, product, suspend, validate)
 from .ih import (allowable_complex, allowable_simplices, cone_formula_check,
                  duality_report, extremal_comparison, ih_dims,
@@ -31,7 +31,7 @@ from . import builders
 __all__ = [
     "Perversity", "custom", "is_complementary", "make_standard",
     "Chain", "SimplicialComplex", "StratifiedComplex",
-    "barycentric_subdivide", "cone", "homology_dims", "load_complex",
+    "barycenters", "barycentric_subdivide", "cone", "homology_dims", "load_complex",
     "dump_complex", "product", "suspend", "validate",
     "allowable_complex", "allowable_simplices", "cone_formula_check",
     "duality_report", "extremal_comparison", "ih_dims", "local_stalk_table",

@@ -9,10 +9,9 @@ live on the part of K disjoint from L.
 Simplices are tuples of vertex identifiers, strictly sorted under a fixed
 total order; the alternating-sign boundary of the sorted tuple is the
 orientation convention. All coefficients are exact rationals. An order
-complex (a subdivision) has int vertex ids, the ranks of its barycenters.
-Names are made only where they are read: a construction is named back through
-its label table, its models live on the int-labelled twin, and only the
-oracles name a model.
+complex (a subdivision) has int vertex ids, the ranks of its barycenters in
+vkey order, and keeps its label table: ``barycenters(s)[r]`` is the simplex
+whose barycenter is vertex r.
 """
 
 from __future__ import annotations
@@ -33,8 +32,8 @@ from .perversity import Perversity
 def vkey(v):
     """A canonical sort key giving a strict total order on vertex ids.
 
-    Vertex identifiers may be strings, integers, or (after subdivision,
-    cones and products) nested tuples of these; the key is injective
+    Vertex identifiers may be strings, integers, or (after products and
+    normalization) nested tuples of these; the key is injective
     up to ``==`` and consistent across mixed types. A boolean is the
     integer it equals, as it is in every set and dict of simplices.
     """
@@ -366,18 +365,19 @@ def interior_order_complex(s: StratifiedComplex) -> StratifiedComplex:
     empty. This is the standard deformation retract of |K| - |L| and
     needs no fullness hypothesis on L.
     """
-    return _labelled(*_order_complex(s, s.ambient.simplices - s.ends.simplices))
+    return _order_complex(s, s.ambient.simplices - s.ends.simplices)
 
 
-def _order_complex(s: StratifiedComplex, simplices):
+def _order_complex(s: StratifiedComplex, simplices) -> StratifiedComplex:
     """The complex of chains of proper face inclusions among ``simplices``,
-    int-labelled, and its label table: vertex r is the barycenter of
-    labels[r], the simplex of K of rank r in vkey order. The rank keeps the
-    order, so every chain basis and boundary matrix is the labelled one. The
-    ends and each F(k) carry over as the chains whose members all lie in them,
-    which for a subcomplex means the chains whose largest member does.
+    int-labelled: vertex r is the barycenter of ``barycenters(out)[r]``, the
+    simplex of K of rank r in vkey order. The rank keeps the order, so every
+    chain basis and boundary matrix is the one the simplices of K would give as
+    vertex ids. The ends and each F(k) carry over as the chains whose members
+    all lie in them, which for a subcomplex means the chains whose largest
+    member does.
     """
-    labels = sorted(simplices, key=None if _plain(s.ambient.vertices) else vkey)
+    labels = tuple(sorted(simplices, key=None if _plain(s.ambient.vertices) else vkey))
     rank = {x: r for r, x in enumerate(labels)}
     chains, by_dim = {}, {}  # largest member -> the chains ending there, on ranks
     for x in sorted(labels, key=len):  # faces before cofaces
@@ -396,31 +396,19 @@ def _order_complex(s: StratifiedComplex, simplices):
     def carried(sub):
         return amb._subcomplex(ch for x, cs in chains.items() if x in sub for ch in cs)
 
-    return StratifiedComplex(
+    out = StratifiedComplex(
         amb, s.dimension, ends=carried(s.ends),
-        filtration={k: carried(s.F(k)) for k in range(2, s.dimension + 1)}), labels
-
-
-def _labelled(m: StratifiedComplex, labels) -> StratifiedComplex:
-    """m with vertex r named labels[r], keeping m as its twin for ``_model`` (m itself
-    if labels is None). m's gate verdict is kept now, so a construction pays for it,
-    not whichever query comes first. Each dimension keeps m's order, as labels are in
-    vkey order, and the subcomplexes share the ambient's tuples."""
-    if labels is None:
-        return m
-    _verdict(m)
-    named = {x: tuple(map(labels.__getitem__, x)) for x in m.ambient.simplices}
-
-    def renamed(sub):
-        out = object.__new__(SimplicialComplex)
-        out._by_dim = {d: tuple(map(named.__getitem__, xs)) for d, xs in sub._by_dim.items()}
-        out._simplices = frozenset(itertools.chain.from_iterable(out._by_dim.values()))
-        return out
-
-    out = StratifiedComplex(renamed(m.ambient), m.dimension, ends=renamed(m.ends),
-                            filtration={k: renamed(m.F(k)) for k in m.filtration})
-    out._memo["twin"] = (m, labels)
+        filtration={k: carried(s.F(k)) for k in range(2, s.dimension + 1)})
+    out._memo["labels"] = labels
     return out
+
+
+def barycenters(s: StratifiedComplex):
+    """The label table of an order complex (a subdivision, ``interior_order_complex``
+    or an order-complex ``compact_model``): vertex r is the barycenter of the r-th
+    simplex, and the table is in vkey order. None when s is not an order complex.
+    The labels of sd(sd K) are simplices of sd K, whose vertices are ints."""
+    return s._memo.get("labels")
 
 
 def compact_model(s: StratifiedComplex) -> StratifiedComplex:
@@ -430,24 +418,19 @@ def compact_model(s: StratifiedComplex) -> StratifiedComplex:
     from the ends is a stratum-faithful retraction: the ends must be
     full (so every simplex off them keeps an interior face), and that
     face must lie in exactly the filtration steps the simplex does.
-    Otherwise the interior of the barycentric subdivision is used (its
-    vertices are the simplices off the ends), for which the conditions
+    Otherwise ``interior_order_complex`` is used (its vertices are the
+    barycenters of the simplices off the ends), for which the conditions
     always hold.
     """
-    return _labelled(*_compact_model(s))
-
-
-def _compact_model(s: StratifiedComplex):
-    """``compact_model``, int-labelled if an order complex, and its label table."""
     if len(s.ends) == 0:
-        return s, None
+        return s
     if s.ends.is_full_in(s.ambient) and _interior_retract_ok(s):
         inner = s.interior()
         return StratifiedComplex(
             inner, s.dimension,
             filtration={k: s.F(k).restrict_to(inner.simplices)
-                        for k in range(2, s.dimension + 1)}), None
-    return _order_complex(s, s.ambient.simplices - s.ends.simplices)
+                        for k in range(2, s.dimension + 1)})
+    return interior_order_complex(s)
 
 
 def _interior_retract_ok(s: StratifiedComplex) -> bool:
@@ -468,52 +451,30 @@ def _interior_retract_ok(s: StratifiedComplex) -> bool:
 SUPPORTS = ("borel_moore", "compact")
 
 
-def _twin(s: StratifiedComplex) -> StratifiedComplex:
-    """The int-labelled twin that ``_labelled`` keeps beside s, or s itself."""
-    return s._memo.get("twin", (s,))[0]
-
-
 def _model(s: StratifiedComplex, p: Perversity | None, supports: str):
     """The model and fitted p behind every homology and IH entry point:
     checks the supports mode, gates s, drops the filtration when no
     perversity reads it, takes ``compact_model`` in compact supports, and
     subdivides once when p reads strata that are not full.
 
-    All of it runs on the twin of s. The twin keeps (model, label table in its own
-    ids, or None) for each (supports, p is None), which those two decide, and None
-    for itself, which kept in its own memo would be a reference cycle. The gate runs
-    every call and reads the verdict kept on the twin; the fitted p is made per call.
+    s keeps the model for each (supports, p is None), which those two decide, and
+    None for itself, which kept in its own memo would be a reference cycle. The
+    gate runs every call and reads the verdict kept on s; the fitted p is made per
+    call.
     """
     if supports not in SUPPORTS:
         raise UsageError("unknown supports mode %r" % (supports,))
     require_structure(s)
-    s, p = _twin(s), _fit_perversity(p, s.dimension)
+    p = _fit_perversity(p, s.dimension)
     key = (supports, p is None)
     if key not in s._memo:
-        m, labels = (s if p is not None else
-                     StratifiedComplex(s.ambient, s.dimension, ends=s.ends)), None
+        m = s if p is not None else StratifiedComplex(s.ambient, s.dimension, ends=s.ends)
         if supports == "compact":
-            m, labels = _compact_model(m)
+            m = compact_model(m)
         if p is not None and not m.strata_full():
-            m, labels = _order_complex(m, m.ambient.simplices)
-        s._memo[key] = None if m is s else (m, labels)
-    return (s._memo[key] or (s,))[0], p
-
-
-def _oracle_model(s: StratifiedComplex, p: Perversity | None, supports: str):
-    """``_model``'s model named in the ids of s (kept on s per mode once made; None
-    for s itself), its fitted p and its own allowability test, for the oracles: the
-    one place a model's label table is composed with s's names."""
-    p = _model(s, p, supports)[1]
-    key = ("labelled", supports, p is None)
-    if key not in s._memo:
-        twin, names = s._memo.get("twin", (s, None))
-        m, labels = twin._memo[key[1:]] or (twin, None)
-        if names is not None and labels is not None:
-            labels = [tuple(map(names.__getitem__, x)) for x in labels]
-        s._memo[key] = None if m is twin else _labelled(m, names if labels is None else labels)
-    model = s._memo[key] or s
-    return model, p, _allowability(model, p)
+            m = _order_complex(m, m.ambient.simplices)
+        s._memo[key] = None if m is s else m
+    return s._memo[key] or s, p
 
 
 def _dims(s: StratifiedComplex, p: Perversity | None, supports: str) -> dict:
@@ -540,18 +501,18 @@ def homology_dims(s: StratifiedComplex, supports: str) -> dict:
 def barycentric_subdivide(s: StratifiedComplex) -> StratifiedComplex:
     """Barycentric subdivision of (K, L) and the whole filtration.
 
-    Barycenters are identified with the simplices they subdivide, so the
-    new vertex set is the old simplex set. After one application every
+    The order complex of the simplices of K, int-labelled: vertex r is the
+    barycenter of ``barycenters(sd)[r]``. After one application every
     filtration subcomplex and the ends are full subcomplexes.
 
-    The twin takes the verdict of s if s passes: sd K is pure if K is, an (n-1)-chain
+    sd K takes the verdict of s if s passes: sd K is pure if K is, an (n-1)-chain
     off sd L lacks one dimension and has two cofaces (if the top, as many as its
-    last member, off L, has), and dim sd F(k) = dim F(k). Else it is gated itself.
+    last member, off L, has), and dim sd F(k) = dim F(k). Else it is gated itself,
+    now, so a construction pays for it, not whichever query comes first.
     """
-    m, labels = _order_complex(s, s.ambient.simplices)
-    if not _verdict(_twin(s)):
-        m._memo["gate"] = ()
-    return _labelled(m, labels)
+    m = _order_complex(s, s.ambient.simplices)
+    m._memo["gate"] = _failed_checks(m) if _verdict(s) else ()
+    return m
 
 
 def cone(base: StratifiedComplex) -> StratifiedComplex:
@@ -699,8 +660,8 @@ def _verdict(s: StratifiedComplex) -> tuple:
 
 def require_structure(s: StratifiedComplex):
     """The checks homology needs; ValidationError names each one failed, on every
-    call, from the ``_verdict`` of s's twin (which ``_labelled`` fills in)."""
-    failed = _verdict(_twin(s))
+    call, from the ``_verdict`` of s."""
+    failed = _verdict(s)
     if failed:
         raise ValidationError("complex failed validation: " + "; ".join(failed))
 

@@ -80,6 +80,8 @@ class LaurentPoly:
     def __add__(self, other):
         if isinstance(other, int):
             other = LaurentPoly({0: other})
+        elif not isinstance(other, LaurentPoly):
+            return NotImplemented
         out = dict(self._c)
         for e, c in other._c.items():
             out[e] = out.get(e, 0) + c
@@ -99,6 +101,8 @@ class LaurentPoly:
     def __mul__(self, other):
         if isinstance(other, int):
             return _poly({e: c * other for e, c in self._c.items()} if other else {})
+        if not isinstance(other, LaurentPoly):
+            return NotImplemented
         out = {}
         for e1, c1 in self._c.items():
             for e2, c2 in other._c.items():

@@ -15,9 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .complexes import (Chain, SimplicialComplex, StratifiedComplex, _dims, _fit_perversity,
-                        _oracle_model, boundary_columns, chain_basis, cone, faces_with_signs,
-                        homology_dims, require_structure, simplex, suspend, vkey)
+from .complexes import (Chain, SimplicialComplex, StratifiedComplex, _allowability, _dims,
+                        _fit_perversity, _model, boundary_columns, chain_basis, cone,
+                        faces_with_signs, homology_dims, require_structure, simplex, suspend,
+                        vkey)
 from .errors import ComputationError, InternalConsistencyError
 from .linalg import RationalMatrix, rank_kernel
 from .perversity import Perversity, is_complementary, make_standard
@@ -44,7 +45,8 @@ def allowable_simplices(s: StratifiedComplex, p: Perversity | None, i: int,
     compact supports use ``compact_model``, and one barycentric
     subdivision is applied when the filtration subcomplexes are not full.
     """
-    s, _, allowed = _oracle_model(s, p, supports)
+    s, p = _model(s, p, supports)
+    allowed = _allowability(s, p)
     return [x for x in chain_basis(s, i) if allowed is None or allowed(x, i)]
 
 
@@ -87,8 +89,8 @@ def allowable_complex(s: StratifiedComplex, p: Perversity | None,
     The tests check ``dims()`` against the rank shortcut; with ``p=None``
     every chain is allowable and it is the oracle for ``homology_dims``.
     """
-    s, p, allowed = _oracle_model(s, p, supports)
-    n = s.dimension
+    s, p = _model(s, p, supports)
+    allowed, n = _allowability(s, p), s.dimension
     out = AllowableComplex(s, p, supports)
     prev_basis, prev_inside, prev_free, prev_cols = [], set(), [], []
     for i in range(0, n + 1):
@@ -227,8 +229,9 @@ def local_stalk_table(s: StratifiedComplex, x, p: Perversity) -> dict:
     The input is gated like ``ih_dims``. The stalk is a local invariant, read on
     the link of x in s itself, with the links of x in the F(k) as its strata: a
     small sphere about x meets F(k) in lk_{F(k)}(x) whether or not F(k) is full.
-    When those strata are not full, ``ih_dims`` subdivides the link once, and
-    lk_{sd K}((x,)) is sd(lk_K x), so the stalk is the one at (x,) in sd K.
+    When those strata are not full, ``ih_dims`` subdivides the link once, and the
+    link in sd K of the vertex labelled (x,) is sd(lk_K x), so the stalk is the one
+    at that vertex of sd K.
     """
     n = s.dimension
     if (x,) not in s.ambient:

@@ -66,6 +66,19 @@ def test_a_constant_laurent_poly_is_its_int_on_either_side():
     assert sum([p, p]) == 2 * p == p * 2
 
 
+def test_arithmetic_with_what_is_not_an_int_or_a_laurent_poly_is_a_type_error():
+    """+ and * give the other operand its turn (NotImplemented), so a Fraction, a
+    float or a str is a TypeError, not an AttributeError on its missing ``_c``."""
+    p = LaurentPoly({1: 1})
+    for call in (lambda: p + Fraction(1, 2), lambda: p * 1.5, lambda: p + 1.0,
+                 lambda: 1.0 - p, lambda: p * "a"):
+        with pytest.raises(TypeError):
+            call()
+    assert p + 1 == LaurentPoly({1: 1, 0: 1})
+    assert 1 - p == LaurentPoly({1: -1, 0: 1})
+    assert sum([p, p]) == LaurentPoly({1: 2})
+
+
 def test_quadratic_relation():
     for n in (2, 3, 4):
         for i in range(1, n):

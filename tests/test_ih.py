@@ -11,9 +11,9 @@ import pytest
 
 from ihkl import builders, complexes
 from ihkl.complexes import (SUPPORTS, SimplicialComplex, StratifiedComplex, _allowability,
-                            _model, _oracle_model, _twin, barycentric_subdivide, compact_model,
+                            _model, barycentric_subdivide, barycenters, compact_model,
                             complex_from_dict, cone, homology_dims, product, simplex, suspend,
-                            validate)
+                            validate, vkey)
 from ihkl.errors import ComputationError, UsageError, ValidationError
 from ihkl.ih import (allowable_complex, allowable_simplices,
                      cone_formula_check, duality_report, extremal_comparison,
@@ -65,7 +65,8 @@ def test_allowable_simplices_compact_lie_on_the_compact_model():
     assert allowable_complex(c, ZERO2, "compact").context.ambient == model.ambient
     assert allowable_simplices(c, ZERO2, 2, "compact") == list(model.ambient.of_dim(2))
     verts = allowable_simplices(c, ZERO2, 0, "compact")
-    assert verts == [v for v in model.ambient.of_dim(0) if v != (("apex",),)]
+    apex = barycenters(model).index(("apex",))
+    assert verts == [v for v in model.ambient.of_dim(0) if v != (apex,)]
 
 
 def test_allowable_complex_matches_rank_shortcut():
@@ -99,15 +100,15 @@ def test_allowability_counts_the_vertices_of_each_simplex_in_each_stratum(subdiv
         s = barycentric_subdivide(s) if subdivided else s
         ps = [make_standard(kind, s.dimension) for kind in STANDARD_KINDS]
         for p, sup in ((p, sup) for p in ps + [custom([0, 1, 1, 1])] for sup in SUPPORTS):
-            fast = _model(s, p, sup)
-            for model, q, allowed in ((*fast, _allowability(*fast)), _oracle_model(s, p, sup)):
-                strata = [(k, {v for x in model.F(k).simplices for v in x}, q(k))
-                          for k in range(2, model.dimension + 1)]
-                for i in range(model.dimension + 1):
-                    for x in model.ambient.of_dim(i):
-                        counts = [(k, len(vs.intersection(x)), qk) for k, vs, qk in strata]
-                        want = all(c == 0 or c - 1 <= i - k + qk for k, c, qk in counts)
-                        assert (allowed is None or allowed(x, i)) == want, (name, str(p), sup, x)
+            model, q = _model(s, p, sup)
+            allowed = _allowability(model, q)
+            strata = [(k, {v for x in model.F(k).simplices for v in x}, q(k))
+                      for k in range(2, model.dimension + 1)]
+            for i in range(model.dimension + 1):
+                for x in model.ambient.of_dim(i):
+                    counts = [(k, len(vs.intersection(x)), qk) for k, vs, qk in strata]
+                    want = all(c == 0 or c - 1 <= i - k + qk for k, c, qk in counts)
+                    assert (allowed is None or allowed(x, i)) == want, (name, str(p), sup, x)
 
 
 @pytest.mark.parametrize("call", [
@@ -187,18 +188,18 @@ def test_a_subdivision_is_gated_once_when_it_is_made(monkeypatch):
     runs = count_gate_runs(monkeypatch)
     source = builders.cone_torus()
     s = barycentric_subdivide(source)
-    # the source passes, so the twin that _model gates takes its verdict
-    assert runs == [source] and _twin(s)._memo["gate"] == ()
+    # the source passes, so the subdivision takes its verdict
+    assert runs == [source] and s._memo["gate"] == ()
     first = whole_table(s)
     assert len(runs) == 1
     assert whole_table(s) == first and len(runs) == 1
 
 
-def test_a_subdivision_of_a_subdivision_reads_the_verdict_kept_on_the_twin(monkeypatch):
+def test_a_subdivision_of_a_subdivision_reads_the_verdict_kept_on_the_subdivision(monkeypatch):
     sd = barycentric_subdivide(builders.cone_torus())
     runs = count_gate_runs(monkeypatch)
     sd2 = barycentric_subdivide(sd)
-    assert runs == [] and _twin(sd2)._memo["gate"] == ()
+    assert runs == [] and sd2._memo["gate"] == ()
     assert whole_table(sd2) == whole_table(sd) and runs == []
 
 
@@ -229,8 +230,8 @@ def test_a_subdivision_that_fails_is_made_and_refused_at_its_first_query(monkeyp
     book = StratifiedComplex(BOOK.ambient, BOOK.dimension)
     runs = count_gate_runs(monkeypatch)
     sd = barycentric_subdivide(book)
-    # the source fails, so the twin is gated itself, for its own message
-    assert runs == [book, _twin(sd)]
+    # the source fails, so the subdivision is gated itself, for its own message
+    assert runs == [book, sd]
     for _ in range(2):
         with pytest.raises(ValidationError, match="pseudomanifold"):
             homology_dims(sd, "borel_moore")
@@ -427,7 +428,8 @@ def test_local_stalk_tables_in_dimension_one_and_zero():
     assert local_stalk_table(builders.two_circles(), "b1", None) == {-1: 1}
     assert local_stalk_table(builders.point(), "p", None) == {0: 1}
     # the same at the barycenter of a vertex of a subdivided curve, not {-1: -1}
-    assert local_stalk_table(barycentric_subdivide(builders.circle()), ("c0",), None) == {-1: 1}
+    sd = barycentric_subdivide(builders.circle())
+    assert local_stalk_table(sd, barycenters(sd).index(("c0",)), None) == {-1: 1}
 
 
 @pytest.mark.parametrize("name, vertex, kind", [
@@ -451,8 +453,38 @@ def test_local_stalk_tables_next_to_a_stratum():
     tables = {v: local_stalk_table(s, v, MID3)
               for v in s.ambient.vertices if (v,) not in s.ends}
     assert len(tables) == 49
-    assert tables.pop((("p0", 0), ("p0", 1))) == {-3: 2}
+    assert tables.pop(barycenters(s).index((("p0", 0), ("p0", 1)))) == {-3: 2}
     assert all(t == {-3: 1} for t in tables.values())
+
+
+def star_stalk(s, x, p):
+    """The stalk at x by a second route, with no truncation read: the open star of
+    x is a conical neighbourhood, so its Borel-Moore IH in degree i is the stalk in
+    degree -i (the cone formula). It is the closed star of x with the link of x as
+    its ends and each F(k) restricted to it."""
+    star = SimplicialComplex([y for y in s.ambient.simplices if x in y])
+    nbhd = StratifiedComplex(star, s.dimension, ends=s.ambient.link(x), filtration={
+        k: s.F(k).restrict_to(star.simplices) for k in range(2, s.dimension + 1)})
+    return {-i: c for i, c in ih_dims(nbhd, p).items() if c}
+
+
+@pytest.mark.parametrize("name", [name for name in builders.BUILDERS
+                                  if name != "susp2-cone-circle"
+                                  and builders.build(name).dimension >= 2])
+@pytest.mark.parametrize("subdivided", [False, True], ids=["raw", "subdivided"])
+def test_a_stalk_is_the_borel_moore_ih_of_the_open_star(name, subdivided):
+    s = builders.build(name)
+    s = barycentric_subdivide(s) if subdivided else s
+    ps = [make_standard(kind, s.dimension) for kind in STANDARD_KINDS]
+    for x in sorted(s.ambient.vertices - s.ends.vertices, key=vkey):
+        for p in ps:
+            assert star_stalk(s, x, p) == local_stalk_table(s, x, p), (x, str(p))
+
+
+def test_a_stalk_on_a_curve_is_the_borel_moore_homology_of_the_open_star():
+    # the link's reduced homology: two points give one class, not two
+    s = builders.circle()
+    assert star_stalk(s, "c0", None) == local_stalk_table(s, "c0", None) == {-1: 1}
 
 
 def test_local_stalk_table_rejects_ends_vertex():

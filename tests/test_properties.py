@@ -10,11 +10,13 @@ checked against the Fraction oracle on random sparse integer matrices,
 with a random split of their rows, the clearing in ``chain_dims``
 against a reduction of every column, and the structural gate against
 its checks read straight off their definitions, on the drawn complexes
-and on broken copies of them; a subdivision's twin, which takes a
-passing verdict from its source, against its own gate on the same. The canonical order, read off integer
-vertex ranks, is checked against the nested vkey tuples it replaced on
-complexes whose vertex ids mix strings, integers and nested tuples, raw,
-subdivided and off their ends. The JSON load, which closes each complex
+and on broken copies of them; a subdivision, which takes a passing
+verdict from its source, against its own gate on the same. The canonical
+order, read off integer vertex ranks, is checked against the nested vkey
+tuples it replaced on complexes whose vertex ids mix strings, integers
+and nested tuples, raw, subdivided and off their ends; a subdivision is
+read back through its label table, ``barycenters``, and checked against
+the copy named in the simplices of its source. The JSON load, which closes each complex
 from its largest listed simplices and cuts the ends and strata from the
 ambient, is checked against the full closure sorted by vkey, on built
 complexes listed in shuffled, repeated or maximal-only form, and against
@@ -40,8 +42,8 @@ from hypothesis import strategies as st
 
 from ihkl import builders
 from ihkl.complexes import (SUPPORTS, SimplicialComplex, StratifiedComplex, _allowability,
-                            _failed_checks, _model, _plain, _structure_report, _twin,
-                            _vertex_ids, barycentric_subdivide, boundary_columns, chain_basis,
+                            _failed_checks, _model, _plain, _structure_report, _vertex_ids,
+                            barycenters, barycentric_subdivide, boundary_columns, chain_basis,
                             chain_dims, complex_from_dict, complex_to_dict, cone,
                             faces_with_signs, homology_dims, interior_order_complex, product,
                             simplex, suspend, vkey)
@@ -96,9 +98,10 @@ def euler(counts):
 @seed(2)
 @given(complexes())
 def test_interior_order_complex_is_the_subdivision_off_the_ends(s):
-    sd = barycentric_subdivide(s)
+    # each is read in the simplices of s, as their int labels differ
+    sd = named_copy(barycentric_subdivide(s))
     off = sd.ambient.full_subcomplex(sd.ambient.vertices - sd.ends.vertices)
-    inner = interior_order_complex(s)
+    inner = named_copy(interior_order_complex(s))
     assert inner.ambient == off
     assert len(inner.ends) == 0
     for k in range(2, s.dimension + 1):
@@ -119,14 +122,15 @@ def test_subdivision_leaves_homology_and_ih_unchanged(s):
 
 
 def check_stalks_survive_subdivision(s):
-    """The stalk at x in s is the stalk at (x,) in sd s, at every vertex off the
-    ends, for the four standard perversities (None below dimension 2)."""
+    """The stalk at x in s is the stalk at the vertex of sd s labelled (x,), at every
+    vertex off the ends, for the four standard perversities (None below dimension 2)."""
     sd = barycentric_subdivide(s)
+    rank = {x: r for r, x in enumerate(barycenters(sd))}
     ps = [make_standard(kind, s.dimension) for kind in STANDARD_KINDS] \
         if s.dimension >= 2 else [None]
     for x in sorted(s.ambient.vertices - s.ends.vertices, key=vkey):
         for p in ps:
-            assert local_stalk_table(sd, (x,), p) == local_stalk_table(s, x, p), (x, str(p))
+            assert local_stalk_table(sd, rank[(x,)], p) == local_stalk_table(s, x, p), (x, str(p))
 
 
 @pytest.mark.parametrize("name", [n for n in builders.BUILDERS if n != "susp2-cone-circle"])
@@ -375,11 +379,11 @@ def test_gate_matches_its_definitions_on_drawn_complexes(s, pick):
 
 
 def check_inherited_verdict(s):
-    """The twin of sd s keeps the verdict the slow gate gives it, and that
-    passes exactly when s does: a verdict taken from s is never a failing one."""
-    twin = _twin(barycentric_subdivide(s))
-    failed = _failed_checks(twin)
-    assert twin._memo["gate"] == failed
+    """sd s keeps the verdict the slow gate gives it, and that passes exactly
+    when s does: a verdict taken from s is never a failing one."""
+    sd = barycentric_subdivide(s)
+    failed = _failed_checks(sd)
+    assert sd._memo["gate"] == failed
     assert (not failed) == (not _failed_checks(s))
 
 
@@ -452,11 +456,19 @@ def assert_in_vkey_order(c):
 
 
 def assert_order_complex(model, s, members):
+    """model is the order complex of members, each chain read back through its
+    label table, and the table is in vkey order."""
+    labels = barycenters(model)
+    assert list(labels) == sorted(members, key=vkey)
+
+    def named(c):
+        return {tuple(map(labels.__getitem__, ch)) for ch in c.simplices}
+
     amb = chains_of(members)
-    assert model.ambient.simplices == amb
-    assert model.ends.simplices == {ch for ch in amb if max(ch, key=len) in s.ends}
+    assert named(model.ambient) == amb
+    assert named(model.ends) == {ch for ch in amb if max(ch, key=len) in s.ends}
     for k in range(2, s.dimension + 1):
-        assert model.F(k).simplices == {ch for ch in amb if max(ch, key=len) in s.F(k)}
+        assert named(model.F(k)) == {ch for ch in amb if max(ch, key=len) in s.F(k)}
     for c in (model.ambient, model.ends, *model.filtration.values()):
         assert_in_vkey_order(c)
 
@@ -499,9 +511,18 @@ def subcomplexes(s):
     return (s.ambient, s.ends, *(s.F(k) for k in range(2, s.dimension + 1)))
 
 
-def labelled_copy(s):
-    """s rebuilt from its labelled complexes alone, with no int-labelled twin."""
-    return StratifiedComplex(s.ambient, s.dimension, ends=s.ends, filtration=dict(s.filtration))
+def named_copy(s):
+    """The order complex s with vertex r named ``barycenters(s)[r]``, built and
+    sorted by the constructor: the subdivision with the simplices of its source as
+    vertex ids, an oracle for the order and the dumps of the int-labelled one."""
+    labels = barycenters(s)
+
+    def named(c):
+        return SimplicialComplex([tuple(map(labels.__getitem__, x)) for x in c.simplices],
+                                 closed=True)
+
+    return StratifiedComplex(named(s.ambient), s.dimension, ends=named(s.ends),
+                             filtration={k: named(c) for k, c in s.filtration.items()})
 
 
 @seed(15)
@@ -509,9 +530,10 @@ def labelled_copy(s):
 @given(complexes() | mixed_complexes())
 def test_each_int_model_read_back_through_its_labels_is_the_labelled_construction(s):
     for public in (barycentric_subdivide(s), interior_order_complex(s)):
-        twin, labels = public._memo["twin"]
-        assert [type(v) for v in twin.ambient.vertices] == [int] * len(labels)
-        for c, named in zip(subcomplexes(twin), subcomplexes(public)):
+        labels = barycenters(public)
+        assert list(labels) == sorted(labels, key=vkey)
+        assert sorted(public.ambient.vertices) == list(range(len(labels)))
+        for c, named in zip(subcomplexes(public), subcomplexes(named_copy(public))):
             for d in range(-1, c.dim + 2):
                 back = tuple(tuple(labels[v] for v in x) for x in c.of_dim(d))
                 assert back == named.of_dim(d), d
@@ -521,9 +543,10 @@ def test_each_int_model_read_back_through_its_labels_is_the_labelled_constructio
 @seed(16)
 @settings(max_examples=30)
 @given(complexes())
-def test_chain_dims_on_the_twin_are_those_of_the_labelled_subdivision(s):
+def test_chain_dims_on_a_subdivision_are_those_of_its_named_copy(s):
     sd = barycentric_subdivide(s)
-    twin, copy = _twin(sd), labelled_copy(sd)
+    copy = named_copy(sd)
+    assert complex_to_dict(sd) == complex_to_dict(copy)
     kinds = STANDARD_KINDS if s.dimension >= 2 else ()
 
     def model_dims(s, p, sup):
@@ -533,9 +556,9 @@ def test_chain_dims_on_the_twin_are_those_of_the_labelled_subdivision(s):
     for p in (None, *(make_standard(kind, s.dimension) for kind in kinds)):
         for sup in SUPPORTS:
             want = model_dims(copy, p, sup)
-            assert model_dims(twin, p, sup) == want, (p, sup)
+            assert model_dims(sd, p, sup) == want, (p, sup)
             assert ih_dims(sd, p, sup) == want, (p, sup)
-    check_clearing(twin)
+    check_clearing(sd)
 
 
 def reference_load(data):
