@@ -182,8 +182,8 @@ class StratifiedComplex:
     """Ambient complex K, formal dimension n, ends L, filtration F(2..n).
 
     Immutable once built, so it can keep what every homology and IH
-    entry point derives from it alone: its gate verdict and the model for
-    each supports mode with and without a perversity (see ``_model``).
+    entry point derives from it alone: its gate verdict and one model for
+    each supports mode, which homology and IH share (see ``_model``).
     """
 
     __slots__ = ("ambient", "dimension", "ends", "filtration", "_memo")
@@ -330,8 +330,9 @@ def _fit_perversity(p: Perversity | None, n: int) -> Perversity | None:
 
 
 def _effective(s: StratifiedComplex, p: Perversity | None):
-    """All ``_allowability`` reads of p: (k, p(k)) where F(k) is non-empty."""
-    return None if p is None else tuple((k, p(k)) for k, fk in s.filtration.items() if fk)
+    """All ``_allowability`` reads of p: (k, p(k)) where F(k) is non-empty; None
+    when it reads none, which is ordinary homology's key too."""
+    return None if p is None else tuple((k, p(k)) for k, fk in s.filtration.items() if fk) or None
 
 
 def _allowability(s: StratifiedComplex, p: Perversity | None):
@@ -421,10 +422,20 @@ def compact_model(s: StratifiedComplex) -> StratifiedComplex:
     Otherwise ``interior_order_complex`` is used (its vertices are the
     barycenters of the simplices off the ends), for which the conditions
     always hold.
+
+    An order complex (``barycenters(s)`` not None) takes the full subcomplex
+    at once, unchecked. Its ends and each F(k) are carried from subcomplexes
+    of K: a chain lies in one when its largest member does. So the ends are
+    full, as a chain whose members all lie in L is a chain of sd L. The
+    members of a chain x that lie in L are faces of every later member, so
+    they form an initial segment, and the interior face tau of x, x without
+    them, keeps the largest member of x. That member alone decides
+    membership in each sd F(k), so tau lies in exactly the steps x does.
     """
     if len(s.ends) == 0:
         return s
-    if s.ends.is_full_in(s.ambient) and _interior_retract_ok(s):
+    if barycenters(s) is not None or (s.ends.is_full_in(s.ambient)
+                                      and _interior_retract_ok(s)):
         inner = s.interior()
         return StratifiedComplex(
             inner, s.dimension,
@@ -453,28 +464,24 @@ SUPPORTS = ("borel_moore", "compact")
 
 def _model(s: StratifiedComplex, p: Perversity | None, supports: str):
     """The model and fitted p behind every homology and IH entry point:
-    checks the supports mode, gates s, drops the filtration when no
-    perversity reads it, takes ``compact_model`` in compact supports, and
-    subdivides once when p reads strata that are not full.
+    checks the supports mode, gates s, takes s itself in Borel-Moore supports
+    and ``compact_model`` in compact, and subdivides that once when its strata
+    are not full. Homology runs on the same model with no allowability test.
 
-    s keeps the model for each (supports, p is None), which those two decide, and
-    None for itself, which kept in its own memo would be a reference cycle. The
-    gate runs every call and reads the verdict kept on s; the fitted p is made per
-    call.
+    s keeps the model for each supports mode, and None for itself, which kept
+    in its own memo would be a reference cycle. The gate runs every call and
+    reads the verdict kept on s; the fitted p is made per call.
     """
     if supports not in SUPPORTS:
         raise UsageError("unknown supports mode %r" % (supports,))
     require_structure(s)
     p = _fit_perversity(p, s.dimension)
-    key = (supports, p is None)
-    if key not in s._memo:
-        m = s if p is not None else StratifiedComplex(s.ambient, s.dimension, ends=s.ends)
-        if supports == "compact":
-            m = compact_model(m)
-        if p is not None and not m.strata_full():
+    if supports not in s._memo:
+        m = s if supports == "borel_moore" else compact_model(s)
+        if not m.strata_full():
             m = _order_complex(m, m.ambient.simplices)
-        s._memo[key] = None if m is s else m
-    return s._memo[key] or s, p
+        s._memo[supports] = None if m is s else m
+    return s._memo[supports] or s, p
 
 
 def _dims(s: StratifiedComplex, p: Perversity | None, supports: str) -> dict:
@@ -489,9 +496,8 @@ def _dims(s: StratifiedComplex, p: Perversity | None, supports: str) -> dict:
 
 def homology_dims(s: StratifiedComplex, supports: str) -> dict:
     """Rational homology dimensions by degree: IH with no allowability
-    condition, ``ih.ih_dims(s, None, supports)``. ``borel_moore`` is the
-    homology of C(K)/C(L), ``compact`` that of ``compact_model`` of (K, L)
-    with the filtration dropped."""
+    condition, ``ih.ih_dims(s, None, supports)``, on the same model. ``borel_moore``
+    is the homology of C(K)/C(L), ``compact`` that of ``compact_model`` of (K, L)."""
     return _dims(s, None, supports)
 
 

@@ -31,7 +31,8 @@ def ih_dims(s: StratifiedComplex, p: Perversity | None,
     The input must pass ``require_structure`` (ValidationError
     otherwise). Compact supports are computed on ``compact_model``, and
     one barycentric subdivision is applied when the filtration
-    subcomplexes are not full.
+    subcomplexes of that model are not full. Every p, None included,
+    runs on the one model of the supports mode.
     """
     return _dims(s, p, supports)
 

@@ -138,7 +138,8 @@ def test_a_complex_is_gated_every_call_and_keeps_one_model_per_mode(monkeypatch)
     for sup in SUPPORTS:
         models = {allowable_complex(s, p, sup).context for p in ps}
         assert len(models) == 1, sup
-        assert allowable_complex(s, None, sup).context not in models
+        # homology reads the IH model of its supports mode
+        assert allowable_complex(s, None, sup).context in models
         assert homology_dims(s, sup) == ih_dims(s, None, sup)
     assert gated == [s] * (len(SUPPORTS) * (len(ps) + 3))
     # a strata-full complex is its own Borel-Moore model under a perversity
@@ -174,6 +175,14 @@ def test_one_rank_loop_per_model_and_effective_perversity(monkeypatch):
         assert homology_dims(fresh, sup) == hom
         assert [ih_dims(fresh, make_standard(kind, 3), sup)
                 for kind in STANDARD_KINDS] == ihs, sup
+    # no F(k) is non-empty, so homology and every perversity share a model's loop;
+    # the torus has no ends, so both supports share its one model too
+    for name, want in (("torus", 1), ("cylinder", 2)):
+        s = barycentric_subdivide(builders.build(name))
+        del loops[:]
+        first = whole_table(s)
+        assert len(loops) == want, name
+        assert whole_table(s) == first and len(loops) == want, name
 
 
 def count_gate_runs(monkeypatch):

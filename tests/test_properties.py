@@ -23,6 +23,10 @@ complexes listed in shuffled, repeated or maximal-only form, and against
 the per-entry ``simplex()`` loader it replaced, messages for bad lists
 included; and plain tuple order against the vkey order for all-string
 and all-integer ids.
+On a subdivision and an ``interior_order_complex``, the two conditions that
+``compact_model`` skips for an order complex, full ends and a
+stratum-faithful push off them, are checked, and that model against the
+one the checked route builds.
 Kunneth with a manifold factor, the circle or the cylinder, is checked on
 the drawn complexes, and ``suspend``, the product with an interval,
 against the prism it was built as before, each path sorted by
@@ -42,11 +46,12 @@ from hypothesis import strategies as st
 
 from ihkl import builders
 from ihkl.complexes import (SUPPORTS, SimplicialComplex, StratifiedComplex, _allowability,
-                            _failed_checks, _model, _plain, _structure_report, _vertex_ids,
-                            barycenters, barycentric_subdivide, boundary_columns, chain_basis,
-                            chain_dims, complex_from_dict, complex_to_dict, cone,
-                            faces_with_signs, homology_dims, interior_order_complex, product,
-                            simplex, suspend, vkey)
+                            _failed_checks, _interior_retract_ok, _model, _plain,
+                            _structure_report, _vertex_ids, barycenters, barycentric_subdivide,
+                            boundary_columns, chain_basis, chain_dims, compact_model,
+                            complex_from_dict, complex_to_dict, cone, faces_with_signs,
+                            homology_dims, interior_order_complex, product, simplex, suspend,
+                            vkey)
 from ihkl.ih import (allowable_complex, allowable_simplices,
                      cone_formula_check, duality_report, ih_dims, local_stalk_table,
                      normalize_isolated, suspension_check)
@@ -106,6 +111,20 @@ def test_interior_order_complex_is_the_subdivision_off_the_ends(s):
     assert len(inner.ends) == 0
     for k in range(2, s.dimension + 1):
         assert inner.F(k) == sd.F(k).restrict_to(off.simplices)
+
+
+@seed(23)
+@settings(max_examples=30)
+@given(complexes())
+def test_an_order_complex_passes_the_checks_its_compact_model_skips(s):
+    # compact_model takes an order complex's interior unchecked; the checks
+    # hold, and the checked route builds the same model
+    for m in (barycentric_subdivide(s), interior_order_complex(s)):
+        assert m.ends.is_full_in(m.ambient)
+        assert _interior_retract_ok(m)
+        with mock.patch("ihkl.complexes.barycenters", lambda s: None):
+            checked = compact_model(m)
+        assert complex_to_dict(compact_model(m)) == complex_to_dict(checked)
 
 
 @seed(3)
