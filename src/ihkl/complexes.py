@@ -138,6 +138,15 @@ class SimplicialComplex:
     def restrict_to(self, simplices) -> "SimplicialComplex":
         return self._subcomplex(self._simplices.intersection(simplices))
 
+    @staticmethod
+    def _in_order(by_dim) -> "SimplicialComplex":
+        """The complex whose d-simplices are ``by_dim[d]``, in that order, unchecked."""
+        out = object.__new__(SimplicialComplex)
+        out._by_dim = {d: xs for d, xs in by_dim.items() if xs}
+        # made from a dict, a frozenset is sized to fit; grown one item at a time, up to twice that
+        out._simplices = frozenset(dict.fromkeys(itertools.chain.from_iterable(by_dim.values())))
+        return out
+
     def _subcomplex(self, keep) -> "SimplicialComplex":
         """The subcomplex on ``keep``, face-closed simplices of self, in self's order
         (no re-sort). ``keep`` must lie in self, or the caller's check catches it."""
@@ -151,9 +160,17 @@ class SimplicialComplex:
         return sub
 
     def link(self, x) -> "SimplicialComplex":
-        """x deleted from every simplex that contains it, save (x,) itself."""
-        return SimplicialComplex([tuple(v for v in s if v != x) for s in self._simplices
-                                  if x in s and len(s) > 1], closed=True)
+        """x deleted from every simplex that contains it, save (x,) itself.
+
+        Cut in self's order, which is the link's: its vertices are some of self's,
+        and deleting x from sorted s < t keeps s < t. Say they first differ at j.
+        s[j] is not x, or t would not hold x. If t[j] is x, x lies after j in s, so
+        at j s less x keeps s[j] and t less x has t[j + 1] > x > s[j]. Else x lies
+        at one place before j in both, or after j in both, and s[j] < t[j] decides.
+        """
+        return SimplicialComplex._in_order({
+            d - 1: tuple(tuple(v for v in s if v != x) for s in xs if x in s)
+            for d, xs in self._by_dim.items() if d})
 
     def connected_components(self):
         """Partition of the vertex set by edge connectivity."""
@@ -389,10 +406,8 @@ def _order_complex(s: StratifiedComplex, simplices) -> StratifiedComplex:
                                    for ch in chains[f]]
         for ch in cs:
             by_dim.setdefault(len(ch) - 1, []).append(ch)
-    amb = object.__new__(SimplicialComplex)  # on int ranks plain order is the vkey order
-    amb._by_dim = {d: tuple(sorted(xs)) for d, xs in by_dim.items()}
-    # made from a dict, a frozenset is sized to fit; grown one item at a time, up to twice that
-    amb._simplices = frozenset(dict.fromkeys(itertools.chain.from_iterable(by_dim.values())))
+    # on int ranks plain order is the vkey order
+    amb = SimplicialComplex._in_order({d: tuple(sorted(xs)) for d, xs in by_dim.items()})
 
     def carried(sub):
         return amb._subcomplex(ch for x, cs in chains.items() if x in sub for ch in cs)
@@ -413,50 +428,28 @@ def barycenters(s: StratifiedComplex):
 
 
 def compact_model(s: StratifiedComplex) -> StratifiedComplex:
-    """A compact-supports model of X with empty ends.
+    """A compact-supports model of X with empty ends: s when its ends are empty,
+    the full subcomplex off the ends when s is an order complex (``barycenters(s)``
+    not None), else ``interior_order_complex(s)``.
 
-    The full subcomplex away from the ends is used when pushing away
-    from the ends is a stratum-faithful retraction: the ends must be
-    full (so every simplex off them keeps an interior face), and that
-    face must lie in exactly the filtration steps the simplex does.
-    Otherwise ``interior_order_complex`` is used (its vertices are the
-    barycenters of the simplices off the ends), for which the conditions
-    always hold.
-
-    An order complex (``barycenters(s)`` not None) takes the full subcomplex
-    at once, unchecked. Its ends and each F(k) are carried from subcomplexes
-    of K: a chain lies in one when its largest member does. So the ends are
-    full, as a chain whose members all lie in L is a chain of sd L. The
-    members of a chain x that lie in L are faces of every later member, so
-    they form an initial segment, and the interior face tau of x, x without
-    them, keeps the largest member of x. That member alone decides
-    membership in each sd F(k), so tau lies in exactly the steps x does.
+    The full subcomplex off the ends models X when pushing off them is a
+    stratum-faithful retraction: the ends are full, so every simplex off them keeps
+    an interior face, and that face lies in exactly the F(k) the simplex does. In an
+    order complex the ends and each F(k) are carried from subcomplexes of K: a chain
+    lies in one when its largest member does. So each is full (a chain whose members
+    all lie in L is a chain of sd L), and stays full off the ends. The members of a
+    chain x that lie in L are faces of every later member, so they form an initial
+    segment, and the interior face tau of x, x without them, keeps the largest member
+    of x. That member alone decides membership in each sd F(k), so tau lies in
+    exactly the steps x does.
     """
     if len(s.ends) == 0:
         return s
-    if barycenters(s) is not None or (s.ends.is_full_in(s.ambient)
-                                      and _interior_retract_ok(s)):
-        inner = s.interior()
-        return StratifiedComplex(
-            inner, s.dimension,
-            filtration={k: s.F(k).restrict_to(inner.simplices)
-                        for k in range(2, s.dimension + 1)})
-    return interior_order_complex(s)
-
-
-def _interior_retract_ok(s: StratifiedComplex) -> bool:
-    ev = s.ends.vertices
-    fs = [s.F(k).simplices for k in range(2, s.dimension + 1) if len(s.F(k))]
-    if not fs:
-        return True
-    for x in s.ambient.simplices - s.ends.simplices:
-        if ev.isdisjoint(x):
-            continue  # x is its own interior face
-        tau = tuple(itertools.filterfalse(ev.__contains__, x))
-        for fk in fs:
-            if tau in fk and x not in fk:
-                return False
-    return True
+    if barycenters(s) is None:
+        return interior_order_complex(s)
+    inner = s.interior()
+    return StratifiedComplex(inner, s.dimension, filtration={
+        k: s.F(k).restrict_to(inner.simplices) for k in range(2, s.dimension + 1)})
 
 
 SUPPORTS = ("borel_moore", "compact")
@@ -465,8 +458,10 @@ SUPPORTS = ("borel_moore", "compact")
 def _model(s: StratifiedComplex, p: Perversity | None, supports: str):
     """The model and fitted p behind every homology and IH entry point:
     checks the supports mode, gates s, takes s itself in Borel-Moore supports
-    and ``compact_model`` in compact, and subdivides that once when its strata
-    are not full. Homology runs on the same model with no allowability test.
+    and ``compact_model`` in compact. Homology runs on the same model with no
+    allowability test. A model other than s, and s when it is an order complex,
+    has full strata (see ``compact_model``), so only a raw s is checked, and
+    subdivided once when its strata are not full.
 
     s keeps the model for each supports mode, and None for itself, which kept
     in its own memo would be a reference cycle. The gate runs every call and
@@ -478,8 +473,8 @@ def _model(s: StratifiedComplex, p: Perversity | None, supports: str):
     p = _fit_perversity(p, s.dimension)
     if supports not in s._memo:
         m = s if supports == "borel_moore" else compact_model(s)
-        if not m.strata_full():
-            m = _order_complex(m, m.ambient.simplices)
+        if m is s and barycenters(s) is None and not s.strata_full():
+            m = _order_complex(s, s.ambient.simplices)
         s._memo[supports] = None if m is s else m
     return s._memo[supports] or s, p
 
@@ -497,7 +492,8 @@ def _dims(s: StratifiedComplex, p: Perversity | None, supports: str) -> dict:
 def homology_dims(s: StratifiedComplex, supports: str) -> dict:
     """Rational homology dimensions by degree: IH with no allowability
     condition, ``ih.ih_dims(s, None, supports)``, on the same model. ``borel_moore``
-    is the homology of C(K)/C(L), ``compact`` that of ``compact_model`` of (K, L)."""
+    is the homology of C(K)/C(L), ``compact`` that of ``compact_model`` of (K, L);
+    a raw s whose strata are not full is subdivided once, as ``_model`` says."""
     return _dims(s, None, supports)
 
 

@@ -29,9 +29,9 @@ def ih_dims(s: StratifiedComplex, p: Perversity | None,
     """Intersection homology dimensions by degree; ``homology_dims`` when p is None.
 
     The input must pass ``require_structure`` (ValidationError
-    otherwise). Compact supports are computed on ``compact_model``, and
-    one barycentric subdivision is applied when the filtration
-    subcomplexes of that model are not full. Every p, None included,
+    otherwise). Compact supports are computed on ``compact_model``, whose
+    strata are full when it is not s; a raw s whose filtration
+    subcomplexes are not full is subdivided once. Every p, None included,
     runs on the one model of the supports mode.
     """
     return _dims(s, p, supports)
@@ -43,8 +43,8 @@ def allowable_simplices(s: StratifiedComplex, p: Perversity | None, i: int,
 
     They are simplices of the model ``ih_dims`` computes on, which is
     ``allowable_complex(s, p, supports).context``: the input is gated,
-    compact supports use ``compact_model``, and one barycentric
-    subdivision is applied when the filtration subcomplexes are not full.
+    compact supports use ``compact_model``, and a raw s whose filtration
+    subcomplexes are not full is subdivided once.
     """
     s, p = _model(s, p, supports)
     allowed = _allowability(s, p)
@@ -60,9 +60,9 @@ class AllowableComplex:
 
     ``basis[i]`` is a list of chains spanning the degree-i allowable
     group; ``boundary[i]`` expresses their boundaries in the degree-(i-1)
-    basis. The chains live on the model stored in ``context``: the
-    compact model in compact mode, subdivided once when the strata of
-    the input are not full.
+    basis. The chains live on the model stored in ``context``: the input,
+    or its compact model in compact mode; a raw input whose strata are
+    not full is subdivided once.
     """
 
     context: StratifiedComplex

@@ -5,10 +5,10 @@ import json
 import pytest
 
 from ihkl import builders
-from ihkl.complexes import (SUPPORTS, SimplicialComplex, StratifiedComplex,
-                            barycentric_subdivide, complex_from_dict,
-                            complex_to_dict, cone, homology_dims, product, simplex,
-                            suspend, validate)
+from ihkl.complexes import (SUPPORTS, SimplicialComplex, StratifiedComplex, barycenters,
+                            barycentric_subdivide, compact_model, complex_from_dict,
+                            complex_to_dict, cone, dump_complex, homology_dims, load_complex,
+                            product, simplex, suspend, validate)
 from ihkl.errors import ComputationError, UsageError, ValidationError
 from ihkl.ih import ih_dims
 from ihkl.perversity import STANDARD_KINDS, make_standard
@@ -54,6 +54,20 @@ def test_link_of_torus_vertex_is_circle():
     link = t.ambient.link("t0")
     assert link.f_vector() == (6, 6)
     assert len(link.connected_components()) == 1
+
+
+def test_a_link_is_cut_in_the_order_the_constructor_sorts():
+    # every vertex of the ambient and of each stratum, raw and subdivided once
+    for name in builders.BUILDERS:
+        raw = builders.build(name)
+        forms = (raw,) if name == "susp2-cone-circle" else (raw, barycentric_subdivide(raw))
+        for s in forms:
+            for k in (s.ambient, *s.filtration.values()):
+                for x in k.vertices:
+                    want = SimplicialComplex([tuple(v for v in y if v != x) for y in k.simplices
+                                              if x in y and len(y) > 1], closed=True)
+                    got = k.link(x)
+                    assert got._by_dim == want._by_dim and got.simplices == want.simplices
 
 
 def test_connected_components():
@@ -221,6 +235,19 @@ def test_susp2_cone_circle_subdivided_keeps_its_expected_table():
            "ih": {kind: {sup: ih_dims(s, make_standard(kind, s.dimension), sup)
                          for sup in SUPPORTS} for kind in STANDARD_KINDS}}
     assert json.loads(json.dumps(got)) == want
+
+
+@pytest.mark.parametrize("name", ["cylinder", "cone-circle", "cone-two-circles",
+                                  "pinched-cylinder"])
+def test_a_reloaded_subdivision_keeps_its_tables_and_an_order_complex_model(name, tmp_path):
+    # a dumped subdivision loads back without its label table, so its compact
+    # model is its interior order complex, not its full subcomplex off the ends
+    sd = barycentric_subdivide(builders.build(name))
+    dump_complex(sd, tmp_path / "sd.json")
+    copy = load_complex(tmp_path / "sd.json")
+    assert barycenters(copy) is None
+    assert barycenters(compact_model(copy)) is not None
+    assert _table(copy, lambda c: c) == _table(sd, lambda c: c)
 
 
 def test_barycentric_subdivision_counts():
