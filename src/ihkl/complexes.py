@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from bisect import bisect
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,7 +26,7 @@ from functools import lru_cache
 from types import MappingProxyType
 
 from .errors import ComputationError, UsageError, ValidationError
-from .linalg import column_pivots
+from .linalg import int_column_pivots
 from .perversity import Perversity
 
 @lru_cache(maxsize=None)
@@ -304,11 +305,13 @@ def chain_dims(s: StratifiedComplex, allow=None) -> dict:
     degree i has dimension |allow_i| - rank d_i - b_{i+1}, where d_i acts
     on the chains on allow_i and b_i = dim(im d_i meeting allow_{i-1}).
 
-    One reduction of d_i, rows in allow_{i-1} first, gives both ranks:
-    ``column_pivots`` makes R = d_i V, V invertible, each non-zero column
-    pivoting on its largest non-zero row. A column pivoting in allow_{i-1}
-    is zero on every later row, and columns with distinct pivots are
-    independent, so rank d_i is the pivot count, b_i the count in allow_{i-1}.
+    One reduction of d_i, rows in allow_{i-1} first, gives both ranks: its
+    fresh +-1 int columns from ``boundary_columns`` go unchecked (input checks
+    live at the ``column_pivots`` edge) to ``int_column_pivots``, which reduces
+    them in place to R = d_i V, V invertible, each non-zero column pivoting on
+    its largest non-zero row. A column pivoting in allow_{i-1} is zero on every
+    later row, and columns with distinct pivots are independent, so rank d_i is
+    the pivot count, b_i the count in allow_{i-1}.
 
     Clearing: the degrees are reduced from n down, and d_i skips the
     column of every j in allow_i that is a pivot of d_{i+1}. Let z be the
@@ -333,7 +336,7 @@ def chain_dims(s: StratifiedComplex, allow=None) -> dict:
     for i in range(s.dimension, 0, -1):
         cells, n = bases[i]
         rows, split = bases[i - 1]
-        pivots = column_pivots(boundary_columns(
+        pivots = int_column_pivots(boundary_columns(
             [x for j, x in enumerate(cells[:n]) if j not in cleared], rows))
         dims[i] -= len(pivots)
         cleared = {r for r in pivots if r < split}
@@ -391,19 +394,20 @@ def _order_complex(s: StratifiedComplex, simplices) -> StratifiedComplex:
     int-labelled: vertex r is the barycenter of ``barycenters(out)[r]``, the
     simplex of K of rank r in vkey order. The rank keeps the order, so every
     chain basis and boundary matrix is the one the simplices of K would give as
-    vertex ids. The ends and each F(k) carry over as the chains whose members
-    all lie in them, which for a subcomplex means the chains whose largest
-    member does.
+    vertex ids. Each chain is a sorted rank tuple: a chain ending at x is one
+    ending at a proper face of x with r, the rank of x, put in at its bisection
+    point. The ends and each F(k) carry over as the chains whose members all lie
+    in them, which for a subcomplex means the chains whose largest member does.
     """
     labels = tuple(sorted(simplices, key=None if _plain(s.ambient.vertices) else vkey))
     rank = {x: r for r, x in enumerate(labels)}
     chains, by_dim = {}, {}  # largest member -> the chains ending there, on ranks
     for x in sorted(labels, key=len):  # faces before cofaces
         r = rank[x]
-        chains[x] = cs = [(r,)] + [tuple(sorted(ch + (r,)))
+        chains[x] = cs = [(r,)] + [ch[:j] + (r,) + ch[j:]
                                    for m in range(1, len(x))
                                    for f in itertools.combinations(x, m) if f in rank
-                                   for ch in chains[f]]
+                                   for ch in chains[f] for j in (bisect(ch, r),)]
         for ch in cs:
             by_dim.setdefault(len(ch) - 1, []).append(ch)
     # on int ranks plain order is the vkey order

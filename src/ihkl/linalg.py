@@ -9,10 +9,11 @@ No floating point anywhere. Two engines:
   in the kernel has its free-column entries as coordinates. It is the
   independent oracle engine behind ``ih.allowable_complex``, which the
   tests check the fast path against.
-* ``column_pivots`` -- fraction-free column reduction of integer matrices
-  in the style of boundary-matrix reduction (pivot = lowest non-zero
-  row), much faster on the large, very sparse +-1 boundary matrices that
-  dominate homology computations; ``sparse_rank`` counts its pivots.
+* ``int_column_pivots`` -- fraction-free, in-place column reduction of int
+  matrices in the style of boundary-matrix reduction (pivot = lowest
+  non-zero row), much faster on the large, very sparse +-1 boundary
+  matrices that dominate homology computations. ``column_pivots`` checks
+  and copies its input first; ``sparse_rank`` counts its pivots.
   Ranks over Q agree with the row-major engine, only the order differs.
   It reduces every column it is given: clearing, which leaves out the
   columns known to reduce to zero, is the caller's job (see
@@ -113,27 +114,32 @@ def _axpy(target: dict, source: dict, factor):
 
 
 def column_pivots(columns) -> list:
-    """Pivot rows of the column reduction of the given dicts row->entry.
+    """``int_column_pivots`` on checked copies of the given dicts row->entry:
+    entries must be integers (ints or integral Fractions; anything else raises
+    ValueError), and the input is not changed. The one checked edge."""
+    def checked(col):
+        for r, v in col.items():
+            if getattr(v, "denominator", None) != 1:
+                raise ValueError("entry %r in row %r is not an integer" % (v, r))
+        return {r: int(v) for r, v in col.items() if v}
 
-    A column's pivot is its largest non-zero row; a column meeting an
-    earlier pivot is reduced against that column, and one reduced to
-    zero has none. Entries must be integers (ints or integral Fractions;
-    anything else raises ValueError) and stay Python ints: against a
-    pivot that divides it, a column subtracts an integer multiple of the
-    pivot column, otherwise it becomes a*d - b*other with a, b coprime
-    and is divided by its content. So the reduced matrix is the input
+    return int_column_pivots(map(checked, columns))
+
+
+def int_column_pivots(columns) -> list:
+    """Pivot rows of the column reduction of dicts row->entry, in place.
+
+    Every entry must be a non-zero Python int: nothing is checked, and the
+    columns are changed (``column_pivots`` is the checked edge). A column's
+    pivot is its largest non-zero row; a column meeting an earlier pivot is
+    reduced against that column, and one reduced to zero has none. Entries
+    stay ints: against a pivot that divides it, a column subtracts an integer
+    multiple of the pivot column, otherwise it becomes a*d - b*other with a, b
+    coprime and is divided by its content. So the reduced matrix is the input
     times an invertible rational matrix (cf. Bareiss 1968).
     """
     low = {}  # pivot row -> reduced column
-    for col in columns:
-        d = {}
-        for r, v in col.items():
-            if type(v) is not int:
-                if getattr(v, "denominator", None) != 1:
-                    raise ValueError("entry %r in row %r is not an integer" % (v, r))
-                v = v.numerator
-            if v:
-                d[r] = v
+    for d in columns:
         while d:
             r = max(d)
             other = low.get(r)

@@ -116,7 +116,7 @@ def test_sparse_rank_refuses_non_integer_entries():
     cols = [{0: Fraction(2), 1: -1}, {1: True}]
     assert sparse_rank(cols) == 2
     assert cols == [{0: 2, 1: -1}, {1: 1}]
-    for bad in (Fraction(1, 2), 0.5, 1.0):
+    for bad in (Fraction(1, 2), 0.5, 1.0, 0.0):
         with pytest.raises(ValueError, match="row 3 is not an integer"):
             sparse_rank([{0: 1}, {3: bad, 0: 2}])
 

@@ -5,18 +5,22 @@ octahedral sphere, the 7-vertex torus, the pinched cylinder and the cone
 over two circles, with up to two cones or suspensions on top, up to
 dimension 3; the last two bases are genuinely singular. The first four,
 the compact bases with empty ends, are also drawn alone as the links of
-the cone formula. The integer rank engine behind them is
-checked against the Fraction oracle on random sparse integer matrices,
-with a random split of their rows, the clearing in ``chain_dims``
-against a reduction of every column, and the structural gate against
-its checks read straight off their definitions, on the drawn complexes
-and on broken copies of them; a subdivision, which takes a passing
-verdict from its source, against its own gate on the same. The canonical
+the cone formula. The integer rank engine behind them, unchecked and
+through its checked edge, is checked against the Fraction oracle on
+random sparse integer matrices, with a random split of their rows, the
+clearing in ``chain_dims`` against a reduction of every column, and the
+structural gate against its checks read straight off their definitions,
+on the drawn complexes and on broken copies of them; a subdivision, which
+takes a passing verdict from its source, against its own gate on the
+same. The canonical
 order, read off integer vertex ranks, is checked against the nested vkey
 tuples it replaced on complexes whose vertex ids mix strings, integers
 and nested tuples, raw, subdivided and off their ends; a subdivision is
 read back through its label table, ``barycenters``, and checked against
-the copy named in the simplices of its source. The JSON load, which closes each complex
+the copy named in the simplices of its source. Both order complexes, the
+subdivision and the ``interior_order_complex``, are also checked against
+their chains grown by brute force, on drawn complexes and on every builder
+but susp2-cone-circle. The JSON load, which closes each complex
 from its largest listed simplices and cuts the ends and strata from the
 ambient, is checked against the full closure sorted by vkey, on built
 complexes listed in shuffled, repeated or maximal-only form, and against
@@ -56,7 +60,8 @@ from ihkl.ih import (allowable_complex, allowable_simplices,
                      cone_formula_check, duality_report, ih_dims, local_stalk_table,
                      normalize_isolated, suspension_check)
 from ihkl.errors import ComputationError, UsageError
-from ihkl.linalg import RationalMatrix, column_pivots, rank_kernel, sparse_rank
+from ihkl.linalg import (RationalMatrix, column_pivots, int_column_pivots, rank_kernel,
+                         sparse_rank)
 from ihkl.perversity import STANDARD_KINDS, Perversity, make_standard
 
 BASES = st.one_of(
@@ -296,7 +301,11 @@ def test_integer_rank_engine_matches_the_fraction_oracle(m, data):
     cols = [{} for _ in range(m.cols)]
     for (i, j), v in m.entries.items():
         cols[j][i] = int(v)
+    before = [dict(c) for c in cols]
     pivots = column_pivots(cols)
+    assert cols == before  # the checked edge copies
+    # the unchecked reducer on the same ints, entries -3..3, so the gcd branch runs
+    assert int_column_pivots([dict(c) for c in cols]) == pivots
     assert len(pivots) == sparse_rank(cols) == rank_kernel(m)[0]
     split = data.draw(st.integers(0, m.rows), label="split")
     tail = RationalMatrix(m.rows - split, m.cols, {
@@ -515,6 +524,13 @@ def assert_order_complex(model, s, members):
 def test_rank_order_is_the_vkey_order(s):
     for c in (s.ambient, s.ends, *s.filtration.values()):
         assert_in_vkey_order(c)
+    assert_order_complex(barycentric_subdivide(s), s, s.ambient.simplices)
+    assert_order_complex(interior_order_complex(s), s, s.ambient.simplices - s.ends.simplices)
+
+
+@pytest.mark.parametrize("name", [n for n in builders.BUILDERS if n != "susp2-cone-circle"])
+def test_order_complexes_of_every_builder_against_their_chains(name):
+    s = builders.build(name)
     assert_order_complex(barycentric_subdivide(s), s, s.ambient.simplices)
     assert_order_complex(interior_order_complex(s), s, s.ambient.simplices - s.ends.simplices)
 
