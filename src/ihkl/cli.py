@@ -164,8 +164,6 @@ def _parse_hecke_expr(text, n):
         else:
             raise UsageError("unknown Hecke term kind %r" % kind)
         total = term if total is None else total + term
-    if total is None:
-        raise UsageError("empty Hecke expression")
     return total
 
 
@@ -200,7 +198,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 # The largest --rank: an element of S_100 has 100 entries, a Bruhat walk
-# at most 4,950 steps. flagcheck --n has none: check_size bounds its work.
+# at most 4,950 steps. flagcheck --n has none: flagfq._check_bounds bounds its work.
 MAX_RANK = 100
 
 

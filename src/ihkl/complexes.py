@@ -246,11 +246,6 @@ class StratifiedComplex:
         return all(self.F(k).is_full_in(self.ambient)
                    for k in range(2, self.dimension + 1))
 
-    def interior(self) -> SimplicialComplex:
-        """Full subcomplex on the vertices not in the ends."""
-        keep = self.ambient.vertices - self.ends.vertices
-        return self.ambient.full_subcomplex(keep)
-
 
 @dataclass(frozen=True)
 class Chain:
@@ -451,7 +446,7 @@ def compact_model(s: StratifiedComplex) -> StratifiedComplex:
         return s
     if barycenters(s) is None:
         return interior_order_complex(s)
-    inner = s.interior()
+    inner = s.ambient.full_subcomplex(s.ambient.vertices - s.ends.vertices)
     return StratifiedComplex(inner, s.dimension, filtration={
         k: s.F(k).restrict_to(inner.simplices) for k in range(2, s.dimension + 1)})
 

@@ -27,10 +27,6 @@ MAX_POSITIONS = 15_120
 MAX_Q = 7  # bounds the q^n vector scan and the trial division at every n
 
 
-def is_prime(q: int) -> bool:
-    return q >= 2 and all(q % d for d in range(2, math.isqrt(q) + 1))
-
-
 def _flag_count(n, q):
     """[n]_q!, the number of full flags in F_q^n, until it passes MAX_POSITIONS."""
     count, qint = 1, 0
@@ -42,10 +38,11 @@ def _flag_count(n, q):
     return count
 
 
-def check_size(n, q):
+def _check_bounds(n, q):
     """Refuse n and q outside the brute-force limits: q <= MAX_Q and at
     most MAX_POSITIONS flags. Checked before any enumeration and before
-    primality, whose trial division grows as sqrt(q); q < 2 is no prime.
+    primality, whose trial division grows as sqrt(q); q < 2 is no prime,
+    and a q that is not prime raises UsageError.
     """
     if n < 1:
         raise ComputationError("need n >= 1")
@@ -53,12 +50,7 @@ def check_size(n, q):
         raise ComputationError(
             "n=%d, q=%d exceeds the brute-force bounds: q<=%d and at most %d "
             "relative positions" % (n, q, MAX_Q, MAX_POSITIONS))
-
-
-def _check_bounds(n, q):
-    """check_size, then primality: a q that is not prime raises UsageError."""
-    check_size(n, q)
-    if not is_prime(q):
+    if q < 2 or any(q % d == 0 for d in range(2, math.isqrt(q) + 1)):
         raise UsageError("%d is not prime" % q)
 
 

@@ -8,14 +8,14 @@ multiplies out v^{-l(w)} (T_{s_1} + 1) ... (T_{s_k} + 1),
 removes the lower canonical terms and reads P_{u,w} off in q; the
 classical recursion (Kazhdan & Lusztig 1979, (2.2.c)) computes P_{u,w}
 with no Hecke product, one value per coset {y, ys}, and writes C'_w from
-it. Each route keeps one checked ``KLResult`` per element (``_bott_samelson``,
-``_recursion``), made once through ``_check_kl``; a single element with more
-than 720 elements below it, and a product whose walks pass
-``MAX_PRODUCT_WORK`` elements, are refused first (``_check_work``,
-``t_mul``). The involution iota is a test oracle. Everything is keyed by
-one-line tuples (``Permutation.word``); a ``Permutation``, one per tuple
-(``_perm``), appears only at the public boundary (``HeckeElement.terms``,
-``KLResult``).
+it. ``cprime`` reaches each route through its entry (``kl_bott_samelson``,
+``kl_recursion``), and each route keeps one checked ``KLResult`` per element
+(``_bott_samelson``, ``_recursion``), made once through ``_check_kl``; a single
+element with more than 720 elements below it, and a product whose walks pass
+``MAX_PRODUCT_WORK`` elements, are refused first (``_check_work`` in each entry,
+``t_mul``). The involution iota is a test oracle. Everything is keyed by one-line
+tuples (``Permutation.word``); a ``Permutation``, one per tuple (``_perm``),
+appears only at the public boundary (``HeckeElement.terms``, ``KLResult``).
 """
 
 from __future__ import annotations
@@ -484,12 +484,13 @@ def _kl_polys(x: tuple) -> dict:
 
 
 def cprime(w: Permutation, algorithm: str = "bott_samelson") -> KLResult:
-    """C'_w by one route; [e, w] may hold at most 720 elements (``_check_work``)."""
+    """C'_w through one route's entry, ``kl_bott_samelson`` over w's canonical
+    reduced word or ``kl_recursion``; each makes the one work check (``_check_work``)."""
+    # by their public names, which perfbench's kl trace wraps
     if algorithm == "bott_samelson":
-        _check_work(w)
-        return _bott_samelson(w.word)
+        return kl_bott_samelson(w.reduced_word(), w.n)
     if algorithm == "recursion":
-        return kl_recursion(w)   # by its public name, which perfbench's kl trace wraps
+        return kl_recursion(w)
     raise ComputationError("unknown algorithm %r" % algorithm)
 
 
@@ -517,20 +518,11 @@ def kl_interval(u: Permutation, w: Permutation, algorithm: str = "both"):
     return tables[0]
 
 
-class StalkTable(dict):
-    """Degree -> dimension; ``comparable`` is False when u is not below w."""
-
-    comparable = True
-
-
-def ic_stalk_dims(u: Permutation, w: Permutation) -> StalkTable:
-    """Stalk dimension table over the u-cell of the w-variety's IC object.
-
-    The q^j coefficient of P_{u,w} sits in degree -l(w) + 2j; all odd
-    offsets vanish.
-    """
-    out = StalkTable()
-    out.comparable = bruhat_leq(u, w)
-    if out.comparable:
-        out.update({-w.length() + 2 * j: c for j, c in cprime(w).kl_polys[u]._c.items()})
-    return out
+def ic_stalk_dims(u: Permutation, w: Permutation) -> dict:
+    """Stalk dimension table, degree -> dimension, over the u-cell of the
+    w-variety's IC object: the q^j coefficient of P_{u,w} sits in degree
+    -l(w) + 2j, and odd offsets vanish. It is {} exactly when u is not below
+    w, since P_{u,w}(0) = 1 puts every pair u <= w in degree -l(w)."""
+    if not bruhat_leq(u, w):
+        return {}
+    return {-w.length() + 2 * j: c for j, c in cprime(w).kl_polys[u]._c.items()}

@@ -116,6 +116,18 @@ def test_duality_non_complementary_fails(capsys):
     assert code == 1
 
 
+def test_duality_json_has_every_row(capsys):
+    code, out, _ = run(capsys, "duality", "--example", "cone-torus",
+                       "--p", "zero", "--q", "top", "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    assert set(data) == {"title", "passed", "rows", "notes"} and data["passed"] is True
+    assert data["rows"]
+    for row in data["rows"]:
+        assert set(row) == {"label", "left", "right", "equal"}
+        assert row["equal"] == (row["left"] == row["right"]) is True
+
+
 def test_validate(capsys):
     code, out, _ = run(capsys, "validate", "--example", "cone-torus")
     assert code == 0

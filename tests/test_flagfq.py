@@ -5,12 +5,15 @@ import time
 
 import pytest
 
+from ihkl import hecke
+from ihkl.cli import main
 from ihkl.coxeter import (Permutation, all_elements, identity,
                           longest_element, simple)
 from ihkl.errors import ComputationError, UsageError
 from ihkl.flagfq import (WFunction, convolve, enumerate_flags, permuted_flag,
                          relative_position, rref, schubert_cell_sizes,
                          standard_flag, verify_hecke_specialization)
+from ihkl.hecke import HeckeElement
 
 
 def flag_count(n, q):
@@ -160,3 +163,28 @@ def test_sweep_budget_refuses_before_enumerating():
     with pytest.raises(ComputationError, match="relative positions"):
         convolve(WFunction.t(identity(4)), WFunction.t(identity(4)), 4, 3)
     assert time.perf_counter() - start < 1
+
+
+def test_a_wrong_product_is_one_mismatch_in_every_view(monkeypatch, capsys):
+    """One pair with a wrong Hecke product fails the report: one MISMATCH line
+    in the text, one entry in the JSON, and exit 1 at the command line."""
+    real, s1, s2 = hecke.t_mul, simple(1, 3), simple(2, 3)
+
+    def wrong(a, b):
+        prod = real(a, b)
+        return prod + prod if (a, b) == (HeckeElement.t(s1), HeckeElement.t(s2)) else prod
+
+    monkeypatch.setattr(hecke, "t_mul", wrong)
+    rep = verify_hecke_specialization(3, 2)
+    assert not rep.passed and rep.checked == 36 and len(rep.mismatches) == 1
+    lines = rep.render_text().splitlines()
+    assert lines[0].endswith("35/36 pairs match")
+    x = str(s1 * s2)
+    assert [ln for ln in lines if "MISMATCH" in ln] == [
+        "  MISMATCH T_%s * T_%s: hecke {'%s': 2}, convolution {'%s': 1}" % (s1, s2, x, x)]
+    data = rep.to_json()
+    assert data["passed"] is False and data["checked"] == 36
+    assert data["mismatches"] == [{"u": str(s1), "w": str(s2), "hecke": {x: 2},
+                                   "convolution": {x: 1}}]
+    assert main(["flagcheck", "--n", "3", "--q", "2"]) == 1
+    assert "MISMATCH" in capsys.readouterr().out

@@ -13,6 +13,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from ihkl import complexes, coxeter, flagfq, hecke
+from ihkl.cli import main
 from ihkl.coxeter import (Permutation, all_elements, bruhat_leq, from_word,
                           identity, longest_element, reduced_words, simple)
 from ihkl.errors import ComputationError, InternalConsistencyError
@@ -335,8 +336,36 @@ def test_ic_stalk_dims():
     u = Permutation((1, 3, 2, 4))
     w = Permutation((3, 4, 1, 2))
     assert ic_stalk_dims(u, w) == {-4: 1, -2: 1}
-    bad = ic_stalk_dims(longest_element(3), simple(1, 3))
-    assert bad == {} and not bad.comparable
+    assert ic_stalk_dims(longest_element(3), simple(1, 3)) == {}
+    # a plain dict, empty exactly off the Bruhat order: P_{u,w}(0) = 1, so
+    # every pair u <= w has a stalk in degree -l(w)
+    els = all_elements(4)
+    for u, w in itertools.product(els, els):
+        table = ic_stalk_dims(u, w)
+        assert type(table) is dict
+        assert (table == {}) == (not bruhat_leq(u, w)), (u, w)
+        assert not table or table[-w.length()] == 1
+
+
+def test_cprime_reaches_each_route_through_its_public_entry(monkeypatch):
+    """Counting wrappers put where perfbench's trace puts its own see every
+    cprime call of their route, and kl_table(3, "both") once per element of S_3."""
+    calls = {"kl_bott_samelson": [], "kl_recursion": []}
+    for name, seen in calls.items():
+        real = getattr(hecke, name)
+        monkeypatch.setattr(hecke, name,
+                            lambda *args, real=real, seen=seen: seen.append(args) or real(*args))
+    w = Permutation((3, 4, 1, 2))
+    assert cprime(w) is cprime(w, "bott_samelson")
+    assert calls["kl_bott_samelson"] == [(w.reduced_word(), 4)] * 2
+    assert calls["kl_recursion"] == []
+    cprime(w, "recursion")
+    assert calls["kl_recursion"] == [(w,)]
+    for seen in calls.values():
+        seen.clear()
+    kl_table(3, "both")
+    assert [len(seen) for seen in calls.values()] == [6, 6]
+    assert {a[0] for a in calls["kl_recursion"]} == set(all_elements(3))
 
 
 def test_kl_table_rejects_unknown_algorithm():
@@ -498,6 +527,17 @@ def test_a_table_without_lower_elements_fails_at_run_time(monkeypatch, fresh_rec
                 cprime(w, algorithm)
     finally:
         hecke._bott_samelson.cache_clear()
+
+
+def test_an_internal_consistency_error_is_exit_3_and_one_line(monkeypatch, fresh_recursion,
+                                                              capsys):
+    """The recursion fault above, met through the command line: exit 3, nothing
+    on stdout and one line on stderr."""
+    planted(monkeypatch, "_kl_polys", "out[y] = out[_swap(y, i)] = p", "out[y] = p")
+    assert main(["kl", "--rank", "3"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("internal consistency error:") and err.count("\n") == 1, err
 
 
 REFUSED_PRODUCT = "the product walks more than 10800 elements, the limit for one Hecke product"

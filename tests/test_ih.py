@@ -586,6 +586,21 @@ def test_extremal_comparison_rejects_non_normal():
         extremal_comparison(builders.pinched_cylinder())
 
 
+# the 6-vertex real projective plane: every edge lies in exactly two triangles
+RP2 = StratifiedComplex(SimplicialComplex(
+    [tuple(int(c) for c in t) for t in
+     "124 126 135 136 145 234 235 256 346 456".split()]), 2)
+
+
+def test_the_projective_plane_is_normal_and_not_orientable():
+    assert validate(RP2).ok
+    assert is_normal(RP2) and not is_orientable(RP2)
+    for sup in SUPPORTS:
+        assert homology_dims(RP2, sup) == {0: 1, 1: 0, 2: 0}, sup
+    with pytest.raises(ComputationError, match="not orientable"):
+        extremal_comparison(RP2)
+
+
 def test_subdivision_invariance_spot():
     pc = builders.pinched_cylinder()
     sd = barycentric_subdivide(pc)
