@@ -14,9 +14,9 @@ All arithmetic is exact (integers, rationals, Laurent polynomials).
 """
 
 from .perversity import Perversity, custom, is_complementary, make_standard
-from .complexes import (Chain, SimplicialComplex, StratifiedComplex,
-                        barycenters, barycentric_subdivide, cone, homology_dims,
-                        load_complex, dump_complex, product, suspend, validate)
+from .complexes import (SimplicialComplex, StratifiedComplex, barycenters,
+                        barycentric_subdivide, cone, homology_dims, load_complex,
+                        dump_complex, product, suspend, validate)
 from .ih import (allowable_complex, allowable_simplices, cone_formula_check,
                  duality_report, extremal_comparison, ih_dims,
                  local_stalk_table, normalize_isolated, suspension_check)
@@ -30,7 +30,7 @@ from . import builders
 
 __all__ = [
     "Perversity", "custom", "is_complementary", "make_standard",
-    "Chain", "SimplicialComplex", "StratifiedComplex",
+    "SimplicialComplex", "StratifiedComplex",
     "barycenters", "barycentric_subdivide", "cone", "homology_dims", "load_complex",
     "dump_complex", "product", "suspend", "validate",
     "allowable_complex", "allowable_simplices", "cone_formula_check",

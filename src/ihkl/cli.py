@@ -237,7 +237,7 @@ def build_parser():
     sp = sub.add_parser("ih", help="intersection homology dimensions")
     _add_complex_source(sp)
     sp.add_argument("--perversity", default="middle")
-    sp.add_argument("--supports", default="bm")
+    sp.add_argument("--supports", default="bm", choices=("bm", "compact"))
     _add_format(sp, "csv")
     sp.set_defaults(func=run_ih)
 

@@ -20,8 +20,6 @@ import itertools
 import json
 from bisect import bisect
 from collections import Counter
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 
@@ -126,9 +124,6 @@ class SimplicialComplex:
     def f_vector(self):
         return tuple(len(self.of_dim(d)) for d in range(self.dim + 1))
 
-    def is_subcomplex_of(self, other: "SimplicialComplex") -> bool:
-        return self._simplices <= other._simplices
-
     def is_full_in(self, ambient: "SimplicialComplex") -> bool:
         """Full: any ambient simplex with all vertices here lies here."""
         return not any(map(self.vertices.issuperset, ambient.simplices - self._simplices))
@@ -211,19 +206,19 @@ class StratifiedComplex:
                  filtration: dict | None = None):
         ends = ends if ends is not None else _EMPTY
         filt = dict(filtration or {})
-        if not ends.is_subcomplex_of(ambient):
+        if not ends.simplices <= ambient.simplices:
             raise ComputationError("ends is not a subcomplex of the ambient complex")
         steps = {}
         for k in range(2, dimension + 1):
             fk = filt.pop(k, None) or _EMPTY
-            if not fk.is_subcomplex_of(ambient):
+            if not fk.simplices <= ambient.simplices:
                 raise ComputationError("filtration F(%d) is not a subcomplex" % k)
             steps[k] = fk
         if filt:
             raise ComputationError("filtration keys out of range: %r" % sorted(filt))
         ks = sorted(steps)
         for a, b in zip(ks, ks[1:]):
-            if not steps[b].is_subcomplex_of(steps[a]):
+            if not steps[b].simplices <= steps[a].simplices:
                 raise ComputationError("filtration not nested at codimension %d" % b)
         for name, value in (("ambient", ambient), ("dimension", dimension),
                             ("ends", ends), ("filtration", MappingProxyType(steps)),
@@ -245,26 +240,6 @@ class StratifiedComplex:
     def strata_full(self) -> bool:
         return all(self.F(k).is_full_in(self.ambient)
                    for k in range(2, self.dimension + 1))
-
-
-@dataclass(frozen=True)
-class Chain:
-    """A degree-graded sparse rational chain."""
-
-    degree: int
-    coefficients: dict  # simplex -> non-zero Fraction
-
-    def __post_init__(self):
-        clean = {}
-        for s, c in self.coefficients.items():
-            if len(s) - 1 != self.degree:
-                raise ComputationError(
-                    "simplex %r has dimension %d, chain degree is %d"
-                    % (s, len(s) - 1, self.degree))
-            c = Fraction(c)
-            if c:
-                clean[tuple(s)] = c
-        object.__setattr__(self, "coefficients", clean)
 
 
 # ---------------------------------------------------------------------------

@@ -339,7 +339,7 @@ def iota(a: HeckeElement) -> HeckeElement:
 
 @dataclass(frozen=True)
 class KLResult:
-    """Canonical basis element C'_w with its polynomial data.
+    """C'_w in the T basis, for the w the caller named, with its polynomial data.
 
     kl_polys maps u to P_{u,w} as a polynomial in q; corrections maps u
     to the palindromic multiple p_u removed during Bott-Samelson
@@ -347,7 +347,6 @@ class KLResult:
     routes' memos keep the result.
     """
 
-    w: Permutation
     cprime: HeckeElement
     kl_polys: MappingProxyType      # Permutation -> LaurentPoly in q
     corrections: MappingProxyType   # Permutation -> LaurentPoly in v
@@ -435,7 +434,7 @@ def _extract_bott_samelson(w: Permutation, word: tuple) -> KLResult:
         table = {x: c.shift(len(word)).to_q() for x, c in e._coeffs.items()}
     except ComputationError as err:
         raise InternalConsistencyError("C'_%s: %s" % (w, err)) from None
-    return KLResult(w, e, _check_kl(w, table), MappingProxyType(corrections))
+    return KLResult(e, _check_kl(w, table), MappingProxyType(corrections))
 
 
 def kl_recursion(w: Permutation) -> KLResult:
@@ -452,7 +451,7 @@ def _recursion(x: tuple) -> KLResult:
     w, table, lw = _perm(x), _kl_polys(x), _inversions(x)
     shifted = {p: _poly({2 * j - lw: c for j, c in p._c.items()}) for p in table.values()}
     e = HeckeElement._of(w.n, {y: shifted[p] for y, p in table.items()})
-    return KLResult(w, e, _check_kl(w, table), MappingProxyType({}))
+    return KLResult(e, _check_kl(w, table), MappingProxyType({}))
 
 
 @lru_cache(maxsize=None)

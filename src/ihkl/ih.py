@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .complexes import (Chain, SimplicialComplex, StratifiedComplex, _allowability, _dims,
+from .complexes import (SimplicialComplex, StratifiedComplex, _allowability, _dims,
                         _fit_perversity, _model, boundary_columns, chain_basis, cone,
                         faces_with_signs, homology_dims, require_structure, simplex, suspend,
                         vkey)
@@ -59,16 +59,15 @@ class AllowableComplex:
     """Bases of the allowable chain groups and their boundary matrices.
 
     ``basis[i]`` is a list of chains spanning the degree-i allowable
-    group; ``boundary[i]`` expresses their boundaries in the degree-(i-1)
-    basis. The chains live on the model stored in ``context``: the input,
-    or its compact model in compact mode; a raw input whose strata are
-    not full is subdivided once.
+    group, each a dict from i-simplex to its non-zero ``Fraction``
+    coefficient; ``boundary[i]`` expresses their boundaries in the
+    degree-(i-1) basis. The chains live on the model stored in
+    ``context``: the input, or its compact model in compact mode; a raw
+    input whose strata are not full is subdivided once.
     """
 
     context: StratifiedComplex
-    perversity: Perversity | None
-    supports: str
-    basis: dict = field(default_factory=dict)       # i -> list of Chain
+    basis: dict = field(default_factory=dict)       # i -> list of {simplex: Fraction}
     boundary: dict = field(default_factory=dict)    # i -> RationalMatrix
 
     def dims(self):
@@ -92,7 +91,7 @@ def allowable_complex(s: StratifiedComplex, p: Perversity | None,
     """
     s, p = _model(s, p, supports)
     allowed, n = _allowability(s, p), s.dimension
-    out = AllowableComplex(s, p, supports)
+    out = AllowableComplex(s)
     prev_basis, prev_inside, prev_free, prev_cols = [], set(), [], []
     for i in range(0, n + 1):
         basis = chain_basis(s, i)
@@ -106,7 +105,7 @@ def allowable_complex(s: StratifiedComplex, p: Perversity | None,
         chains, free, chain_cols, bounds = [], [], [], []
         for vec in rank_kernel(proj)[1]:
             coeffs = {allow[j]: c for j, c in enumerate(vec) if c}
-            chains.append(Chain(i, coeffs))
+            chains.append(coeffs)
             free.append(index[next(reversed(coeffs))])  # last non-zero entry
             chain_cols.append({index[x]: c for x, c in coeffs.items()})
             bounds.append(_combine(zip(cols, vec)))

@@ -429,6 +429,7 @@ def test_a_filtration_key_is_the_plain_decimal_codimension(tmp_path, capsys, fil
     ["bruhat", "--rank", "3", "--leq", "[[1,2,3]],321"],
     ["ih", "--example", "cone-torus", "--subdivide", "3"],
     ["ih", "--example", "circle", "--perversity", "bogus"],
+    ["ih", "--example", "cone-torus", "--supports", "borel_moore"],  # the library's name only
     ["flagcheck", "--n", "3", "--q", "11", "--force"],
     ["validate", "--example", "circle", "--format", "csv"],
     ["duality", "--example", "cone-torus", "--p", "zero", "--q", "top", "--format", "csv"],
@@ -445,6 +446,15 @@ def test_bad_arguments_are_one_line_usage_errors(capsys, argv):
     lines = [line for line in err.splitlines() if line.strip()]
     assert len(lines) == 1, err
     assert "Traceback" not in err
+
+
+def test_supports_is_checked_before_the_input_is_opened(tmp_path, capsys):
+    """A missing file with a bad --supports names --supports: the file is never opened."""
+    code, out, err = run(capsys, "ih", "--input", str(tmp_path / "missing.json"),
+                         "--supports", "bogus")
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error: argument --supports: invalid choice: 'bogus'"), err
+    assert err.count("\n") == 1 and "missing.json" not in err
 
 
 def test_bruhat_at_max_rank(capsys):

@@ -1,6 +1,7 @@
 """Simplicial machinery: complexes, stratifications, constructions, IO."""
 
 import json
+import re
 
 import pytest
 
@@ -362,3 +363,39 @@ def test_builders_registry():
         "susp-pinched-cylinder", "susp-cone-circle", "susp2-cone-circle"])
     with pytest.raises(UsageError):
         builders.build("no-such-example")
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: StratifiedComplex(SimplicialComplex([("a", "b", "c")]), 2,
+                               filtration={3: SimplicialComplex([("a",)])}),
+     "filtration keys out of range: [3]"),
+    (lambda: StratifiedComplex(SimplicialComplex([("a", "b", "c")]), 2,
+                               filtration={1: SimplicialComplex([("a",)])}),
+     "filtration keys out of range: [1]"),
+    (lambda: cone(StratifiedComplex(SimplicialComplex([("apex",), ("b",)]), 0)),
+     "apex vertex 'apex' already present"),
+], ids=["filtration-key-3-in-dimension-2", "filtration-key-1", "cone-over-an-apex"])
+def test_bad_stratified_complexes_are_refused(call, message):
+    with pytest.raises(ComputationError, match="^%s$" % re.escape(message)):
+        call()
+
+
+def test_a_circle_needs_three_vertices():
+    with pytest.raises(ValueError, match="^need at least 3 vertices$"):
+        builders.circle(2)
+
+
+def test_a_vertex_named_like_a_dumped_id_keeps_its_own_name():
+    """An int vertex 0 dumps as "v0"; a str vertex "v0" then takes "v0_", and
+    the file loads back with the same homology and IH tables."""
+    rim = SimplicialComplex([(0, "v0"), ("v0", "w"), (0, "w")])
+    s = cone(StratifiedComplex(rim, 1))
+    data = complex_to_dict(s)
+    assert data["vertices"] == ["v0", "apex", "v0_", "w"]
+    back = complex_from_dict(json.loads(json.dumps(data)))
+    assert len(back.ambient) == len(s.ambient)
+    for sup in SUPPORTS:
+        assert homology_dims(back, sup) == homology_dims(s, sup)
+        for kind in STANDARD_KINDS:
+            p = make_standard(kind, 2)
+            assert ih_dims(back, p, sup) == ih_dims(s, p, sup)

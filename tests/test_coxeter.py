@@ -1,6 +1,7 @@
 """Symmetric group combinatorics: lengths, words, Bruhat order."""
 
 import itertools
+import re
 import time
 
 import pytest
@@ -142,3 +143,17 @@ def test_parse_element_forms():
 def test_the_bracket_form_takes_exactly_one_bracket_at_each_end(text):
     with pytest.raises(UsageError, match="cannot parse element"):
         parse_element(text, 3)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Permutation((1, 1)), "(1, 1) is not a permutation of 1..2"),
+    (lambda: identity(3)(0), "argument 0 out of range"),
+    (lambda: identity(3).apply_right(3), "simple index 3 out of range"),
+    (lambda: from_word((1, 0), 3), "simple index 0 out of range"),
+    (lambda: identity(2) * identity(3), "rank mismatch"),
+    (lambda: bruhat_leq(identity(2), identity(3)), "rank mismatch"),
+], ids=["repeated-value", "argument-0", "apply-right-past-n", "from-word-0",
+        "product-rank-mismatch", "bruhat-rank-mismatch"])
+def test_bad_permutation_arguments_are_refused(call, message):
+    with pytest.raises(ComputationError, match="^%s$" % re.escape(message)):
+        call()

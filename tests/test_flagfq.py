@@ -1,11 +1,12 @@
 """Finite-field flag variety oracle: flags, cells, convolution."""
 
 import random
+import re
 import time
 
 import pytest
 
-from ihkl import hecke
+from ihkl import flagfq, hecke
 from ihkl.cli import main
 from ihkl.coxeter import (Permutation, all_elements, identity,
                           longest_element, simple)
@@ -155,6 +156,19 @@ def test_bounds_enforced():
         enumerate_flags(3, 4)  # not prime
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: enumerate_flags(0, 2), "need n >= 1"),
+    (lambda: relative_position(standard_flag(2, 2), standard_flag(2, 3)),
+     "flags live in different spaces"),
+    (lambda: relative_position(standard_flag(2, 2), standard_flag(3, 2)),
+     "flags live in different spaces"),
+    (lambda: convolve(WFunction.t(identity(2)), WFunction.t(identity(3)), 3, 2), "rank mismatch"),
+], ids=["no-flags-in-rank-0", "other-q", "other-n", "convolve-rank-mismatch"])
+def test_bad_flag_arguments_are_refused(call, message):
+    with pytest.raises(ComputationError, match="^%s$" % re.escape(message)):
+        call()
+
+
 def test_sweep_budget_refuses_before_enumerating():
     # 2,080 flags at (4, 3), but a sweep of 2 * 4! * 2,080 = 99,840 positions
     start = time.perf_counter()
@@ -188,3 +202,21 @@ def test_a_wrong_product_is_one_mismatch_in_every_view(monkeypatch, capsys):
                                    "convolution": {x: 1}}]
     assert main(["flagcheck", "--n", "3", "--q", "2"]) == 1
     assert "MISMATCH" in capsys.readouterr().out
+
+
+def test_a_count_that_depends_on_the_representative_fails(monkeypatch):
+    """A relative position that reads which representative F_x it is given:
+    the two counts of the cell of s_1 differ, and the sweep refuses them."""
+    flagfq._structure_constants.cache_clear()
+    flagfq._cells.cache_clear()
+    seconds = [flags[1] for flags in flagfq._cells(2, 2).values() if len(flags) > 1]
+    real = flagfq.relative_position
+    monkeypatch.setattr(flagfq, "relative_position", lambda f, g: (
+        identity(2) if any(g is fx for fx in seconds) else real(f, g)))
+    try:
+        with pytest.raises(ComputationError, match=re.escape(
+                "convolution value at 21 depends on the representative flag")):
+            verify_hecke_specialization(2, 2)
+    finally:
+        flagfq._structure_constants.cache_clear()
+        flagfq._cells.cache_clear()

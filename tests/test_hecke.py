@@ -1,6 +1,5 @@
 """Hecke algebra over Z[v, v^-1], canonical basis, KL polynomials."""
 
-import inspect
 import itertools
 import random
 import re
@@ -499,16 +498,6 @@ def test_single_element_work_is_bounded_by_the_largest_table_interval():
     assert time.perf_counter() - start < 1
 
 
-def planted(monkeypatch, name, old, new):
-    """Put hecke.<name> back with ``old`` replaced by ``new`` in its source,
-    its recursive calls and lru_cache included, for the rest of the test."""
-    source = inspect.getsource(getattr(hecke, name))
-    assert source.count(old) == 1, (name, old)
-    scope = dict(vars(hecke))
-    exec(compile(source.replace(old, new), hecke.__file__, "exec"), scope)
-    monkeypatch.setattr(hecke, name, scope[name])
-
-
 @pytest.mark.parametrize("algorithm, name, old, new", [
     # T_s in place of T_s + 1 in the Bott-Samelson product: the table is {w: 1}
     ("bott_samelson", "_extract_bott_samelson",
@@ -516,11 +505,11 @@ def planted(monkeypatch, name, old, new):
     # one member of each coset {y, ys} alone: the table keeps w and loses e
     ("recursion", "_kl_polys", "out[y] = out[_swap(y, i)] = p", "out[y] = p"),
 ], ids=["bott-samelson-t-s", "recursion-e-v-s-alone"])
-def test_a_table_without_lower_elements_fails_at_run_time(monkeypatch, fresh_recursion,
+def test_a_table_without_lower_elements_fails_at_run_time(plant, fresh_recursion,
                                                           algorithm, name, old, new):
     """Both faults keep P_{w,w} = 1 and the degree bound; P_{e,w} is what they lose."""
     hecke._bott_samelson.cache_clear()
-    planted(monkeypatch, name, old, new)
+    plant(hecke, name, old, new)
     try:
         for w in (Permutation((2, 1, 3)), Permutation((3, 4, 1, 2))):
             with pytest.raises(InternalConsistencyError, match=re.escape("no P_{e,w}")):
@@ -529,11 +518,26 @@ def test_a_table_without_lower_elements_fails_at_run_time(monkeypatch, fresh_rec
         hecke._bott_samelson.cache_clear()
 
 
-def test_an_internal_consistency_error_is_exit_3_and_one_line(monkeypatch, fresh_recursion,
-                                                              capsys):
+def test_a_bott_samelson_coefficient_off_z_q_fails_at_run_time(plant):
+    """v^(1-l) in place of v^(-l) leaves C'_w times v^l(w) off Z[v^2]: reading
+    P_{u,w} off in q refuses the odd power of v."""
+    hecke._bott_samelson.cache_clear()
+    plant(hecke, "_extract_bott_samelson", "LaurentPoly({-len(word): 1})",
+          "LaurentPoly({1 - len(word): 1})")
+    try:
+        # w0 meets it first at C'_e, which its corrections are built on
+        for w in (identity(3), longest_element(3)):
+            with pytest.raises(InternalConsistencyError, match=re.escape(
+                    "C'_123: exponent 1: element does not lie in Z[q]")):
+                cprime(w, "bott_samelson")
+    finally:
+        hecke._bott_samelson.cache_clear()
+
+
+def test_an_internal_consistency_error_is_exit_3_and_one_line(plant, fresh_recursion, capsys):
     """The recursion fault above, met through the command line: exit 3, nothing
     on stdout and one line on stderr."""
-    planted(monkeypatch, "_kl_polys", "out[y] = out[_swap(y, i)] = p", "out[y] = p")
+    plant(hecke, "_kl_polys", "out[y] = out[_swap(y, i)] = p", "out[y] = p")
     assert main(["kl", "--rank", "3"]) == 3
     out, err = capsys.readouterr()
     assert out == ""
@@ -562,3 +566,15 @@ def test_a_product_past_the_work_bound_is_refused_before_any_product():
         LaurentPoly({2: 1}))
     w6 = T(longest_element(6))
     assert len(t_mul(w6, w6).terms) == 720
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: T(identity(2)) + T(identity(3)), "rank mismatch"),
+    (lambda: t_mul(T(identity(2)), T(identity(3))), "rank mismatch"),
+    (lambda: LaurentPoly({1: 1}).subs_q(2), "odd exponent 1: element does not lie in Z[v^2]"),
+    (lambda: LaurentPoly({1: 1}).to_q(), "exponent 1: element does not lie in Z[q]"),
+    (lambda: LaurentPoly({-2: 1}).to_q(), "exponent -2: element does not lie in Z[q]"),
+], ids=["sum-rank-mismatch", "product-rank-mismatch", "subs-q-odd", "to-q-odd", "to-q-negative"])
+def test_bad_hecke_arguments_are_refused(call, message):
+    with pytest.raises(ComputationError, match="^%s$" % re.escape(message)):
+        call()

@@ -3,18 +3,20 @@ structural checks (cone formula, suspension shift, stalks, duality,
 extremal perversities, normalization)."""
 
 import json
+import re
 from collections import Counter
 from importlib import resources
 from itertools import chain, combinations
 
 import pytest
 
-from ihkl import builders, complexes
+from ihkl import builders, complexes, ih
 from ihkl.complexes import (SUPPORTS, SimplicialComplex, StratifiedComplex, _allowability,
                             _model, barycentric_subdivide, barycenters, compact_model,
                             complex_from_dict, cone, homology_dims, product, simplex, suspend,
                             validate, vkey)
-from ihkl.errors import ComputationError, UsageError, ValidationError
+from ihkl.errors import (ComputationError, InternalConsistencyError, UsageError,
+                         ValidationError)
 from ihkl.ih import (allowable_complex, allowable_simplices,
                      cone_formula_check, duality_report, extremal_comparison,
                      ih_dims, is_normal, is_orientable, local_stalk_table,
@@ -391,6 +393,25 @@ def test_allowable_complex_boundary_composites_vanish():
     assert set(ac.boundary) <= {1, 2, 3}
 
 
+def test_a_free_column_read_at_the_wrong_end_fails_at_run_time(plant):
+    """The first non-zero kernel entry in place of the last: the boundary
+    coordinates read there no longer recombine to the boundary."""
+    plant(ih, "allowable_complex", "next(reversed(coeffs))", "next(iter(coeffs))")
+    with pytest.raises(InternalConsistencyError, match=re.escape(
+            "boundary of an allowable chain left the allowable complex in degree 3")):
+        ih.allowable_complex(builders.cone_torus(), make_standard("top", 3))
+
+
+def test_a_boundary_matrix_with_its_rows_permuted_fails_at_run_time(plant):
+    """d_2 with its rows reversed: every boundary still recombines, and the
+    ranks are the same, but d_1 d_2 is no longer zero."""
+    plant(ih, "allowable_complex", "RationalMatrix(len(prev_free), len(chains), entries)",
+          "RationalMatrix(len(prev_free), len(chains), entries if i != 2 else "
+          "{(len(prev_free) - 1 - k, j): c for (k, j), c in entries.items()})")
+    with pytest.raises(InternalConsistencyError, match="^composite boundary is non-zero$"):
+        ih.allowable_complex(builders.sphere(), None)
+
+
 def test_cone_formula_all_links_and_perversities():
     links = {"circle": builders.circle(), "two-circles": builders.two_circles(),
              "torus": builders.torus()}
@@ -623,3 +644,21 @@ def test_perversity_monotonicity_interleaving():
 def test_custom_perversity():
     ct = builders.cone_torus()
     assert ih_dims(ct, custom([0, 1]), "borel_moore") == {0: 0, 1: 0, 2: 2, 3: 1}
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: cone_formula_check(builders.cylinder(), make_standard("zero", 3)),
+     "cone formula needs a compact link"),
+    (lambda: cone_formula_check(builders.torus(), make_standard("zero", 2)),
+     "need a perversity of dimension >= 3"),
+    (lambda: suspension_check(builders.torus(), make_standard("zero", 2)),
+     "need a perversity of dimension >= 3"),
+    (lambda: local_stalk_table(builders.cone_torus(), "nowhere", make_standard("zero", 3)),
+     "'nowhere' is not a vertex of the complex"),
+    (lambda: normalize_isolated(suspend(builders.cone_circle())),
+     "normalization implemented for isolated singular points only"),
+], ids=["cone-link-with-ends", "cone-perversity-too-small", "suspension-perversity-too-small",
+        "stalk-at-an-unknown-vertex", "normalize-a-singular-line"])
+def test_bad_report_arguments_are_refused(call, message):
+    with pytest.raises(ComputationError, match="^%s$" % re.escape(message)):
+        call()

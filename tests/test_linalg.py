@@ -126,3 +126,13 @@ def test_matrix_entry_validation():
         RationalMatrix(1, 1, {(2, 0): Fraction(1)})
     m = RationalMatrix(2, 2, {(0, 0): Fraction(0), (1, 1): Fraction(5)})
     assert m.entries == {(1, 1): Fraction(5)}
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: RationalMatrix(-1, 2), "negative matrix dimensions"),
+    (lambda: RationalMatrix(2, -1), "negative matrix dimensions"),
+    (lambda: RationalMatrix.from_rows([[1, 2], [3]]), "ragged rows"),
+], ids=["negative-rows", "negative-cols", "ragged-rows"])
+def test_bad_matrix_shapes_are_refused(call, message):
+    with pytest.raises(ValueError, match="^%s$" % message):
+        call()

@@ -1,5 +1,7 @@
 """Perversity construction, validation, and the standard families."""
 
+import re
+
 import pytest
 
 from ihkl.errors import UsageError
@@ -81,3 +83,17 @@ def test_parse_forms():
         parse("nonsense", 4)
     with pytest.raises(UsageError, match="p\\(2\\) must be 0"):
         parse("custom:1,0", 3)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Perversity(()), "a perversity needs dimension >= 2"),
+    (lambda: make_standard("zero", 1), "invalid dimension 1: need n >= 2"),
+    (lambda: make_standard("middle", 3), "unknown standard perversity 'middle'"),
+    (lambda: make_standard("zero", 3) <= make_standard("zero", 4), "dimension mismatch"),
+    (lambda: is_complementary(make_standard("zero", 3), make_standard("top", 4)),
+     "dimension mismatch: 3 vs 4"),
+], ids=["empty", "dimension-1", "unknown-kind", "order-on-unequal-dimensions",
+        "complement-on-unequal-dimensions"])
+def test_bad_perversity_arguments_are_refused(call, message):
+    with pytest.raises(PerversityError, match="^%s$" % re.escape(message)):
+        call()

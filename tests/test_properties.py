@@ -242,7 +242,7 @@ def test_allowable_chains_lie_on_the_allowable_simplices(s):
         for sup in SUPPORTS:
             for i, chains in allowable_complex(s, p, sup).basis.items():
                 allowed = set(allowable_simplices(s, p, i, sup))
-                assert all(set(c.coefficients) <= allowed for c in chains)
+                assert all(set(c) <= allowed for c in chains)
 
 
 @seed(8)
