@@ -17,9 +17,8 @@ from .perversity import Perversity, custom, is_complementary, make_standard
 from .complexes import (SimplicialComplex, StratifiedComplex, barycenters,
                         barycentric_subdivide, cone, homology_dims, load_complex,
                         dump_complex, product, suspend, validate)
-from .ih import (allowable_complex, allowable_simplices, cone_formula_check,
-                 duality_report, extremal_comparison, ih_dims,
-                 local_stalk_table, normalize_isolated, suspension_check)
+from .ih import (allowable_complex, allowable_simplices, duality_report,
+                 extremal_comparison, ih_dims, local_stalk_table, normalize_isolated)
 from .coxeter import Permutation, all_elements, bruhat_interval, bruhat_leq
 from .hecke import (HeckeElement, LaurentPoly, ic_stalk_dims, iota,
                     kl_bott_samelson, kl_interval, kl_recursion, kl_table, t_inverse,
@@ -33,9 +32,8 @@ __all__ = [
     "SimplicialComplex", "StratifiedComplex",
     "barycenters", "barycentric_subdivide", "cone", "homology_dims", "load_complex",
     "dump_complex", "product", "suspend", "validate",
-    "allowable_complex", "allowable_simplices", "cone_formula_check",
-    "duality_report", "extremal_comparison", "ih_dims", "local_stalk_table",
-    "normalize_isolated", "suspension_check",
+    "allowable_complex", "allowable_simplices", "duality_report",
+    "extremal_comparison", "ih_dims", "local_stalk_table", "normalize_isolated",
     "Permutation", "all_elements", "bruhat_interval", "bruhat_leq",
     "HeckeElement", "LaurentPoly", "ic_stalk_dims", "iota",
     "kl_bott_samelson", "kl_interval", "kl_recursion", "kl_table", "t_inverse",

@@ -9,19 +9,21 @@ removes the lower canonical terms and reads P_{u,w} off in q; the
 classical recursion (Kazhdan & Lusztig 1979, (2.2.c)) computes P_{u,w}
 with no Hecke product, one value per coset {y, ys}, and writes C'_w from
 it. ``cprime`` reaches each route through its entry (``kl_bott_samelson``,
-``kl_recursion``), and each route keeps one checked ``KLResult`` per element
-(``_bott_samelson``, ``_recursion``), made once through ``_check_kl``; a single
-element with more than 720 elements below it, and a product whose walks pass
-``MAX_PRODUCT_WORK`` elements, are refused first (``_check_work`` in each entry,
-``t_mul``). The involution iota is a test oracle. Everything is keyed by one-line
-tuples (``Permutation.word``); a ``Permutation``, one per tuple (``_perm``),
-appears only at the public boundary (``HeckeElement.terms``, ``KLResult``).
+``kl_recursion``). The recursion keeps one checked ``KLResult`` per element
+(``_recursion``) and Bott-Samelson one per reduced word (``_bott_samelson``),
+each made once through ``_check_kl``; a single element with more than 720
+elements below it, and a product whose walks pass ``MAX_PRODUCT_WORK``
+elements, are refused first (``_check_work`` in each entry, ``t_mul``). The
+involution iota is a test oracle. Elements are keyed by one-line tuples
+(``Permutation.word``); a ``Permutation``, one per tuple (``_perm``), appears
+only at the public boundary (``HeckeElement.terms``, ``KLResult``).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from types import MappingProxyType
@@ -341,15 +343,12 @@ def iota(a: HeckeElement) -> HeckeElement:
 class KLResult:
     """C'_w in the T basis, for the w the caller named, with its polynomial data.
 
-    kl_polys maps u to P_{u,w} as a polynomial in q; corrections maps u
-    to the palindromic multiple p_u removed during Bott-Samelson
-    extraction (that route only). Both are read-only views, since the
-    routes' memos keep the result.
+    kl_polys maps u to P_{u,w} as a polynomial in q. It is a read-only
+    view, since the routes' memos keep the result.
     """
 
     cprime: HeckeElement
     kl_polys: MappingProxyType      # Permutation -> LaurentPoly in q
-    corrections: MappingProxyType   # Permutation -> LaurentPoly in v
 
 
 def _check_kl(w: Permutation, table: dict) -> MappingProxyType:
@@ -388,53 +387,54 @@ def _check_work(w: Permutation):
 
 
 def kl_bott_samelson(word, n: int) -> KLResult:
-    """C'_w from the Bott-Samelson product over a reduced word.
+    """C'_w from the Bott-Samelson product over a reduced word of w.
 
     E = v^{-k} (T_{s_1} + 1) ... (T_{s_k} + 1) equals C'_w plus smaller
     canonical terms; for u < w in decreasing length order the palindromic
     part of v^{l(u)} * (coefficient of T_u) determines the multiple p_u
-    of C'_u to subtract. What remains is C'_w. The canonical reduced
-    word's result is memoised; any other reduced word is computed anew.
+    of C'_u to subtract. What remains is C'_w. The result is memoised by
+    the word (``_bott_samelson``), which checks its letters and that it is
+    reduced when it is first seen; past S_6 the word is checked here first,
+    then the work (``_check_work``), before anything is made.
     """
-    word = tuple(word)
+    word = tuple(map(operator.index, word))   # a float letter is refused, not read from the memo
+    if n > MAX_KL_TABLE:   # no interval of S_6 passes the work bound, so a hit checks nothing
+        _check_work(_reduced(word, n))
+    return _bott_samelson(word, n)
+
+
+def _reduced(word: tuple, n: int) -> Permutation:
+    """The element of S_n whose reduced word is ``word``; refused if it is not reduced."""
     w = from_word(word, n)
     if len(word) != w.length():
         raise ComputationError("word %r is not reduced" % (word,))
-    _check_work(w)
-    if word == w.reduced_word():
-        return _bott_samelson(w.word)
-    return _extract_bott_samelson(w, word)
+    return w
 
 
 @lru_cache(maxsize=None)
-def _bott_samelson(x: tuple) -> KLResult:
-    """C'_w over the canonical reduced word of w, keyed by its one-line tuple x."""
-    w = _perm(x)
-    return _extract_bott_samelson(w, w.reduced_word())
-
-
-def _extract_bott_samelson(w: Permutation, word: tuple) -> KLResult:
-    e = HeckeElement.unit(w.n)
+def _bott_samelson(word: tuple, n: int) -> KLResult:
+    """C'_w over the reduced word ``word`` of w in S_n; each smaller C'_u is
+    read over u's canonical reduced word."""
+    w = _reduced(word, n)
+    e = HeckeElement.unit(n)
     for i in word:
         e = _mul_right_simple(e, i) + e   # e * (T_s + 1)
     e = e.scale(LaurentPoly({-len(word): 1}))
 
     # Removing p_u C'_u changes only T_u and terms shorter than u, so one
     # pass in decreasing length sees each coefficient in its final state.
-    corrections = {}
     for lu, x in sorted(((_inversions(x), x) for x in e._coeffs if x != w.word),
                         reverse=True):
         g = e._coeffs[x].shift(lu)
         p_u = _poly({s * d: c for d, c in g._c.items() if d >= 0 for s in (1, -1)})
         if p_u:
-            corrections[_perm(x)] = p_u
-            e = e - _bott_samelson(x).cprime.scale(p_u)
+            e = e - _bott_samelson(_perm(x).reduced_word(), n).cprime.scale(p_u)
 
     try:   # P_{u,w}(q) is v^{l(w)} times the coefficient of T_u
         table = {x: c.shift(len(word)).to_q() for x, c in e._coeffs.items()}
     except ComputationError as err:
         raise InternalConsistencyError("C'_%s: %s" % (w, err)) from None
-    return KLResult(e, _check_kl(w, table), MappingProxyType(corrections))
+    return KLResult(e, _check_kl(w, table))
 
 
 def kl_recursion(w: Permutation) -> KLResult:
@@ -451,7 +451,7 @@ def _recursion(x: tuple) -> KLResult:
     w, table, lw = _perm(x), _kl_polys(x), _inversions(x)
     shifted = {p: _poly({2 * j - lw: c for j, c in p._c.items()}) for p in table.values()}
     e = HeckeElement._of(w.n, {y: shifted[p] for y, p in table.items()})
-    return KLResult(e, _check_kl(w, table), MappingProxyType({}))
+    return KLResult(e, _check_kl(w, table))
 
 
 @lru_cache(maxsize=None)

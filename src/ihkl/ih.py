@@ -16,9 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .complexes import (SimplicialComplex, StratifiedComplex, _allowability, _dims,
-                        _fit_perversity, _model, boundary_columns, chain_basis, cone,
-                        faces_with_signs, homology_dims, require_structure, simplex, suspend,
-                        vkey)
+                        _fit_perversity, _model, boundary_columns, chain_basis,
+                        faces_with_signs, homology_dims, require_structure, simplex, vkey)
 from .errors import ComputationError, InternalConsistencyError
 from .linalg import RationalMatrix, rank_kernel
 from .perversity import Perversity, is_complementary, make_standard
@@ -178,44 +177,6 @@ class ComparisonReport:
         }
 
 
-def cone_formula_check(link: StratifiedComplex, p: Perversity) -> ComparisonReport:
-    """Compare IH of the open cone with the truncation prediction.
-
-    The prediction: degree j of the cone carries IH_{j-1} of the link
-    when j >= k - p(k), and nothing below that cutoff (k = cone dimension).
-    """
-    if len(link.ends) != 0:
-        raise ComputationError("cone formula needs a compact link")
-    k = link.dimension + 1
-    if k < 2 or p.dimension < k:
-        raise ComputationError("need a perversity of dimension >= %d" % k)
-    pk = p(k)
-    c = cone(link)
-    direct = ih_dims(c, p, "borel_moore")
-    link_ih = ih_dims(link, p, "borel_moore")
-    rep = ComparisonReport("cone formula (dim %d, p(%d)=%d)" % (k, k, pk))
-    cutoff = k - pk
-    for j in range(0, k + 1):
-        predicted = link_ih.get(j - 1, 0) if j >= cutoff else 0
-        rep.add("degree %d" % j, direct.get(j, 0), predicted)
-    rep.notes.append("truncation cutoff at degree %d" % cutoff)
-    return rep
-
-
-def suspension_check(s: StratifiedComplex, p: Perversity) -> ComparisonReport:
-    """IH of R x X, Kunneth for ``product(s, I)``, should be IH of X shifted up one degree."""
-    n = s.dimension
-    if p.dimension < n + 1:
-        raise ComputationError("need a perversity of dimension >= %d" % (n + 1))
-    base = ih_dims(s, p, "borel_moore")
-    sus = ih_dims(suspend(s), p, "borel_moore")
-    rep = ComparisonReport("suspension shift (dim %d -> %d)" % (n, n + 1))
-    rep.add("degree 0", sus.get(0, 0), 0)
-    for i in range(0, n + 1):
-        rep.add("degree %d" % (i + 1), sus.get(i + 1, 0), base.get(i, 0))
-    return rep
-
-
 def local_stalk_table(s: StratifiedComplex, x, p: Perversity) -> dict:
     """Stalk cohomology table at a vertex, from the IH of its link.
 
@@ -225,6 +186,8 @@ def local_stalk_table(s: StratifiedComplex, x, p: Perversity) -> dict:
     with its normal link, so this is the normal link's IH in degree
     (k - 1) - j. Reduced IH, one less in degree 0 and 1 in degree -1 for
     an empty link, differs only for n <= 1. Only non-zero entries are returned.
+    At the apex of cone(L) this is the cone formula: the table is the
+    Borel-Moore IH of the open cone, read in degree -i.
 
     The input is gated like ``ih_dims``. The stalk is a local invariant, read on
     the link of x in s itself, with the links of x in the F(k) as its strata: a

@@ -62,11 +62,6 @@ class Perversity:
                                   % (self.dimension, n))
         return Perversity(self.values[: n - 1])
 
-    def __le__(self, other: "Perversity") -> bool:
-        if self.dimension != other.dimension:
-            raise PerversityError("dimension mismatch")
-        return all(a <= b for a, b in zip(self.values, other.values))
-
     def __str__(self):
         return "(" + ",".join(str(v) for v in self.values) + ")"
 

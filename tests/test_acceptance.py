@@ -8,12 +8,12 @@ import functools
 import time
 
 from ihkl import builders
-from ihkl.complexes import barycentric_subdivide, homology_dims, suspend
+from ihkl.complexes import barycentric_subdivide, cone, homology_dims, suspend
 from ihkl.coxeter import all_elements, reduced_words
 from ihkl.hecke import LaurentPoly, cprime, iota, kl_bott_samelson, kl_table
 from ihkl.flagfq import schubert_cell_sizes, verify_hecke_specialization
-from ihkl.ih import (cone_formula_check, duality_report, extremal_comparison,
-                     ih_dims, is_normal, normalize_isolated, suspension_check)
+from ihkl.ih import (duality_report, extremal_comparison, ih_dims, is_normal,
+                     local_stalk_table, normalize_isolated)
 from ihkl.perversity import make_standard
 
 
@@ -93,20 +93,23 @@ def test_criterion_5_kl_structural_properties():
 
 @criterion(6, 30)
 def test_criterion_6_cone_formula():
+    # the apex stalk, from the link's IH, is the Borel-Moore IH of the open cone
     links = (builders.circle(), builders.two_circles(), builders.torus())
     for link in links:
-        k = link.dimension + 1
+        c = cone(link)
         for kind in ("zero", "lower_middle", "top"):
-            rep = cone_formula_check(link, make_standard(kind, k))
-            assert rep.passed, rep.render_text()
+            p = make_standard(kind, c.dimension)
+            bm = ih_dims(c, p, "borel_moore")
+            assert local_stalk_table(c, "apex", p) == {-i: d for i, d in bm.items() if d}
 
 
 @criterion(7, 30)
 def test_criterion_7_suspension():
-    assert suspension_check(builders.pinched_cylinder(),
-                            make_standard("lower_middle", 3)).passed
-    assert suspension_check(builders.cone_torus(),
-                            make_standard("lower_middle", 4)).passed
+    # Kunneth with the open interval: R x X has the Borel-Moore IH of X one degree up
+    for x, p in ((builders.pinched_cylinder(), make_standard("lower_middle", 3)),
+                 (builders.cone_torus(), make_standard("lower_middle", 4))):
+        shifted = {0: 0, **{i + 1: d for i, d in ih_dims(x, p, "borel_moore").items()}}
+        assert ih_dims(suspend(x), p, "borel_moore") == shifted
 
 
 @criterion(8, 30)

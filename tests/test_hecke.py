@@ -260,14 +260,28 @@ def test_bott_samelson_word_independence():
             assert kl_bott_samelson(word, 4).cprime == base.cprime, (w, word)
 
 
-def test_bott_samelson_other_reduced_word_is_not_memoised():
+def test_a_repeated_word_is_memoised_and_a_bad_word_is_refused_each_time():
+    """The memo is keyed by the word: any reduced word is made once, the
+    canonical one or not, and a word it refuses is checked again at every call."""
     w = from_word((1, 2, 1), 3)
     assert w.reduced_word() != (2, 1, 2)
-    for u in all_elements(3):
-        cprime(u)   # the corrections below hit memoised results only
-    before = hecke._bott_samelson.cache_info().currsize
-    assert kl_bott_samelson((2, 1, 2), 3).cprime == cprime(w).cprime
-    assert hecke._bott_samelson.cache_info().currsize == before
+    first = kl_bott_samelson((2, 1, 2), 3)
+    assert first.cprime == cprime(w).cprime
+    assert kl_bott_samelson([2, 1, 2], 3) is first
+    with pytest.raises(TypeError):   # equal to the memoised key, but 2.0 is not a letter
+        kl_bott_samelson((2.0, 1, 2), 3)
+    # letters first, then reducedness, then, past S_6, the work bound
+    big = longest_element(7).reduced_word()
+    for word, n, message in [
+            ((1, 1), 3, "word (1, 1) is not reduced"),
+            ((1, 1, 3), 3, "simple index 3 out of range"),
+            ((1, 1, 8), 8, "simple index 8 out of range"),
+            (big + (1,), 7, "word %r is not reduced" % (big + (1,),)),
+            (big, 7, "the Bruhat interval [e, 7654321] has more than 720 elements, "
+                     "the limit for one KL element")]:
+        for _ in range(2):
+            with pytest.raises(ComputationError, match="^%s$" % re.escape(message)):
+                kl_bott_samelson(word, n)
 
 
 def test_a_warm_recursion_table_runs_no_check(monkeypatch):
@@ -306,12 +320,6 @@ def test_every_cache_clears_and_recomputes_the_same_table():
 def test_bott_samelson_rejects_non_reduced_word():
     with pytest.raises(ComputationError):
         kl_bott_samelson((1, 1), 3)
-
-
-def test_bott_samelson_corrections_are_palindromic():
-    res = kl_bott_samelson((2, 1, 3, 2), 4)
-    for p in res.corrections.values():
-        assert p.is_palindromic()
 
 
 def test_degree_bounds_and_normalization():
@@ -409,7 +417,7 @@ def test_hecke_element_formatting():
 def test_kl_results_are_read_only_so_the_memo_stays_right():
     w = Permutation((3, 4, 1, 2))
     res = cprime(w)
-    for view in (res.kl_polys, res.corrections, cprime(w, "recursion").kl_polys):
+    for view in (res.kl_polys, cprime(w, "recursion").kl_polys):
         with pytest.raises(AttributeError):
             view.clear()
         with pytest.raises(TypeError):
@@ -500,7 +508,7 @@ def test_single_element_work_is_bounded_by_the_largest_table_interval():
 
 @pytest.mark.parametrize("algorithm, name, old, new", [
     # T_s in place of T_s + 1 in the Bott-Samelson product: the table is {w: 1}
-    ("bott_samelson", "_extract_bott_samelson",
+    ("bott_samelson", "_bott_samelson",
      "e = _mul_right_simple(e, i) + e", "e = _mul_right_simple(e, i)"),
     # one member of each coset {y, ys} alone: the table keeps w and loses e
     ("recursion", "_kl_polys", "out[y] = out[_swap(y, i)] = p", "out[y] = p"),
@@ -522,10 +530,10 @@ def test_a_bott_samelson_coefficient_off_z_q_fails_at_run_time(plant):
     """v^(1-l) in place of v^(-l) leaves C'_w times v^l(w) off Z[v^2]: reading
     P_{u,w} off in q refuses the odd power of v."""
     hecke._bott_samelson.cache_clear()
-    plant(hecke, "_extract_bott_samelson", "LaurentPoly({-len(word): 1})",
+    plant(hecke, "_bott_samelson", "LaurentPoly({-len(word): 1})",
           "LaurentPoly({1 - len(word): 1})")
     try:
-        # w0 meets it first at C'_e, which its corrections are built on
+        # w0 meets it first at C'_e, a multiple of which it subtracts
         for w in (identity(3), longest_element(3)):
             with pytest.raises(InternalConsistencyError, match=re.escape(
                     "C'_123: exponent 1: element does not lie in Z[q]")):

@@ -31,10 +31,10 @@ On a subdivision and an ``interior_order_complex``, the two conditions that
 ``compact_model`` takes as proved for an order complex, full ends and a
 stratum-faithful push off them, are checked, and that model's dimensions
 against those of the order complex off the ends.
-Kunneth with a manifold factor, the circle or the cylinder, is checked on
-the drawn complexes, and ``suspend``, the product with an interval,
-against the prism it was built as before, each path sorted by
-``simplex`` and closed under faces.
+Kunneth with a manifold factor, the circle or the cylinder, and with the
+open interval, whose product is ``suspend``, is checked on the drawn
+complexes, and ``suspend`` against the prism it was built as before, each
+path sorted by ``simplex`` and closed under faces.
 Every test pins its draws with ``@seed`` (see conftest.py).
 """
 
@@ -49,16 +49,15 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from ihkl import builders
-from ihkl.complexes import (SUPPORTS, SimplicialComplex, StratifiedComplex, _allowability,
-                            _failed_checks, _fit_perversity, _model, _plain,
+from ihkl.complexes import (_INTERVAL, SUPPORTS, SimplicialComplex, StratifiedComplex,
+                            _allowability, _failed_checks, _fit_perversity, _model, _plain,
                             _structure_report, _vertex_ids, barycenters, barycentric_subdivide,
                             boundary_columns, chain_basis, chain_dims, compact_model,
                             complex_from_dict, complex_to_dict, cone, faces_with_signs,
                             homology_dims, interior_order_complex, product, simplex, suspend,
                             vkey)
-from ihkl.ih import (allowable_complex, allowable_simplices,
-                     cone_formula_check, duality_report, ih_dims, local_stalk_table,
-                     normalize_isolated, suspension_check)
+from ihkl.ih import (allowable_complex, allowable_simplices, duality_report, ih_dims,
+                     local_stalk_table, normalize_isolated)
 from ihkl.errors import ComputationError, UsageError
 from ihkl.linalg import (RationalMatrix, column_pivots, int_column_pivots, rank_kernel,
                          sparse_rank)
@@ -248,16 +247,12 @@ def test_allowable_chains_lie_on_the_allowable_simplices(s):
 @seed(8)
 @given(BASES)
 def test_cone_formula_on_every_compact_link(link):
-    for p in perversities(link.dimension + 1):
-        assert cone_formula_check(link, p).passed
-
-
-@seed(9)
-@settings(max_examples=10)
-@given(complexes())
-def test_suspension_shifts_ih_up_one_degree(s):
-    for p in perversities(s.dimension + 1):
-        assert suspension_check(s, p).passed
+    # the apex stalk, the link's IH truncated, is the Borel-Moore IH of the
+    # open cone read in degree -i
+    c = cone(link)
+    for p in perversities(c.dimension):
+        bm = ih_dims(c, p, "borel_moore")
+        assert local_stalk_table(c, "apex", p) == {-i: d for i, d in bm.items() if d}, str(p)
 
 
 def tensor(a, b, n):
@@ -270,14 +265,17 @@ def tensor(a, b, n):
 @given(complexes(), st.sampled_from(("circle", "cylinder")))
 def test_kunneth_with_a_manifold_factor(x, factor):
     # IH(X x M) = IH(X) (x) H(M), with the same supports on both sides
-    # (King 1985); a cylinder factor only up to dim X = 2, which stays fast
-    m = builders.build("circle" if x.dimension > 2 else factor)
-    xm = product(x, m)
-    n = xm.dimension
-    for sup in SUPPORTS:
-        hm = homology_dims(m, sup)
-        for p in (None, *perversities(n)):
-            assert ih_dims(xm, p, sup) == tensor(ih_dims(x, p, sup), hm, n), (p, sup)
+    # (King 1985); a cylinder factor only up to dim X = 2, which stays fast.
+    # Every X also takes the open interval I: suspend(X) is X x I, and H(I) is
+    # one class, in degree 1 with closed supports and in degree 0 with compact
+    name = "circle" if x.dimension > 2 else factor
+    m = builders.build(name)
+    for name, m, xm in ((name, m, product(x, m)), ("interval", _INTERVAL, suspend(x))):
+        n = xm.dimension
+        for sup in SUPPORTS:
+            hm = homology_dims(m, sup)
+            for p in (None, *perversities(n)):
+                assert ih_dims(xm, p, sup) == tensor(ih_dims(x, p, sup), hm, n), (name, p, sup)
 
 
 def test_allowable_chain_oracle_subdivides_non_full_strata():
